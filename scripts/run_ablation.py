@@ -1,9 +1,15 @@
 """Loss-term ablation: full loss vs no-diversity vs no-prototype-feature.
 
-Trains every variant at every seed on one dataset with one shared frozen
-extractor, then prints the seed-averaged prototype distance table and the
-localization rates. With the default three seeds this is nine training
-runs, roughly 10 minutes on one core.
+Generates a dataset, pretrains one frozen extractor, then trains every
+variant at every seed on both, each step one ``protodensity`` subcommand,
+and prints the seed-averaged prototype distance table. With the default
+three seeds this is nine training runs, roughly 10 minutes on one core.
+Everything lands under --out:
+
+    data/                images, annotations, density maps, manifest
+    extractor/           the shared frozen extractor
+    ablation.csv         per run: MAE, distances, localization rates
+    distance_table.txt   seed-averaged intra-group prototype distances
 
 The expected directions: dropping the diversity term collapses the minimum
 intra-group prototype distances, and dropping the prototype-to-feature
@@ -12,12 +18,9 @@ term pushes background prototypes onto cell regions.
 
 import argparse
 import os
-import time
+import sys
 
-from protodensity.config import build_run_config, write_resolved_config
-from protodensity.datagen import generate_dataset, load_dataset
-from protodensity.evaluate import format_distance_table, run_ablation
-from protodensity.training import pretrain_extractor
+from protodensity.cli import main as protodensity
 
 
 def parse_args():
@@ -28,38 +31,31 @@ def parse_args():
                         default=[])
     parser.add_argument("--seeds", default="0,1,2",
                         help="comma-separated training seeds")
-    parser.add_argument("--n-train", type=int, default=100)
-    parser.add_argument("--n-test", type=int, default=50)
+    parser.add_argument("--n-train", default="100")
+    parser.add_argument("--n-test", default="50")
     return parser.parse_args()
 
 
-def main():
+def main() -> int:
     args = parse_args()
-    config = build_run_config(args.config, args.set)
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    write_resolved_config(config, args.out,
-                          {"command": "run_ablation",
-                           "seeds": ",".join(str(s) for s in seeds)})
-
-    data_dir = os.path.join(args.out, "data")
-    generate_dataset(config.scene, args.n_train, args.n_test, data_dir)
-    dataset = load_dataset(data_dir)
-
-    start = time.perf_counter()
-    extractor, _ = pretrain_extractor(dataset, config.train)
-    print(f"[{time.perf_counter() - start:6.1f}s] extractor pretrained")
-
-    reports = run_ablation(dataset, config.train, seeds=seeds,
-                           model_config=config.model, extractor=extractor,
-                           out_dir=args.out)
-    print(f"[{time.perf_counter() - start:6.1f}s] "
-          f"{len(reports)} runs finished\n")
-
-    print(format_distance_table(reports))
-    for r in reports:
-        print(f"{r.variant:<17} seed {r.seed}: MAE {r.mae:6.2f}  "
-              f"cell-on-cell {r.cell_rate:.2f}  bg-on-cell {r.bg_rate:.2f}")
+    config = (["--config", args.config] if args.config else []) + \
+        [flag for item in args.set for flag in ("--set", item)]
+    data, extractor = os.path.join(args.out, "data"), os.path.join(args.out, "extractor")
+    steps = [
+        ["gen-data", *config, "--out", data, "--n-train", args.n_train,
+         "--n-test", args.n_test],
+        ["pretrain", *config, "--data", data, "--out", extractor],
+        ["ablate", *config, "--data", data, "--extractor", extractor,
+         "--out", args.out, "--seeds", args.seeds],
+    ]
+    for step in steps:
+        code = protodensity(step)
+        if code:
+            return code
+    with open(os.path.join(args.out, "distance_table.txt")) as f:
+        print(f.read(), end="")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

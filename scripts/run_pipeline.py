@@ -1,8 +1,8 @@
 """End-to-end pipeline on a synthetic dataset.
 
 Generates data, pretrains and freezes the extractor, trains the prototype
-model, then writes the evaluation CSV and the patch gallery. Everything
-lands under --out:
+model, then writes the evaluation CSV and the patch gallery, each step one
+``protodensity`` subcommand. Everything lands under --out:
 
     data/          images, annotations, density maps, manifest
     extractor/     frozen extractor weights and pretraining curve
@@ -16,14 +16,9 @@ counts 5-80, K=4+4). Expect roughly 2-3 minutes on one core.
 
 import argparse
 import os
-import time
+import sys
 
-from protodensity.config import build_run_config, write_resolved_config
-from protodensity.datagen import generate_dataset, load_dataset
-from protodensity.evaluate import constant_baseline_mae, mae, write_eval_csv
-from protodensity.interp import export_prototype_gallery
-from protodensity.model import CountModel, save_extractor
-from protodensity.training import compute_features, pretrain_extractor, train
+from protodensity.cli import main as protodensity
 
 
 def parse_args():
@@ -32,48 +27,34 @@ def parse_args():
     parser.add_argument("--config", help="dotted-key config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         default=[], help="override one config key")
-    parser.add_argument("--n-train", type=int, default=100)
-    parser.add_argument("--n-test", type=int, default=50)
-    parser.add_argument("--gallery-k", type=int, default=3)
+    parser.add_argument("--n-train", default="100")
+    parser.add_argument("--n-test", default="50")
+    parser.add_argument("--gallery-k", default="3")
     return parser.parse_args()
 
 
-def main():
+def main() -> int:
     args = parse_args()
-    config = build_run_config(args.config, args.set)
-    write_resolved_config(config, args.out, {"command": "run_pipeline"})
-
-    data_dir = os.path.join(args.out, "data")
-    t0 = time.perf_counter()
-    generate_dataset(config.scene, args.n_train, args.n_test, data_dir)
-    dataset = load_dataset(data_dir)
-    print(f"[{time.perf_counter() - t0:6.1f}s] generated "
-          f"{args.n_train}+{args.n_test} samples")
-
-    extractor, history = pretrain_extractor(dataset, config.train)
-    save_extractor(extractor, os.path.join(args.out, "extractor"))
-    print(f"[{time.perf_counter() - t0:6.1f}s] pretrained extractor, "
-          f"mse {history[0]:.4f} -> {history[-1]:.4f}")
-
-    features = compute_features(extractor, dataset.train)
-    model = CountModel(config.model, extractor, seed=config.train.seed)
-    model, train_history = train(model, dataset, config.train,
-                                 out_dir=os.path.join(args.out, "run"),
-                                 feature_cache=features)
-    print(f"[{time.perf_counter() - t0:6.1f}s] trained {train_history.epochs} "
-          f"epochs, {len(train_history.projections)} projections")
-
-    report = mae(model, dataset.test, seed=config.train.seed)
-    write_eval_csv(report, os.path.join(args.out, "eval.csv"))
-    baseline = constant_baseline_mae(dataset)
-    print(f"[{time.perf_counter() - t0:6.1f}s] test MAE {report.mae:.3f} "
-          f"(train-mean baseline {baseline:.3f})")
-
-    export_prototype_gallery(model, dataset, os.path.join(args.out, "gallery"),
-                             k=args.gallery_k, features=features)
-    print(f"[{time.perf_counter() - t0:6.1f}s] wrote gallery to "
-          f"{os.path.join(args.out, 'gallery')}")
+    config = (["--config", args.config] if args.config else []) + \
+        [flag for item in args.set for flag in ("--set", item)]
+    data, extractor, run, model = (os.path.join(args.out, d) for d in
+                                   ("data", "extractor", "run", "run/checkpoint_final"))
+    steps = [
+        ["gen-data", *config, "--out", data, "--n-train", args.n_train,
+         "--n-test", args.n_test],
+        ["pretrain", *config, "--data", data, "--out", extractor],
+        ["train", *config, "--data", data, "--extractor", extractor, "--out", run],
+        ["eval", "--model", model, "--data", data,
+         "--out", os.path.join(args.out, "eval.csv")],
+        ["explain", "--model", model, "--data", data,
+         "--out", os.path.join(args.out, "gallery"), "--global-k", args.gallery_k],
+    ]
+    for step in steps:
+        code = protodensity(step)
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

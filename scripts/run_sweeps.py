@@ -1,19 +1,23 @@
 """Prototype-count and diversity-threshold sweeps.
 
 Trains one model per K in --k (equal split between groups) and one per tau
-in --tau, all sharing a dataset and a frozen extractor, then prints the MAE
-grids. The tau runs each leave a patch gallery under the output directory
-for qualitative side-by-side comparison.
+in --tau, all sharing a dataset and a frozen extractor, each step one
+``protodensity`` subcommand that prints its MAE grid. Everything lands
+under --out:
+
+    data/                  images, annotations, density maps, manifest
+    extractor/             the shared frozen extractor
+    sweep_k.csv            MAE per (K, seed)
+    sweep_tau.csv          MAE per (tau, seed)
+    tau_<tau>_seed<seed>/  a patch gallery per tau run, for side-by-side
+                           qualitative comparison
 """
 
 import argparse
 import os
-import time
+import sys
 
-from protodensity.config import build_run_config, write_resolved_config
-from protodensity.datagen import generate_dataset, load_dataset
-from protodensity.evaluate import sweep_k, sweep_tau
-from protodensity.training import compute_features, pretrain_extractor
+from protodensity.cli import main as protodensity
 
 
 def parse_args():
@@ -25,45 +29,31 @@ def parse_args():
     parser.add_argument("--k", default="2,4,6,8")
     parser.add_argument("--tau", default="0,0.4,0.8")
     parser.add_argument("--seeds", default="0")
-    parser.add_argument("--n-train", type=int, default=100)
-    parser.add_argument("--n-test", type=int, default=50)
+    parser.add_argument("--n-train", default="100")
+    parser.add_argument("--n-test", default="50")
     return parser.parse_args()
 
 
-def main():
+def main() -> int:
     args = parse_args()
-    config = build_run_config(args.config, args.set)
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    k_values = tuple(int(k) for k in args.k.split(",") if k.strip())
-    tau_values = tuple(float(t) for t in args.tau.split(",") if t.strip())
-    write_resolved_config(config, args.out,
-                          {"command": "run_sweeps", "k": args.k,
-                           "tau": args.tau, "seeds": args.seeds})
-
-    data_dir = os.path.join(args.out, "data")
-    generate_dataset(config.scene, args.n_train, args.n_test, data_dir)
-    dataset = load_dataset(data_dir)
-
-    start = time.perf_counter()
-    extractor, _ = pretrain_extractor(dataset, config.train)
-    features = compute_features(extractor, dataset.train)
-    print(f"[{time.perf_counter() - start:6.1f}s] extractor ready")
-
-    k_rows = sweep_k(dataset, config.train, k_values=k_values, seeds=seeds,
-                     extractor=extractor, out_dir=args.out,
-                     feature_cache=features)
-    print(f"[{time.perf_counter() - start:6.1f}s] K sweep done")
-    for k, seed, value in k_rows:
-        print(f"  K={k} seed {seed}: MAE {value:6.2f}")
-
-    tau_rows = sweep_tau(dataset, config.train, tau_values=tau_values,
-                         seeds=seeds, model_config=config.model,
-                         extractor=extractor, out_dir=args.out,
-                         feature_cache=features)
-    print(f"[{time.perf_counter() - start:6.1f}s] tau sweep done")
-    for tau, seed, value in tau_rows:
-        print(f"  tau={tau:g} seed {seed}: MAE {value:6.2f}")
+    config = (["--config", args.config] if args.config else []) + \
+        [flag for item in args.set for flag in ("--set", item)]
+    data, extractor = os.path.join(args.out, "data"), os.path.join(args.out, "extractor")
+    shared = ["--data", data, "--extractor", extractor, "--out", args.out,
+              "--seeds", args.seeds]
+    steps = [
+        ["gen-data", *config, "--out", data, "--n-train", args.n_train,
+         "--n-test", args.n_test],
+        ["pretrain", *config, "--data", data, "--out", extractor],
+        ["sweep-k", *config, *shared, "--k", args.k],
+        ["sweep-tau", *config, *shared, "--tau", args.tau],
+    ]
+    for step in steps:
+        code = protodensity(step)
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -34,22 +34,15 @@ class _Parser(argparse.ArgumentParser):
 # -- small parsers -------------------------------------------------------------
 
 
-def _int_list(raw: str) -> list[int]:
+def _number_list(raw: str, kind=int) -> list:
     try:
-        return [int(p) for p in raw.split(",") if p.strip()]
+        return [kind(p) for p in raw.split(",") if p.strip()]
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {raw!r}") from exc
-
-
-def _float_list(raw: str) -> list[float]:
-    try:
-        return [float(p) for p in raw.split(",") if p.strip()]
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {raw!r}") from exc
+        raise UsageError(f"expected comma-separated {kind.__name__}s, got {raw!r}") from exc
 
 
 def _loc(raw: str) -> tuple[int, int]:
-    parts = _int_list(raw)
+    parts = _number_list(raw)
     if len(parts) != 2:
         raise UsageError(f"--loc expects H,W, got {raw!r}")
     return parts[0], parts[1]
@@ -100,10 +93,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    import csv
-
     from .datagen import load_dataset
     from .model import save_extractor
+    from .tensor import write_csv
     from .training import pretrain_extractor
 
     config = _load_run_config(args)
@@ -111,11 +103,8 @@ def cmd_pretrain(args) -> int:
     extractor, history = pretrain_extractor(dataset, config.train)
     save_extractor(extractor, args.out)
     _echo(config, args.out, command="pretrain", data=args.data)
-    with open(os.path.join(args.out, "pretrain_history.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("epoch", "mse"))
-        for epoch, mse in enumerate(history):
-            writer.writerow([epoch, repr(mse)])
+    write_csv(os.path.join(args.out, "pretrain_history.csv"), ("epoch", "mse"),
+              [[epoch, repr(mse)] for epoch, mse in enumerate(history)])
     print(f"pretrained extractor: mse {history[0]:.6f} -> {history[-1]:.6f}, "
           f"saved to {args.out}")
     return EXIT_OK
@@ -197,7 +186,7 @@ def cmd_ablate(args) -> int:
         variant_loss_config(config.train.loss, variant)
     _echo(config, args.out, command="ablate", data=args.data,
           variants=",".join(variants), seeds=args.seeds)
-    reports = run_ablation(dataset, config.train, seeds=_int_list(args.seeds),
+    reports = run_ablation(dataset, config.train, seeds=_number_list(args.seeds),
                            model_config=config.model,
                            extractor=_load_frozen_extractor(args.extractor),
                            variants=variants, out_dir=args.out)
@@ -215,8 +204,8 @@ def cmd_sweep_k(args) -> int:
     dataset = load_dataset(args.data)
     _echo(config, args.out, command="sweep-k", data=args.data, k=args.k,
           seeds=args.seeds)
-    rows = sweep_k(dataset, config.train, k_values=_int_list(args.k),
-                   seeds=_int_list(args.seeds),
+    rows = sweep_k(dataset, config.train, k_values=_number_list(args.k),
+                   seeds=_number_list(args.seeds),
                    extractor=_load_frozen_extractor(args.extractor),
                    out_dir=args.out)
     for k, seed, value in rows:
@@ -232,8 +221,8 @@ def cmd_sweep_tau(args) -> int:
     dataset = load_dataset(args.data)
     _echo(config, args.out, command="sweep-tau", data=args.data, tau=args.tau,
           seeds=args.seeds)
-    rows = sweep_tau(dataset, config.train, tau_values=_float_list(args.tau),
-                     seeds=_int_list(args.seeds), model_config=config.model,
+    rows = sweep_tau(dataset, config.train, tau_values=_number_list(args.tau, float),
+                     seeds=_number_list(args.seeds), model_config=config.model,
                      extractor=_load_frozen_extractor(args.extractor),
                      out_dir=args.out)
     for tau, seed, value in rows:

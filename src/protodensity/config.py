@@ -14,6 +14,7 @@ from . import __version__
 from .datagen import SceneConfig, validate_config
 from .losses import LossConfig
 from .model import ModelConfig
+from .tensor import format_value, parse_key_values, parse_value, read_text
 from .training import TrainConfig
 
 RESOLVED_CONFIG_NAME = "config_resolved.txt"
@@ -42,52 +43,16 @@ class RunConfig:
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ConfigError(f"{source}:{lineno}: empty key")
-        values[key] = value
-    return values
+    try:
+        return parse_key_values(text.splitlines(), source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config_file(path: str) -> dict[str, str]:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as f:
-        return parse_config_text(f.read(), source=path)
-
-
-def _coerce(key: str, raw: str, default):
-    kind = type(default)
-    try:
-        if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind is tuple:
-            parts = [p.strip() for p in raw.strip("()").split(",") if p.strip()]
-            elem = type(default[0]) if default else str
-            if elem is not str and len(parts) != len(default):
-                raise ValueError(f"expected {len(default)} values, got {len(parts)}")
-            return tuple(elem(p) for p in parts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}: {exc}") from exc
-    raise ConfigError(f"{key}: unsupported field type {kind.__name__}")
+    return parse_config_text(read_text(path), source=path)
 
 
 def _section_fields(obj) -> dict[str, object]:
@@ -97,30 +62,24 @@ def _section_fields(obj) -> dict[str, object]:
 def apply_values(config: RunConfig, values: dict[str, str]) -> RunConfig:
     """A new RunConfig with every dotted key applied. Keys live under the
     scene., model., train., and loss. namespaces."""
-    scene, model, train = config.scene, config.model, config.train
-    loss = train.loss
+    sections = {"scene": config.scene, "model": config.model,
+                "train": config.train, "loss": config.train.loss}
     for key, raw in values.items():
         if "." not in key:
             raise ConfigError(f"unknown config key {key!r} (expected section.field)")
         section, name = key.split(".", 1)
-        target = {"scene": scene, "model": model, "train": train,
-                  "loss": loss}.get(section)
-        if target is None:
+        if section not in sections:
             raise ConfigError(f"unknown config section {section!r} in key {key!r}")
-        current = _section_fields(target)
+        current = _section_fields(sections[section])
         if name not in current:
             raise ConfigError(f"unknown config key {key!r}")
-        value = _coerce(key, raw, current[name])
-        if section == "scene":
-            scene = replace(scene, **{name: value})
-        elif section == "model":
-            model = replace(model, **{name: value})
-        elif section == "train":
-            train = replace(train, **{name: value})
-        else:
-            loss = replace(loss, **{name: value})
-    train = replace(train, loss=loss)
-    return RunConfig(scene, model, train)
+        try:
+            value = parse_value(raw, current[name])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot parse {raw!r}: {exc}") from None
+        sections[section] = replace(sections[section], **{name: value})
+    return RunConfig(sections["scene"], sections["model"],
+                     replace(sections["train"], loss=sections["loss"]))
 
 
 def build_run_config(config_path: str | None = None,
@@ -142,20 +101,12 @@ def build_run_config(config_path: str | None = None,
 # -- echoing -------------------------------------------------------------------
 
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def resolved_lines(config: RunConfig) -> list[str]:
     lines = []
     for section, obj in (("scene", config.scene), ("model", config.model),
                          ("train", config.train), ("loss", config.train.loss)):
         for name, value in _section_fields(obj).items():
-            lines.append(f"{section}.{name} = {_format_value(value)}")
+            lines.append(f"{section}.{name} = {format_value(value)}")
     return lines
 
 

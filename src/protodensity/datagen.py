@@ -13,11 +13,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .tensor import load_tensor, save_tensor
+from .tensor import (format_value, load_tensor, parse_key_values, parse_value,
+                     read_text, require, save_tensor, write_csv)
 
 DOWNSAMPLE_DEFAULT = 8
 SIGMA_DEFAULT = 1.0
@@ -240,11 +242,8 @@ def save_sample(samples_dir: str, sample: Sample) -> None:
     img_p, pts_p, den_p = _sample_paths(sample.sample_id)
     save_tensor(os.path.join(samples_dir, img_p), sample.image)
     save_tensor(os.path.join(samples_dir, den_p), sample.density_gt)
-    with open(os.path.join(samples_dir, pts_p), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["x", "y"])
-        for x, y in sample.annotation.points:
-            writer.writerow([repr(float(x)), repr(float(y))])
+    write_csv(os.path.join(samples_dir, pts_p), ["x", "y"],
+              [[repr(float(x)), repr(float(y))] for x, y in sample.annotation.points])
 
 
 def load_sample(samples_dir: str, sample_id: int) -> Sample:
@@ -260,20 +259,6 @@ def load_sample(samples_dir: str, sample_id: int) -> Sample:
         for row in reader:
             points.append((float(row[0]), float(row[1])))
     return Sample(image, DotAnnotation(points), density, sample_id)
-
-
-def _config_lines(config: SceneConfig) -> list[str]:
-    return [
-        f"config.image_size = {config.image_size[0]},{config.image_size[1]}",
-        f"config.cell_count_range = {config.cell_count_range[0]},{config.cell_count_range[1]}",
-        f"config.cell_radius_range = {config.cell_radius_range[0]!r},{config.cell_radius_range[1]!r}",
-        f"config.cell_intensity_range = {config.cell_intensity_range[0]!r},{config.cell_intensity_range[1]!r}",
-        f"config.artifact_count_range = {config.artifact_count_range[0]},{config.artifact_count_range[1]}",
-        f"config.artifact_kinds = {','.join(config.artifact_kinds)}",
-        f"config.noise_std = {config.noise_std!r}",
-        f"config.min_separation = {config.min_separation!r}",
-        f"config.seed = {config.seed}",
-    ]
 
 
 def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: str,
@@ -308,7 +293,7 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
         f"n_test = {n_test}",
         f"downsample = {downsample}",
         f"sigma = {sigma!r}",
-        *_config_lines(config),
+        *(f"config.{name} = {format_value(value)}" for name, value in vars(config).items()),
         "[samples]",
         "id,split,count,image,annotation,density",
     ]
@@ -318,49 +303,36 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
     return manifest_path
 
 
-def _parse_pair(raw: str, cast):
-    a, b = raw.split(",")
-    return (cast(a), cast(b))
-
-
 def parse_manifest(manifest_path: str):
     """Parse a dataset manifest into (config, downsample, sigma, n_train,
     n_test, sample rows). Rows are (id, split, count, image, annotation,
-    density) with paths relative to the manifest directory."""
-    kv: dict[str, str] = {}
-    rows = []
-    in_table = False
-    with open(manifest_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "[samples]":
-                in_table = True
-                continue
-            if not in_table:
-                key, _, value = line.partition("=")
-                kv[key.strip()] = value.strip()
-            else:
-                if line.startswith("id,"):
-                    continue
-                sid, split, count, img_p, pts_p, den_p = line.split(",")
-                rows.append((int(sid), split, int(count), img_p, pts_p, den_p))
+    density) with paths relative to the manifest directory. A malformed line
+    or a missing field raises ValueError naming the manifest."""
+    lines = read_text(manifest_path).splitlines()
+    table = next((i for i, line in enumerate(lines) if line.strip() == "[samples]"),
+                 len(lines))
+    kv = parse_key_values(lines[:table], manifest_path)
     if kv.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"{manifest_path}: unknown manifest format {kv.get('format')!r}")
-    config = SceneConfig(
-        image_size=_parse_pair(kv["config.image_size"], int),
-        cell_count_range=_parse_pair(kv["config.cell_count_range"], int),
-        cell_radius_range=_parse_pair(kv["config.cell_radius_range"], float),
-        cell_intensity_range=_parse_pair(kv["config.cell_intensity_range"], float),
-        artifact_count_range=_parse_pair(kv["config.artifact_count_range"], int),
-        artifact_kinds=tuple(k for k in kv["config.artifact_kinds"].split(",") if k),
-        noise_std=float(kv["config.noise_std"]),
-        min_separation=float(kv["config.min_separation"]),
-        seed=int(kv["config.seed"]),
-    )
-    return (config, int(kv["downsample"]), float(kv["sigma"]),
-            int(kv["n_train"]), int(kv["n_test"]), rows)
+    rows = []
+    for lineno, line in enumerate(lines[table + 1:], start=table + 2):
+        line = line.strip()
+        if not line or line.startswith(("#", "id,")):
+            continue
+        try:
+            sid, split, count, img_p, pts_p, den_p = line.split(",")
+            rows.append((int(sid), split, int(count), img_p, pts_p, den_p))
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}:{lineno}: bad sample row {line!r}: {exc}") from None
+
+    def get(key, parse=str):
+        return require(kv, key, manifest_path, parse)
+
+    config = SceneConfig(**{
+        name: get(f"config.{name}", partial(parse_value, like=like))
+        for name, like in vars(SceneConfig()).items()})
+    return (config, get("downsample", int), get("sigma", float),
+            get("n_train", int), get("n_test", int), rows)
 
 
 @dataclass
@@ -427,7 +399,3 @@ def write_pgm(path: str, array: np.ndarray) -> None:
     with open(f"{path}.scale.txt", "w") as f:
         f.write(f"min = {lo!r}\nmax = {hi!r}\n")
 
-
-def default_scene_config(seed: int = 0) -> SceneConfig:
-    """The stock synthetic imaging condition used by the experiment harnesses."""
-    return replace(SceneConfig(), seed=seed)

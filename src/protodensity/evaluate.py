@@ -8,7 +8,6 @@ manifest hash stayed the same.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field, replace
 
@@ -17,8 +16,9 @@ import numpy as np
 from .datagen import Dataset
 from .interp import (GroupDistanceStats, global_top_patches,
                      intra_group_distances, patch_peak,
-                     export_prototype_gallery, _similarity_stack)
+                     export_prototype_gallery)
 from .model import CountModel, FeatureExtractor, ModelConfig
+from .tensor import write_csv
 from .training import TrainConfig, compute_features, pretrain_extractor, train
 
 EVAL_CSV_HEADER = ("sample_id", "true_count", "predicted_count", "abs_error")
@@ -65,27 +65,12 @@ class AblationReport:
 # -- MAE -----------------------------------------------------------------------
 
 
-def _predicted_counts(model, samples, features=None, batch: int = 16) -> np.ndarray:
-    from .tensor import Tensor, no_grad
-    preds = []
-    with no_grad():
-        if features is None:
-            for start in range(0, len(samples), batch):
-                x = np.stack([s.image for s in samples[start:start + batch]])
-                preds.append(np.atleast_1d(model.forward(Tensor(x)).density.data.sum(axis=(-2, -1))))
-        else:
-            for start in range(0, features.shape[0], batch):
-                part = Tensor(features[start:start + batch])
-                preds.append(np.atleast_1d(model.forward_from_features(part).density.data.sum(axis=(-2, -1))))
-    return np.concatenate(preds)
-
-
 def mae(model, samples, features=None, seed: int = 0,
         config: dict[str, str] | None = None) -> EvalReport:
     """Mean absolute counting error over ``samples``, one row per image."""
     if not samples:
         raise ValueError("mae: empty split")
-    preds = _predicted_counts(model, samples, features)
+    preds, _ = model.predict(samples, features)
     rows = []
     for sample, pred in zip(samples, preds):
         true = float(len(sample.annotation))
@@ -110,11 +95,8 @@ def constant_baseline_mae(dataset: Dataset) -> float:
 
 
 def write_eval_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(EVAL_CSV_HEADER)
-        for sid, true, pred, err in report.rows:
-            writer.writerow([sid, repr(true), repr(pred), repr(err)])
+    write_csv(path, EVAL_CSV_HEADER, [[sid, repr(true), repr(pred), repr(err)]
+                                      for sid, true, pred, err in report.rows])
     with open(f"{path}.config.txt", "w") as f:
         f.write(f"mae = {report.mae!r}\nseed = {report.seed}\n")
         for key in sorted(report.config):
@@ -129,7 +111,7 @@ def localization_rates(model: CountModel, dataset: Dataset,
     """Fraction of (cell, background) prototypes whose top-1 global patch
     peaks where GT density exceeds the per-image median."""
     patches = global_top_patches(model, dataset, k=1, q=q, features=features)
-    sims = _similarity_stack(model, dataset.train, features)
+    _, sims = model.predict(dataset.train, features)
     by_id = {s.sample_id: n for n, s in enumerate(dataset.train)}
     k_cell = model.config.k_cell
     hits = []
@@ -159,13 +141,17 @@ def variant_loss_config(base, variant: str):
     raise ValueError(f"unknown ablation variant {variant!r}")
 
 
-def _shared_extractor(dataset: Dataset, config: TrainConfig,
-                      extractor: FeatureExtractor | None):
+def _harness_inputs(dataset: Dataset, config: TrainConfig,
+                    extractor: FeatureExtractor | None, feature_cache):
+    """The frozen extractor every run shares (pretrained here if not given)
+    and its train and test feature caches."""
     if extractor is None:
         extractor, _ = pretrain_extractor(dataset, config)
     if not extractor.frozen:
         raise ValueError("harness extractor must be frozen")
-    return extractor
+    if feature_cache is None:
+        feature_cache = compute_features(extractor, dataset.train)
+    return extractor, feature_cache, compute_features(extractor, dataset.test)
 
 
 def run_ablation(dataset: Dataset, config: TrainConfig, seeds=(0, 1, 2, 3, 4),
@@ -180,10 +166,8 @@ def run_ablation(dataset: Dataset, config: TrainConfig, seeds=(0, 1, 2, 3, 4),
     groups' min and mean pairwise distances over seeds.
     """
     model_config = model_config or ModelConfig()
-    extractor = _shared_extractor(dataset, config, extractor)
-    if feature_cache is None:
-        feature_cache = compute_features(extractor, dataset.train)
-    test_features = compute_features(extractor, dataset.test)
+    extractor, feature_cache, test_features = _harness_inputs(
+        dataset, config, extractor, feature_cache)
 
     reports = []
     for seed in seeds:
@@ -213,16 +197,11 @@ def run_ablation(dataset: Dataset, config: TrainConfig, seeds=(0, 1, 2, 3, 4),
 
 
 def write_ablation_csv(reports, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(ABLATION_CSV_HEADER)
-        for r in reports:
-            d = r.distances
-            writer.writerow([r.variant, r.seed, repr(r.mae),
-                             repr(d.cell_min), repr(d.cell_avg),
-                             repr(d.bg_min), repr(d.bg_avg),
-                             repr(r.cell_rate), repr(r.bg_rate),
-                             r.manifest_hash])
+    write_csv(path, ABLATION_CSV_HEADER, [
+        [r.variant, r.seed, repr(r.mae), repr(r.distances.cell_min),
+         repr(r.distances.cell_avg), repr(r.distances.bg_min),
+         repr(r.distances.bg_avg), repr(r.cell_rate), repr(r.bg_rate),
+         r.manifest_hash] for r in reports])
 
 
 def format_distance_table(reports) -> str:
@@ -255,10 +234,8 @@ def sweep_k(dataset: Dataset, config: TrainConfig, k_values=(2, 4, 6, 8),
     for k in k_values:
         if k < 2 or k % 2:
             raise ValueError(f"sweep_k: K values must be even and >= 2, got {k}")
-    extractor = _shared_extractor(dataset, config, extractor)
-    if feature_cache is None:
-        feature_cache = compute_features(extractor, dataset.train)
-    test_features = compute_features(extractor, dataset.test)
+    extractor, feature_cache, test_features = _harness_inputs(
+        dataset, config, extractor, feature_cache)
 
     rows = []
     for k in k_values:
@@ -271,8 +248,8 @@ def sweep_k(dataset: Dataset, config: TrainConfig, k_values=(2, 4, 6, 8),
             rows.append((k, seed, report.mae))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        _write_sweep_csv(os.path.join(out_dir, "sweep_k.csv"),
-                         SWEEP_K_CSV_HEADER, rows)
+        write_csv(os.path.join(out_dir, "sweep_k.csv"), SWEEP_K_CSV_HEADER,
+                  [[k, seed, repr(value)] for k, seed, value in rows])
     return rows
 
 
@@ -285,10 +262,8 @@ def sweep_tau(dataset: Dataset, config: TrainConfig,
     """Retrain per diversity threshold tau and emit a patch gallery per run
     for qualitative comparison, plus MAE rows (tau, seed, MAE)."""
     model_config = model_config or ModelConfig()
-    extractor = _shared_extractor(dataset, config, extractor)
-    if feature_cache is None:
-        feature_cache = compute_features(extractor, dataset.train)
-    test_features = compute_features(extractor, dataset.test)
+    extractor, feature_cache, test_features = _harness_inputs(
+        dataset, config, extractor, feature_cache)
 
     rows = []
     for tau in tau_values:
@@ -307,14 +282,7 @@ def sweep_tau(dataset: Dataset, config: TrainConfig,
                                          features=feature_cache)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        _write_sweep_csv(os.path.join(out_dir, "sweep_tau.csv"),
-                         SWEEP_TAU_CSV_HEADER, rows)
+        write_csv(os.path.join(out_dir, "sweep_tau.csv"), SWEEP_TAU_CSV_HEADER,
+                  [[tau, seed, repr(value)] for tau, seed, value in rows])
     return rows
 
-
-def _write_sweep_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(row[2])])

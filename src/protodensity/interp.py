@@ -8,7 +8,6 @@ prediction, and intra-group prototype distance statistics.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -173,22 +172,6 @@ def boxes_from_mask(labels, similarity_map, image_id: int, prototype_id: int,
 # -- global patch galleries ----------------------------------------------------
 
 
-def _similarity_stack(model: CountModel, samples, features=None,
-                      batch: int = 16) -> np.ndarray:
-    """Similarity maps for every sample, shape (N, K, Hf, Wf)."""
-    out = []
-    with no_grad():
-        if features is None:
-            for start in range(0, len(samples), batch):
-                x = np.stack([s.image for s in samples[start:start + batch]])
-                out.append(model.forward(Tensor(x)).similarities.data)
-        else:
-            for start in range(0, features.shape[0], batch):
-                part = Tensor(features[start:start + batch])
-                out.append(model.forward_from_features(part).similarities.data)
-    return np.concatenate(out, axis=0)
-
-
 def global_top_patches(model: CountModel, dataset, k: int = 3, q: float = 99,
                        features=None) -> list[list[PatchBox]]:
     """Per-prototype top-k patches over the training split, at most one patch
@@ -197,7 +180,7 @@ def global_top_patches(model: CountModel, dataset, k: int = 3, q: float = 99,
     if k < 1:
         raise ValueError(f"global_top_patches: k must be >= 1, got {k}")
     samples = dataset.train
-    sims = _similarity_stack(model, samples, features)
+    _, sims = model.predict(samples, features)
     result: list[list[PatchBox]] = []
     for proto in range(sims.shape[1]):
         best_per_image = []
@@ -281,21 +264,15 @@ def write_patches_csv(patches, path) -> None:
     rows = []
     for entry in patches:
         rows.extend(entry if isinstance(entry, list) else [entry])
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(PATCH_CSV_HEADER)
-        for b in rows:
-            writer.writerow([b.prototype_id, b.image_id, b.x0, b.y0, b.x1,
-                             b.y1, repr(b.score)])
+    T.write_csv(path, PATCH_CSV_HEADER, [[b.prototype_id, b.image_id, b.x0, b.y0,
+                                          b.x1, b.y1, repr(b.score)] for b in rows])
 
 
 def write_explanation_csv(explanation: Explanation, path) -> None:
     h, w = explanation.location
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(EXPLANATION_CSV_HEADER)
-        for proto, theta, sim, product in explanation.contributions:
-            writer.writerow([h, w, proto, repr(theta), repr(sim), repr(product)])
+    T.write_csv(path, EXPLANATION_CSV_HEADER,
+                [[h, w, proto, repr(theta), repr(sim), repr(product)]
+                 for proto, theta, sim, product in explanation.contributions])
 
 
 def render_boxes_pgm(image, boxes, path) -> None:

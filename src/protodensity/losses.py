@@ -17,9 +17,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import ShapeError, Tensor
 
-LOSS_CSV_HEADER = ("step", "density", "proto_feature", "diversity", "total")
-
-
 @dataclass
 class LossConfig:
     """Term weights, similarity thresholds, and the normalization mode of
@@ -48,10 +45,6 @@ class LossReport:
     proto_feature: float
     diversity: float
     total: float
-
-    def csv_row(self, step: int) -> list[str]:
-        return [str(step), repr(self.density), repr(self.proto_feature),
-                repr(self.diversity), repr(self.total)]
 
 
 def _coerce_maps(pred, gt, opname: str):

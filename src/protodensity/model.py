@@ -14,6 +14,7 @@ import csv
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -230,6 +231,26 @@ class CountModel:
     def forward(self, x) -> ModelOutputs:
         return self.forward_from_features(self.extract_features(x))
 
+    def predict(self, samples, features=None,
+                batch: int = 16) -> tuple[np.ndarray, np.ndarray]:
+        """Counts (N,) and similarity maps (N, K, Hf, Wf) for every sample,
+        with no tape, ``batch`` at a time: from ``features`` (N, C, Hf, Wf)
+        when given, else from the sample images, stacked one batch at a time
+        so no copy of the whole split is held."""
+        n = len(samples) if features is None else features.shape[0]
+        counts, sims = [], []
+        with T.no_grad():
+            for start in range(0, n, batch):
+                if features is None:
+                    x = np.stack([s.image for s in samples[start:start + batch]])
+                    out = self.forward(Tensor(x))
+                else:
+                    out = self.forward_from_features(Tensor(features[start:start + batch]))
+                counts.append(out.count)
+                sims.append(out.similarities.data)
+                del out  # free this batch's activations before the next forward
+        return np.concatenate(counts), np.concatenate(sims)
+
     # -- parameter plumbing ---------------------------------------------------
 
     def named_parameters(self) -> dict[str, Parameter]:
@@ -255,132 +276,142 @@ def count(density) -> float | np.ndarray:
 
 
 # -- checkpoint I/O -----------------------------------------------------------
+#
+# A checkpoint or extractor directory holds a ``key = value`` manifest and
+# every parameter as ``<name>.pdt``; a checkpoint adds provenance.csv.
+
+EXTRACTOR_MANIFEST = "extractor.txt"
+EXTRACTOR_FORMAT = "protodensity-extractor-v1"
+PROVENANCE_CSV_HEADER = ("prototype_id", "image_id", "h", "w", "distance_before")
+
+
+def _save_dir(ckpt_dir: str, manifest: str, fields: dict, params) -> None:
+    os.makedirs(ckpt_dir, exist_ok=True)
+    with open(os.path.join(ckpt_dir, manifest), "w") as f:
+        f.write("".join(f"{key} = {value}\n" for key, value in fields.items()))
+    for p in params:
+        T.save_tensor(os.path.join(ckpt_dir, f"{p.name}.pdt"), p.data)
+
+
+def _read_manifest(ckpt_dir: str, name: str, fmt: str) -> tuple[str, dict]:
+    """The manifest's path and fields, once its format and the extractor
+    widths it records are the supported ones."""
+    manifest = os.path.join(ckpt_dir, name)
+    if not os.path.isfile(manifest):
+        raise FileNotFoundError(f"no manifest at {manifest}")
+    kv = T.parse_key_values(T.read_text(manifest).splitlines(), manifest)
+    if kv.get("format") != fmt:
+        raise ValueError(f"{manifest}: unknown format {kv.get('format')!r}, expected {fmt!r}")
+    widths = T.require(kv, "extractor_widths", manifest,
+                       partial(T.parse_value, like=EXTRACTOR_WIDTHS))
+    if widths != EXTRACTOR_WIDTHS:
+        raise ValueError(f"{manifest}: extractor widths {widths} != supported {EXTRACTOR_WIDTHS}")
+    return manifest, kv
+
+
+def _load_param(ckpt_dir: str, name: str, shape: tuple) -> np.ndarray:
+    path = os.path.join(ckpt_dir, f"{name}.pdt")
+    data = np.asarray(T.load_tensor(path), dtype=np.float64)
+    if data.shape != shape:
+        raise ValueError(f"{path}: shape {data.shape} does not match "
+                         f"expected {shape} for parameter {name}")
+    return data
+
+
+def _restore_frozen(extractor: FeatureExtractor, kv: dict, prefix: str,
+                    manifest: str) -> None:
+    if kv.get(f"{prefix}frozen") == "True":
+        extractor.freeze()
+        if extractor.checksum() != T.require(kv, f"{prefix}checksum", manifest):
+            raise ValueError(f"{manifest}: extractor checksum mismatch after load")
 
 
 def save_checkpoint(model: CountModel, ckpt_dir: str) -> None:
     """Write architecture manifest, every parameter as a PDTF tensor, and the
     prototype provenance table into ``ckpt_dir``."""
-    os.makedirs(ckpt_dir, exist_ok=True)
     cfg = model.config
-    lines = [
-        f"format = {CHECKPOINT_FORMAT}",
-        f"k_cell = {cfg.k_cell}",
-        f"k_bg = {cfg.k_bg}",
-        f"d = {cfg.d}",
-        f"epsilon = {cfg.epsilon!r}",
-        f"extractor_widths = {','.join(str(w) for w in EXTRACTOR_WIDTHS)}",
-        f"extractor_frozen = {model.extractor.frozen}",
-        f"extractor_checksum = {model.extractor.checksum()}",
-    ]
-    with open(os.path.join(ckpt_dir, CHECKPOINT_MANIFEST), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    for name, p in model.named_parameters().items():
-        T.save_tensor(os.path.join(ckpt_dir, f"{name}.pdt"), p.data)
-    with open(os.path.join(ckpt_dir, "provenance.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["prototype_id", "image_id", "h", "w", "distance_before"])
-        for i, rec in enumerate(model.provenance):
-            if rec is None:
-                writer.writerow([i, "", "", "", ""])
-            else:
-                writer.writerow([rec.prototype_id, rec.image_id, rec.h, rec.w,
-                                 repr(rec.distance_before)])
+    _save_dir(ckpt_dir, CHECKPOINT_MANIFEST, {
+        "format": CHECKPOINT_FORMAT,
+        "k_cell": cfg.k_cell,
+        "k_bg": cfg.k_bg,
+        "d": cfg.d,
+        "epsilon": repr(cfg.epsilon),
+        "extractor_widths": T.format_value(EXTRACTOR_WIDTHS),
+        "extractor_frozen": model.extractor.frozen,
+        "extractor_checksum": model.extractor.checksum(),
+    }, model.named_parameters().values())
+    T.write_csv(os.path.join(ckpt_dir, "provenance.csv"), PROVENANCE_CSV_HEADER,
+                [[i, "", "", "", ""] if rec is None else
+                 [rec.prototype_id, rec.image_id, rec.h, rec.w, repr(rec.distance_before)]
+                 for i, rec in enumerate(model.provenance)])
 
 
-def _require(kv: dict, key: str, path: str) -> str:
-    if key not in kv:
-        raise ValueError(f"{path}: checkpoint manifest missing field {key!r}")
-    return kv[key]
+def _read_provenance(path: str, k_total: int) -> list[PrototypeProvenance | None]:
+    """provenance.csv's records; any malformed row raises ValueError naming
+    the path."""
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: unreadable provenance table: {exc}") from None
+    if rows[:1] != [list(PROVENANCE_CSV_HEADER)]:
+        raise ValueError(f"{path}: expected header {','.join(PROVENANCE_CSV_HEADER)}")
+    provenance: list[PrototypeProvenance | None] = [None] * k_total
+    for n, row in enumerate(rows[1:], start=1):
+        try:
+            if len(row) != len(PROVENANCE_CSV_HEADER):
+                raise ValueError(f"{len(row)} cells, expected {len(PROVENANCE_CSV_HEADER)}")
+            pid = int(row[0])
+            if not 0 <= pid < k_total:
+                raise ValueError(f"prototype id {pid} outside 0..{k_total - 1}")
+            if row[1] != "":
+                provenance[pid] = PrototypeProvenance(
+                    pid, int(row[1]), int(row[2]), int(row[3]), float(row[4]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {n}: {exc}") from None
+    return provenance
 
 
 def load_checkpoint(ckpt_dir: str) -> CountModel:
     """Rebuild a model from ``ckpt_dir``, validating every tensor dimension
     against the manifest."""
-    manifest = os.path.join(ckpt_dir, CHECKPOINT_MANIFEST)
-    if not os.path.isfile(manifest):
-        raise FileNotFoundError(f"no checkpoint manifest at {manifest}")
-    kv: dict[str, str] = {}
-    with open(manifest) as f:
-        for line in f:
-            key, _, value = line.strip().partition("=")
-            if key.strip():
-                kv[key.strip()] = value.strip()
-    if kv.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{manifest}: unknown checkpoint format {kv.get('format')!r}")
-    widths = tuple(int(w) for w in _require(kv, "extractor_widths", manifest).split(","))
-    if widths != EXTRACTOR_WIDTHS:
-        raise ValueError(f"{manifest}: extractor widths {widths} != supported {EXTRACTOR_WIDTHS}")
+    manifest, kv = _read_manifest(ckpt_dir, CHECKPOINT_MANIFEST, CHECKPOINT_FORMAT)
     config = ModelConfig(
-        k_cell=int(_require(kv, "k_cell", manifest)),
-        k_bg=int(_require(kv, "k_bg", manifest)),
-        d=int(_require(kv, "d", manifest)),
-        epsilon=float(_require(kv, "epsilon", manifest)),
+        k_cell=T.require(kv, "k_cell", manifest, int),
+        k_bg=T.require(kv, "k_bg", manifest, int),
+        d=T.require(kv, "d", manifest, int),
+        epsilon=T.require(kv, "epsilon", manifest, float),
     )
-    extractor = FeatureExtractor(np.random.default_rng(0))
-    model = CountModel(config, extractor, seed=0)
-    for name, p in model.named_parameters().items():
-        path = os.path.join(ckpt_dir, f"{name}.pdt")
-        if not os.path.isfile(path):
-            raise FileNotFoundError(f"checkpoint tensor missing: {path}")
-        data = np.asarray(T.load_tensor(path), dtype=np.float64)
-        if data.shape != p.shape:
-            raise ValueError(f"{path}: shape {data.shape} does not match "
-                             f"expected {p.shape} for parameter {name}")
-        p.data = data
-    if kv.get("extractor_frozen") == "True":
-        model.extractor.freeze()
-        stored = _require(kv, "extractor_checksum", manifest)
-        if model.extractor.checksum() != stored:
-            raise ValueError(f"{manifest}: extractor checksum mismatch after load")
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ValueError(f"{manifest}: {exc}") from None
+    # the stored prototypes bound k and d before the model allocates for them
+    _load_param(ckpt_dir, "prototypes", (config.k_total, config.d))
+    model = CountModel(config, FeatureExtractor(np.random.default_rng(0)), seed=0)
+    for p in model.named_parameters().values():
+        p.data = _load_param(ckpt_dir, p.name, p.shape)
+    _restore_frozen(model.extractor, kv, "extractor_", manifest)
     prov_path = os.path.join(ckpt_dir, "provenance.csv")
     if os.path.isfile(prov_path):
-        with open(prov_path, newline="") as f:
-            reader = csv.reader(f)
-            next(reader)
-            for row in reader:
-                pid = int(row[0])
-                if row[1] != "":
-                    model.provenance[pid] = PrototypeProvenance(
-                        pid, int(row[1]), int(row[2]), int(row[3]), float(row[4]))
+        model.provenance = _read_provenance(prov_path, config.k_total)
     return model
 
 
 def save_extractor(extractor: FeatureExtractor, ckpt_dir: str) -> None:
     """Persist a (typically frozen) extractor on its own."""
-    os.makedirs(ckpt_dir, exist_ok=True)
-    lines = [
-        "format = protodensity-extractor-v1",
-        f"extractor_widths = {','.join(str(w) for w in EXTRACTOR_WIDTHS)}",
-        f"frozen = {extractor.frozen}",
-        f"checksum = {extractor.checksum()}",
-    ]
-    with open(os.path.join(ckpt_dir, "extractor.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    for p in extractor.parameters():
-        T.save_tensor(os.path.join(ckpt_dir, f"{p.name}.pdt"), p.data)
+    _save_dir(ckpt_dir, EXTRACTOR_MANIFEST, {
+        "format": EXTRACTOR_FORMAT,
+        "extractor_widths": T.format_value(EXTRACTOR_WIDTHS),
+        "frozen": extractor.frozen,
+        "checksum": extractor.checksum(),
+    }, extractor.parameters())
 
 
 def load_extractor(ckpt_dir: str) -> FeatureExtractor:
-    manifest = os.path.join(ckpt_dir, "extractor.txt")
-    if not os.path.isfile(manifest):
-        raise FileNotFoundError(f"no extractor manifest at {manifest}")
-    kv: dict[str, str] = {}
-    with open(manifest) as f:
-        for line in f:
-            key, _, value = line.strip().partition("=")
-            if key.strip():
-                kv[key.strip()] = value.strip()
-    if kv.get("format") != "protodensity-extractor-v1":
-        raise ValueError(f"{manifest}: unknown extractor format {kv.get('format')!r}")
+    manifest, kv = _read_manifest(ckpt_dir, EXTRACTOR_MANIFEST, EXTRACTOR_FORMAT)
     extractor = FeatureExtractor(np.random.default_rng(0))
     for p in extractor.parameters():
-        data = np.asarray(T.load_tensor(os.path.join(ckpt_dir, f"{p.name}.pdt")),
-                          dtype=np.float64)
-        if data.shape != p.shape:
-            raise ValueError(f"{p.name}: shape {data.shape} != expected {p.shape}")
-        p.data = data
-    if kv.get("frozen") == "True":
-        extractor.freeze()
-        if extractor.checksum() != kv.get("checksum"):
-            raise ValueError(f"{manifest}: checksum mismatch after load")
+        p.data = _load_param(ckpt_dir, p.name, p.shape)
+    _restore_frozen(extractor, kv, "", manifest)
     return extractor

@@ -8,12 +8,17 @@ reductions, indexing, row normalization, 1x1 and 3x3 convolutions, 2x2 max
 pooling, and prototype distance maps. A central finite-difference oracle
 (`finite_diff_grad`) verifies every analytic gradient.
 
+The module also holds the package's file formats: PDTF tensors, the one
+``key = value`` reader behind every manifest and config, and the one CSV
+writer behind every table.
+
 Shapes are strict: elementwise ops require equal shapes, the only implicit
 broadcasting is scalar-vs-tensor. All compute is float64.
 """
 
 from __future__ import annotations
 
+import csv
 import struct
 from typing import Callable, Iterable
 
@@ -26,10 +31,11 @@ __all__ = [
     "no_grad",
     "add", "sub", "mul", "relu", "log", "sigmoid", "matmul",
     "reshape", "transpose", "getitem",
-    "tsum", "tmean", "tmax", "tmin", "argmax", "argmin",
+    "tsum", "tmean",
     "l2_normalize_rows", "conv1x1", "conv3x3", "maxpool2x2", "distance_map",
     "finite_diff_grad", "gradcheck_rel_error",
-    "save_tensor", "load_tensor",
+    "save_tensor", "load_tensor", "read_text", "parse_key_values", "require",
+    "format_value", "parse_value", "write_csv",
 ]
 
 _grad_enabled = True
@@ -78,16 +84,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[], None] | None = None
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad)
-
     # -- basic protocol -------------------------------------------------------
 
     @property
@@ -113,9 +109,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -439,66 +432,6 @@ def tmean(a, axis=None) -> Tensor:
     return out
 
 
-def argmax(a, axis=None):
-    """First (row-major) index of the maximum; no gradient."""
-    a = _coerce(a)
-    if axis is None:
-        return np.unravel_index(int(np.argmax(a.data)), a.shape)
-    return np.argmax(a.data, axis=axis)
-
-
-def argmin(a, axis=None):
-    """First (row-major) index of the minimum; no gradient."""
-    a = _coerce(a)
-    if axis is None:
-        return np.unravel_index(int(np.argmin(a.data)), a.shape)
-    return np.argmin(a.data, axis=axis)
-
-
-def _extreme(a, axis, mode: str):
-    a = _coerce(a)
-    npfun = np.max if mode == "max" else np.min
-    argfun = argmax if mode == "max" else argmin
-    idx = argfun(a, axis=axis)
-    if axis is None:
-        out_data = np.asarray(npfun(a.data))
-
-        def backward():
-            if not a.requires_grad:
-                return
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[idx] += out.grad
-
-    else:
-        out_data = npfun(a.data, axis=axis)
-
-        def backward():
-            if not a.requires_grad:
-                return
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            expanded = np.expand_dims(idx, axis)
-            np.put_along_axis(
-                a.grad, expanded,
-                np.take_along_axis(a.grad, expanded, axis) + np.expand_dims(out.grad, axis),
-                axis)
-
-    out = _make(out_data, (a,), backward)
-    return out, idx
-
-
-def tmax(a, axis=None):
-    """Maximum plus its index; gradient flows only to the selected element
-    (first in row-major order on ties)."""
-    return _extreme(a, axis, "max")
-
-
-def tmin(a, axis=None):
-    """Minimum plus its index; same tie-break and gradient rule as `tmax`."""
-    return _extreme(a, axis, "min")
-
-
 # -- linear algebra -----------------------------------------------------------
 
 
@@ -790,3 +723,87 @@ def load_tensor(path) -> np.ndarray:
         raise ValueError(f"{path}: PDTF payload is {len(payload)} bytes, expected {expected}")
     arr = np.frombuffer(payload, dtype=dt).reshape(dims).copy()
     return arr
+
+
+# -- text files: key = value manifests and CSV tables --------------------------
+#
+# Checkpoint, extractor and dataset manifests and run configs are all
+# ``key = value`` lines; every table the package writes is a CSV with a
+# header row and ``\r\n`` line ends.
+
+
+def read_text(path) -> str:
+    """The text of ``path``; bytes that do not decode raise ValueError
+    naming the path."""
+    with open(path) as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a text file ({exc.reason} at byte "
+                             f"{exc.start})") from None
+
+
+def parse_key_values(lines, source: str) -> dict[str, str]:
+    """Parse ``key = value`` lines; '#' starts a comment and blank lines are
+    skipped. A line with no '=' or an empty key raises ValueError naming
+    ``source`` and the line number."""
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        if not key.strip():
+            raise ValueError(f"{source}:{lineno}: empty key")
+        values[key.strip()] = value.strip()
+    return values
+
+
+def require(kv: dict, key: str, source: str, parse=str):
+    """``parse(kv[key])``; a missing key or a value ``parse`` rejects raises
+    ValueError naming ``source`` and the key."""
+    if key not in kv:
+        raise ValueError(f"{source}: missing field {key!r}")
+    try:
+        return parse(kv[key])
+    except ValueError as exc:
+        raise ValueError(f"{source}: field {key!r} = {kv[key]!r}: {exc}") from None
+
+
+def format_value(value) -> str:
+    """A manifest or config value as text: tuples comma-joined, floats by
+    ``repr`` so they read back exactly."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def parse_value(raw: str, like):
+    """Read ``raw`` back as a value of ``like``'s type: bool, int, float, str,
+    or a tuple typed by its first element (of ``like``'s length unless its
+    elements are strings)."""
+    kind = type(like)
+    if kind is bool:
+        lowered = raw.lower()
+        if lowered not in ("true", "yes", "1", "false", "no", "0"):
+            raise ValueError(f"not a boolean: {raw!r}")
+        return lowered in ("true", "yes", "1")
+    if kind is tuple:
+        parts = [p.strip() for p in raw.strip("()").split(",") if p.strip()]
+        elem = type(like[0]) if like else str
+        if elem is not str and len(parts) != len(like):
+            raise ValueError(f"expected {len(like)} values, got {len(parts)}")
+        return tuple(elem(p) for p in parts)
+    if kind in (int, float, str):
+        return kind(raw)
+    raise ValueError(f"unsupported field type {kind.__name__}")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then every row of already formatted cells."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -11,7 +11,6 @@ records where it came from.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field, replace
 
@@ -104,25 +103,20 @@ class TrainHistory:
 
 
 def write_history_csv(history: TrainHistory, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(HISTORY_CSV_HEADER)
-        rows = [("train", history.reports, history.val_mae),
-                ("calibrate", history.calibration_reports, history.calibration_val_mae)]
-        for phase, reports, maes in rows:
-            for i, (rep, mae) in enumerate(zip(reports, maes)):
-                writer.writerow([phase, i + 1, repr(rep.density), repr(rep.proto_feature),
-                                 repr(rep.diversity), repr(rep.total), repr(mae)])
+    T.write_csv(path, HISTORY_CSV_HEADER, [
+        [phase, i + 1, repr(rep.density), repr(rep.proto_feature),
+         repr(rep.diversity), repr(rep.total), repr(mae)]
+        for phase, reports, maes in (
+            ("train", history.reports, history.val_mae),
+            ("calibrate", history.calibration_reports, history.calibration_val_mae))
+        for i, (rep, mae) in enumerate(zip(reports, maes))])
 
 
 def write_projections_csv(history: TrainHistory, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(PROJECTION_CSV_HEADER)
-        for event in history.projections:
-            for rec in event.records:
-                writer.writerow([event.epoch, rec.prototype_id, rec.image_id,
-                                 rec.h, rec.w, repr(rec.distance_before)])
+    T.write_csv(path, PROJECTION_CSV_HEADER, [
+        [event.epoch, rec.prototype_id, rec.image_id, rec.h, rec.w,
+         repr(rec.distance_before)]
+        for event in history.projections for rec in event.records])
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -181,16 +175,6 @@ def compute_features(extractor: FeatureExtractor, samples,
         for i in range(0, len(samples), batch_size):
             chunks.append(extractor.forward(Tensor(images[i:i + batch_size])).data)
     return np.concatenate(chunks)
-
-
-def _predict_counts(model: CountModel, features: np.ndarray,
-                    batch_size: int) -> np.ndarray:
-    preds = []
-    with T.no_grad():
-        for i in range(0, features.shape[0], batch_size):
-            out = model.forward_from_features(Tensor(features[i:i + batch_size]))
-            preds.append(out.density.data.sum(axis=(-2, -1)))
-    return np.concatenate(preds)
 
 
 # -- pretraining --------------------------------------------------------------
@@ -362,7 +346,7 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
         return LossReport(*(float(s) for s in sums / perm.size))
 
     def val_mae_now() -> float:
-        pred = _predict_counts(model, features[val_idx], config.batch_size)
+        pred, _ = model.predict(None, features[val_idx], batch=config.batch_size)
         return float(np.abs(pred - counts[val_idx]).mean())
 
     epoch = 0

@@ -6,10 +6,15 @@ The pipeline test drives gen-data, pretrain, train, eval, and explain on a
 
 import csv
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from protodensity.cli import SEED_ENV, _THREAD_ENV, main
+from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
+                                save_checkpoint)
 
 TINY_CFG = """\
 # tiny end-to-end configuration
@@ -124,6 +129,37 @@ def test_full_pipeline(tmp_path, cfg_path, capsys):
     assert "--loc" in err and "999" in err
 
 
+def test_malformed_manifest_and_provenance_exit_usage(tmp_path, cfg_path, capsys):
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    manifest = os.path.join(data, "manifest.txt")
+    with open(manifest) as f:
+        lines = [line for line in f if not line.startswith("sigma")]
+    with open(manifest, "w") as f:
+        f.writelines(lines)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                               FeatureExtractor(np.random.default_rng(0))), ckpt)
+    extractor = str(tmp_path / "ex")
+    for argv in (["pretrain", "--data", data, "--out", extractor],
+                 ["train", "--data", data, "--extractor", extractor,
+                  "--out", str(tmp_path / "run")],
+                 ["eval", "--model", ckpt, "--data", data,
+                  "--out", str(tmp_path / "eval.csv")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert manifest in err and "'sigma'" in err
+
+    provenance = os.path.join(ckpt, "provenance.csv")
+    with open(provenance, "a", newline="") as f:
+        f.write("9,0,0,0,0.0\r\n")
+    assert main(["eval", "--model", ckpt, "--data", data,
+                 "--out", str(tmp_path / "eval.csv")]) == 1
+    err = capsys.readouterr().err
+    assert provenance in err and "prototype id 9" in err
+
+
 def test_seed_env_overrides_config(tmp_path, cfg_path, monkeypatch):
     monkeypatch.setenv(SEED_ENV, "7")
     data = str(tmp_path / "data7")
@@ -171,3 +207,22 @@ def test_divergence_exits_runtime(tmp_path, cfg_path, capsys):
                  "--set", "train.pretrain_epochs=4"])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script, flags, layout", [
+    ("run_pipeline.py", ["--gallery-k", "1"],
+     ["data", "extractor", "run/history.csv", "run/checkpoint_final", "eval.csv",
+      "gallery/patches.csv"]),
+    ("run_ablation.py", ["--seeds", "0"],
+     ["data", "extractor", "ablation.csv", "distance_table.txt"]),
+    ("run_sweeps.py", ["--k", "4", "--tau", "0.8"],
+     ["data", "extractor", "sweep_k.csv", "sweep_tau.csv", "tau_0.8_seed0"]),
+])
+def test_experiment_scripts_keep_their_layout(tmp_path, cfg_path, script, flags, layout):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
+    out = tmp_path / "out"
+    subprocess.run([sys.executable, path, "--out", str(out), "--config", cfg_path,
+                    "--n-train", "8", "--n-test", "4", *flags],
+                   check=True, capture_output=True)
+    for entry in layout:
+        assert (out / entry).exists(), entry

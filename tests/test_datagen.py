@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protodensity.datagen import (DotAnnotation, SceneConfig, default_scene_config,
-                                  generate_dataset, load_dataset, load_sample,
-                                  make_density_map, manifest_hash, parse_manifest,
-                                  render_scene, save_sample, validate_config,
-                                  write_pgm)
+from protodensity.datagen import (DotAnnotation, SceneConfig, generate_dataset,
+                                  load_dataset, load_sample, make_density_map,
+                                  manifest_hash, parse_manifest, render_scene,
+                                  save_sample, validate_config, write_pgm)
 
 SMALL = SceneConfig(image_size=(32, 32), cell_count_range=(3, 12), seed=7)
 
@@ -19,7 +18,7 @@ SMALL = SceneConfig(image_size=(32, 32), cell_count_range=(3, 12), seed=7)
 
 
 def test_validate_accepts_default():
-    validate_config(default_scene_config())
+    validate_config(SceneConfig())
 
 
 @pytest.mark.parametrize("bad", [

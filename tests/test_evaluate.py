@@ -22,7 +22,8 @@ from protodensity.evaluate import (ABLATION_CSV_HEADER, EVAL_CSV_HEADER,
                                    variant_loss_config, write_eval_csv)
 from protodensity.interp import GroupDistanceStats
 from protodensity.losses import LossConfig
-from protodensity.model import CountModel, FeatureExtractor, ModelConfig
+from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
+                                ModelOutputs, count)
 
 SMALL_MODEL = ModelConfig(k_cell=2, k_bg=2, d=16)
 
@@ -37,8 +38,10 @@ class _FeatureEchoStub:
     """Pretend model whose density map is whatever 'features' it is fed, so a
     (N, 1, 1) feature array fixes each predicted count exactly."""
 
+    predict = CountModel.predict
+
     def forward_from_features(self, part):
-        return types.SimpleNamespace(density=part)
+        return ModelOutputs(part, part, part, part, part, count(part))
 
 
 @pytest.fixture(scope="module")

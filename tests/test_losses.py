@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from protodensity.losses import (LOSS_CSV_HEADER, LossConfig, LossReport,
-                                 density_loss, diversity_loss,
+from protodensity.losses import (LossConfig, density_loss, diversity_loss,
                                  proto_feature_loss, total_loss)
 from protodensity.tensor import ShapeError, Tensor, gradcheck_rel_error
 
@@ -45,13 +44,6 @@ def test_loss_config_rejects(bad):
     from dataclasses import replace
     with pytest.raises(ValueError):
         replace(LossConfig(), **bad).validate()
-
-
-def test_report_csv_row():
-    report = LossReport(0.5, 0.25, 0.125, 13.0)
-    row = report.csv_row(7)
-    assert row[0] == "7" and len(row) == len(LOSS_CSV_HEADER)
-    assert row[1:] == ["0.5", "0.25", "0.125", "13.0"]
 
 
 # -- density loss --------------------------------------------------------------

@@ -221,6 +221,22 @@ def test_checkpoint_missing_dir(tmp_path):
         load_checkpoint(str(tmp_path / "absent"))
 
 
+@pytest.mark.parametrize("row, fragment", [
+    ("9,7,2,3,0.125", "prototype id 9"),     # id outside the 4 prototypes
+    ("0,7,2", "3 cells"),                    # short row
+    ("0,7,two,3,0.125", "'two'"),            # non-numeric cell
+])
+def test_checkpoint_rejects_bad_provenance_row(tmp_path, extractor, row, fragment):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2), extractor, seed=0), str(ckpt))
+    provenance = ckpt / "provenance.csv"
+    with open(provenance, "a", newline="") as f:
+        f.write(row + "\r\n")
+    with pytest.raises(ValueError, match=fragment) as info:
+        load_checkpoint(str(ckpt))
+    assert str(provenance) in str(info.value)
+
+
 def test_extractor_roundtrip(tmp_path):
     ext = FeatureExtractor(np.random.default_rng(3))
     ext.freeze()

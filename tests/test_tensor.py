@@ -52,12 +52,6 @@ def test_parameter_freeze():
     assert not p.trainable
 
 
-def test_detach_breaks_graph():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    y = T.mul(x, x).detach()
-    assert not y.requires_grad and y._parents == ()
-
-
 # -- elementwise ops -----------------------------------------------------------
 
 
@@ -191,32 +185,6 @@ def test_sum_mean_axis_grads(rng):
     check_grad(lambda t: T.tsum(T.mul(T.tsum(t, axis=0), Tensor(w0))), a)
     check_grad(lambda t: T.tsum(T.mul(T.tmean(t, axis=(0, 2)), Tensor(np.arange(4.0)))), a)
     check_grad(lambda t: T.tmean(t), a)
-
-
-def test_max_min_values_and_grads(rng):
-    a = rng.normal(size=(3, 4))
-    value, idx = T.tmax(a)
-    assert float(value.data) == a.max() and a[idx] == a.max()
-    value, idx = T.tmin(a)
-    assert float(value.data) == a.min() and a[idx] == a.min()
-    check_grad(lambda t: T.tmax(t)[0], a)
-    check_grad(lambda t: T.tmin(t)[0], a)
-    check_grad(lambda t: T.tsum(T.tmax(t, axis=1)[0]), a)
-
-
-def test_max_tie_takes_first():
-    a = np.array([[1.0, 3.0, 3.0], [3.0, 0.0, 2.0]])
-    x = Tensor(a, requires_grad=True)
-    T.tsum(T.tmax(x, axis=1)[0]).backward()
-    np.testing.assert_array_equal(x.grad, [[0, 1, 0], [1, 0, 0]])
-
-
-def test_argmax_argmin_first_tie():
-    a = np.array([[1.0, 3.0, 3.0], [0.0, 0.0, -1.0]])
-    assert T.argmax(a) == (0, 1)
-    assert T.argmin(a) == (1, 2)
-    np.testing.assert_array_equal(T.argmax(a, axis=1), [1, 0])
-    np.testing.assert_array_equal(T.argmin(a, axis=1), [0, 2])
 
 
 # -- row normalization ---------------------------------------------------------
