@@ -68,8 +68,7 @@ def _load_run_config(args) -> "RunConfig":
 def _echo(config, out_dir, **extra) -> None:
     from .config import write_resolved_config
 
-    write_resolved_config(config, out_dir,
-                          {k: str(v) for k, v in extra.items()})
+    write_resolved_config(config, out_dir, extra)
 
 
 def _load_frozen_extractor(path):
@@ -128,10 +127,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _model_snapshot(model) -> dict[str, str]:
+def _model_snapshot(model) -> dict[str, object]:
     c = model.config
-    return {"model.k_cell": str(c.k_cell), "model.k_bg": str(c.k_bg),
-            "model.d": str(c.d), "model.epsilon": repr(c.epsilon)}
+    return {"model.k_cell": c.k_cell, "model.k_bg": c.k_bg,
+            "model.d": c.d, "model.epsilon": c.epsilon}
 
 
 def cmd_eval(args) -> int:

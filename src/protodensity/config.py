@@ -14,7 +14,8 @@ from . import __version__
 from .datagen import SceneConfig, validate_config
 from .losses import LossConfig
 from .model import ModelConfig
-from .tensor import format_value, parse_key_values, parse_value, read_text
+from .tensor import (key_value_lines, parse_key_values, parse_value, read_text,
+                     write_key_values)
 from .training import TrainConfig
 
 RESOLVED_CONFIG_NAME = "config_resolved.txt"
@@ -101,26 +102,25 @@ def build_run_config(config_path: str | None = None,
 # -- echoing -------------------------------------------------------------------
 
 
+def _resolved_fields(config: RunConfig) -> list[tuple[str, object]]:
+    return [(f"{section}.{name}", value)
+            for section, obj in (("scene", config.scene), ("model", config.model),
+                                 ("train", config.train), ("loss", config.train.loss))
+            for name, value in _section_fields(obj).items()]
+
+
 def resolved_lines(config: RunConfig) -> list[str]:
-    lines = []
-    for section, obj in (("scene", config.scene), ("model", config.model),
-                         ("train", config.train), ("loss", config.train.loss)):
-        for name, value in _section_fields(obj).items():
-            lines.append(f"{section}.{name} = {format_value(value)}")
-    return lines
+    return key_value_lines(_resolved_fields(config))
 
 
 def write_resolved_config(config: RunConfig, out_dir: str,
-                          extra: dict[str, str] | None = None) -> str:
+                          extra: dict[str, object] | None = None) -> str:
     """Echo the fully resolved config (plus version and seed) into
     ``out_dir`` and return the file path."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, RESOLVED_CONFIG_NAME)
-    lines = [f"version = protodensity-{__version__}",
-             f"seed = {config.train.seed}"]
-    for key in sorted(extra or {}):
-        lines.append(f"{key} = {extra[key]}")
-    lines.extend(resolved_lines(config))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_key_values(path, [("version", f"protodensity-{__version__}"),
+                            ("seed", config.train.seed),
+                            *sorted((extra or {}).items()),
+                            *_resolved_fields(config)])
     return path

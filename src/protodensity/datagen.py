@@ -10,7 +10,6 @@ sums exactly to the cell count.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -18,8 +17,9 @@ from functools import partial
 
 import numpy as np
 
-from .tensor import (format_value, load_tensor, parse_key_values, parse_value,
-                     read_text, require, save_tensor, write_csv)
+from .tensor import (load_tensor, parse_key_values, parse_value, read_csv,
+                     read_text, require, save_tensor, write_csv,
+                     write_key_values)
 
 DOWNSAMPLE_DEFAULT = 8
 SIGMA_DEFAULT = 1.0
@@ -247,17 +247,15 @@ def save_sample(samples_dir: str, sample: Sample) -> None:
 
 
 def load_sample(samples_dir: str, sample_id: int) -> Sample:
-    img_p, pts_p, den_p = _sample_paths(sample_id)
-    image = np.asarray(load_tensor(os.path.join(samples_dir, img_p)), dtype=np.float64)
-    density = np.asarray(load_tensor(os.path.join(samples_dir, den_p)), dtype=np.float64)
+    img_p, pts_p, den_p = (os.path.join(samples_dir, p) for p in _sample_paths(sample_id))
+    image = np.asarray(load_tensor(img_p), dtype=np.float64)
+    density = np.asarray(load_tensor(den_p), dtype=np.float64)
     points = []
-    with open(os.path.join(samples_dir, pts_p), newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["x", "y"]:
-            raise ValueError(f"{pts_p}: expected header x,y, got {header}")
-        for row in reader:
+    for n, row in enumerate(read_csv(pts_p, ("x", "y")), start=1):
+        try:
             points.append((float(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise ValueError(f"{pts_p}: row {n}: {exc}") from None
     return Sample(image, DotAnnotation(points), density, sample_id)
 
 
@@ -287,19 +285,15 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
                      f"samples/{pts_p}", f"samples/{den_p}"))
 
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    lines = [
-        f"format = {MANIFEST_FORMAT}",
-        f"n_train = {n_train}",
-        f"n_test = {n_test}",
-        f"downsample = {downsample}",
-        f"sigma = {sigma!r}",
-        *(f"config.{name} = {format_value(value)}" for name, value in vars(config).items()),
-        "[samples]",
-        "id,split,count,image,annotation,density",
-    ]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    with open(manifest_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_key_values(manifest_path, [
+        ("format", MANIFEST_FORMAT),
+        ("n_train", n_train),
+        ("n_test", n_test),
+        ("downsample", downsample),
+        ("sigma", sigma),
+        *((f"config.{name}", value) for name, value in vars(config).items()),
+    ], ["[samples]", "id,split,count,image,annotation,density",
+        *(",".join(str(v) for v in row) for row in rows)])
     return manifest_path
 
 
@@ -369,8 +363,9 @@ def load_dataset(dataset_dir: str) -> Dataset:
     for sid, split, count, _img, _pts, _den in rows:
         sample = load_sample(samples_dir, sid)
         if len(sample.annotation) != count:
-            raise ValueError(f"sample {sid}: manifest count {count} != "
-                             f"{len(sample.annotation)} annotation points")
+            points = os.path.join(samples_dir, _sample_paths(sid)[1])
+            raise ValueError(f"{manifest_path}: sample {sid}: manifest count {count} != "
+                             f"{len(sample.annotation)} annotation points in {points}")
         (train if split == "train" else test).append(sample)
     if len(train) != n_train or len(test) != n_test:
         raise ValueError(f"{manifest_path}: split sizes differ from recorded n_train/n_test")
@@ -396,6 +391,5 @@ def write_pgm(path: str, array: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
         f.write(data.tobytes())
-    with open(f"{path}.scale.txt", "w") as f:
-        f.write(f"min = {lo!r}\nmax = {hi!r}\n")
+    write_key_values(f"{path}.scale.txt", {"min": lo, "max": hi})
 

@@ -18,7 +18,7 @@ from .interp import (GroupDistanceStats, global_top_patches,
                      intra_group_distances, patch_peak,
                      export_prototype_gallery)
 from .model import CountModel, FeatureExtractor, ModelConfig
-from .tensor import write_csv
+from .tensor import write_csv, write_key_values
 from .training import TrainConfig, compute_features, pretrain_extractor, train
 
 EVAL_CSV_HEADER = ("sample_id", "true_count", "predicted_count", "abs_error")
@@ -41,7 +41,7 @@ class EvalReport:
     rows: list[tuple[int, float, float, float]]  # (id, true, predicted, abs err)
     mae: float
     seed: int
-    config: dict[str, str] = field(default_factory=dict)
+    config: dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -66,7 +66,7 @@ class AblationReport:
 
 
 def mae(model, samples, features=None, seed: int = 0,
-        config: dict[str, str] | None = None) -> EvalReport:
+        config: dict[str, object] | None = None) -> EvalReport:
     """Mean absolute counting error over ``samples``, one row per image."""
     if not samples:
         raise ValueError("mae: empty split")
@@ -97,10 +97,8 @@ def constant_baseline_mae(dataset: Dataset) -> float:
 def write_eval_csv(report: EvalReport, path) -> None:
     write_csv(path, EVAL_CSV_HEADER, [[sid, repr(true), repr(pred), repr(err)]
                                       for sid, true, pred, err in report.rows])
-    with open(f"{path}.config.txt", "w") as f:
-        f.write(f"mae = {report.mae!r}\nseed = {report.seed}\n")
-        for key in sorted(report.config):
-            f.write(f"{key} = {report.config[key]}\n")
+    write_key_values(f"{path}.config.txt", [("mae", report.mae), ("seed", report.seed),
+                                            *sorted(report.config.items())])
 
 
 # -- localization --------------------------------------------------------------
@@ -110,8 +108,8 @@ def localization_rates(model: CountModel, dataset: Dataset,
                        features=None, q: float = 99) -> tuple[float, float]:
     """Fraction of (cell, background) prototypes whose top-1 global patch
     peaks where GT density exceeds the per-image median."""
-    patches = global_top_patches(model, dataset, k=1, q=q, features=features)
     _, sims = model.predict(dataset.train, features)
+    patches = global_top_patches(dataset.train, sims, k=1, q=q)
     by_id = {s.sample_id: n for n, s in enumerate(dataset.train)}
     k_cell = model.config.k_cell
     hits = []

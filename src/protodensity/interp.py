@@ -172,15 +172,14 @@ def boxes_from_mask(labels, similarity_map, image_id: int, prototype_id: int,
 # -- global patch galleries ----------------------------------------------------
 
 
-def global_top_patches(model: CountModel, dataset, k: int = 3, q: float = 99,
-                       features=None) -> list[list[PatchBox]]:
-    """Per-prototype top-k patches over the training split, at most one patch
-    per image per prototype. Expects a projected model so the top patch shows
+def global_top_patches(samples, sims, k: int = 3,
+                       q: float = 99) -> list[list[PatchBox]]:
+    """Per-prototype top-k patches over ``samples``, ranked from their
+    similarity maps ``sims`` (N, K, Hf, Wf), at most one patch per image per
+    prototype. For a projected model's training split the top patch shows
     the prototype's own source neighborhood."""
     if k < 1:
         raise ValueError(f"global_top_patches: k must be >= 1, got {k}")
-    samples = dataset.train
-    _, sims = model.predict(samples, features)
     result: list[list[PatchBox]] = []
     for proto in range(sims.shape[1]):
         best_per_image = []
@@ -298,19 +297,21 @@ def render_boxes_pgm(image, boxes, path) -> None:
 def export_prototype_gallery(model: CountModel, dataset, out_dir, k: int = 3,
                              q: float = 99, features=None) -> list[list[PatchBox]]:
     """Write the top-k patch gallery: patches.csv, per-patch PGM previews, and
-    the top-1 similarity map and mask per prototype as binary tensors."""
+    the top-1 similarity map and mask per prototype as binary tensors. The
+    training split is forwarded once; every patch and map comes from that
+    one similarity stack."""
     os.makedirs(out_dir, exist_ok=True)
-    patches = global_top_patches(model, dataset, k=k, q=q, features=features)
+    samples = dataset.train
+    _, sims = model.predict(samples, features)
+    patches = global_top_patches(samples, sims, k=k, q=q)
     write_patches_csv(patches, os.path.join(out_dir, "patches.csv"))
-    by_id = {s.sample_id: s for s in dataset.train}
+    index = {s.sample_id: n for n, s in enumerate(samples)}
     for proto, boxes in enumerate(patches):
         for rank, box in enumerate(boxes, start=1):
             render_boxes_pgm(
-                by_id[box.image_id].image, [box],
+                samples[index[box.image_id]].image, [box],
                 os.path.join(out_dir, f"proto{proto:02d}_rank{rank}_img{box.image_id:04d}.pgm"))
-        top = boxes[0]
-        with no_grad():
-            sim = model.forward(Tensor(by_id[top.image_id].image)).similarities.data[proto]
+        sim = sims[index[boxes[0].image_id], proto]
         T.save_tensor(os.path.join(out_dir, f"proto{proto:02d}_sim.pdt"), sim)
         mask = percentile_threshold(sim, q)
         T.save_tensor(os.path.join(out_dir, f"proto{proto:02d}_mask.pdt"),

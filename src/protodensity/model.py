@@ -10,7 +10,6 @@ on the model so explanations can point back to real patches.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from dataclasses import dataclass
@@ -278,19 +277,29 @@ def count(density) -> float | np.ndarray:
 # -- checkpoint I/O -----------------------------------------------------------
 #
 # A checkpoint or extractor directory holds a ``key = value`` manifest and
-# every parameter as ``<name>.pdt``; a checkpoint adds provenance.csv.
+# every parameter as ``<name>.pdt``; a checkpoint adds provenance.csv. The
+# manifest is removed first and written last, so a save cut short leaves a
+# directory that fails to load ("no manifest") instead of one that loads a
+# mix of old and new parameters.
 
 EXTRACTOR_MANIFEST = "extractor.txt"
 EXTRACTOR_FORMAT = "protodensity-extractor-v1"
 PROVENANCE_CSV_HEADER = ("prototype_id", "image_id", "h", "w", "distance_before")
 
 
-def _save_dir(ckpt_dir: str, manifest: str, fields: dict, params) -> None:
+def _save_dir(ckpt_dir: str, manifest: str, fields: dict, params,
+              tables=()) -> None:
+    """Write every parameter, then each ``(name, header, rows)`` table, then
+    the manifest."""
     os.makedirs(ckpt_dir, exist_ok=True)
-    with open(os.path.join(ckpt_dir, manifest), "w") as f:
-        f.write("".join(f"{key} = {value}\n" for key, value in fields.items()))
+    manifest_path = os.path.join(ckpt_dir, manifest)
+    if os.path.lexists(manifest_path):
+        os.remove(manifest_path)
     for p in params:
         T.save_tensor(os.path.join(ckpt_dir, f"{p.name}.pdt"), p.data)
+    for name, header, rows in tables:
+        T.write_csv(os.path.join(ckpt_dir, name), header, rows)
+    T.write_key_values(manifest_path, fields)
 
 
 def _read_manifest(ckpt_dir: str, name: str, fmt: str) -> tuple[str, dict]:
@@ -327,40 +336,31 @@ def _restore_frozen(extractor: FeatureExtractor, kv: dict, prefix: str,
 
 
 def save_checkpoint(model: CountModel, ckpt_dir: str) -> None:
-    """Write architecture manifest, every parameter as a PDTF tensor, and the
-    prototype provenance table into ``ckpt_dir``."""
+    """Write every parameter as a PDTF tensor, the prototype provenance table
+    and the architecture manifest into ``ckpt_dir``."""
     cfg = model.config
+    provenance = [[i, "", "", "", ""] if rec is None else
+                  [rec.prototype_id, rec.image_id, rec.h, rec.w, repr(rec.distance_before)]
+                  for i, rec in enumerate(model.provenance)]
     _save_dir(ckpt_dir, CHECKPOINT_MANIFEST, {
         "format": CHECKPOINT_FORMAT,
         "k_cell": cfg.k_cell,
         "k_bg": cfg.k_bg,
         "d": cfg.d,
-        "epsilon": repr(cfg.epsilon),
-        "extractor_widths": T.format_value(EXTRACTOR_WIDTHS),
+        "epsilon": cfg.epsilon,
+        "extractor_widths": EXTRACTOR_WIDTHS,
         "extractor_frozen": model.extractor.frozen,
         "extractor_checksum": model.extractor.checksum(),
-    }, model.named_parameters().values())
-    T.write_csv(os.path.join(ckpt_dir, "provenance.csv"), PROVENANCE_CSV_HEADER,
-                [[i, "", "", "", ""] if rec is None else
-                 [rec.prototype_id, rec.image_id, rec.h, rec.w, repr(rec.distance_before)]
-                 for i, rec in enumerate(model.provenance)])
+    }, model.named_parameters().values(),
+        [("provenance.csv", PROVENANCE_CSV_HEADER, provenance)])
 
 
 def _read_provenance(path: str, k_total: int) -> list[PrototypeProvenance | None]:
     """provenance.csv's records; any malformed row raises ValueError naming
     the path."""
-    try:
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValueError(f"{path}: unreadable provenance table: {exc}") from None
-    if rows[:1] != [list(PROVENANCE_CSV_HEADER)]:
-        raise ValueError(f"{path}: expected header {','.join(PROVENANCE_CSV_HEADER)}")
     provenance: list[PrototypeProvenance | None] = [None] * k_total
-    for n, row in enumerate(rows[1:], start=1):
+    for n, row in enumerate(T.read_csv(path, PROVENANCE_CSV_HEADER), start=1):
         try:
-            if len(row) != len(PROVENANCE_CSV_HEADER):
-                raise ValueError(f"{len(row)} cells, expected {len(PROVENANCE_CSV_HEADER)}")
             pid = int(row[0])
             if not 0 <= pid < k_total:
                 raise ValueError(f"prototype id {pid} outside 0..{k_total - 1}")
@@ -402,7 +402,7 @@ def save_extractor(extractor: FeatureExtractor, ckpt_dir: str) -> None:
     """Persist a (typically frozen) extractor on its own."""
     _save_dir(ckpt_dir, EXTRACTOR_MANIFEST, {
         "format": EXTRACTOR_FORMAT,
-        "extractor_widths": T.format_value(EXTRACTOR_WIDTHS),
+        "extractor_widths": EXTRACTOR_WIDTHS,
         "frozen": extractor.frozen,
         "checksum": extractor.checksum(),
     }, extractor.parameters())

@@ -8,9 +8,9 @@ reductions, indexing, row normalization, 1x1 and 3x3 convolutions, 2x2 max
 pooling, and prototype distance maps. A central finite-difference oracle
 (`finite_diff_grad`) verifies every analytic gradient.
 
-The module also holds the package's file formats: PDTF tensors, the one
-``key = value`` reader behind every manifest and config, and the one CSV
-writer behind every table.
+The module also holds the package's file formats: PDTF tensors, and the one
+``key = value`` writer and reader and the one CSV writer and reader behind
+every manifest, config and table.
 
 Shapes are strict: elementwise ops require equal shapes, the only implicit
 broadcasting is scalar-vs-tensor. All compute is float64.
@@ -19,6 +19,7 @@ broadcasting is scalar-vs-tensor. All compute is float64.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from typing import Callable, Iterable
 
@@ -35,7 +36,8 @@ __all__ = [
     "l2_normalize_rows", "conv1x1", "conv3x3", "maxpool2x2", "distance_map",
     "finite_diff_grad", "gradcheck_rel_error",
     "save_tensor", "load_tensor", "read_text", "parse_key_values", "require",
-    "format_value", "parse_value", "write_csv",
+    "format_value", "parse_value", "key_value_lines", "write_key_values",
+    "write_csv", "read_csv",
 ]
 
 _grad_enabled = True
@@ -727,9 +729,9 @@ def load_tensor(path) -> np.ndarray:
 
 # -- text files: key = value manifests and CSV tables --------------------------
 #
-# Checkpoint, extractor and dataset manifests and run configs are all
-# ``key = value`` lines; every table the package writes is a CSV with a
-# header row and ``\r\n`` line ends.
+# Checkpoint, extractor and dataset manifests, run configs and the eval and
+# PGM sidecars are all ``key = value`` lines; every table the package writes
+# is a CSV with a header row and ``\r\n`` line ends.
 
 
 def read_text(path) -> str:
@@ -801,9 +803,44 @@ def parse_value(raw: str, like):
     raise ValueError(f"unsupported field type {kind.__name__}")
 
 
+def key_value_lines(fields) -> list[str]:
+    """One ``key = value`` line per ``(key, value)`` pair (or dict item), in
+    order, each value through ``format_value``."""
+    items = fields.items() if isinstance(fields, dict) else fields
+    return [f"{key} = {format_value(value)}" for key, value in items]
+
+
+def write_key_values(path, fields, tail=()) -> None:
+    """Write ``fields`` as ``key = value`` lines and then the ``tail`` lines
+    verbatim. The text goes to a temporary file beside ``path`` that is then
+    renamed over it, so ``path`` never holds a partial file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
+        f.write("".join(f"{line}\n" for line in [*key_value_lines(fields), *tail]))
+    os.replace(tmp, path)
+
+
 def write_csv(path, header, rows) -> None:
     """Write ``header`` and then every row of already formatted cells."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_csv(path, header) -> list[list[str]]:
+    """The rows after ``header`` in the CSV table at ``path``. Bytes that do
+    not decode, a malformed table, an empty file, another header or a row
+    with another number of cells raise ValueError naming the path."""
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: unreadable CSV table: {exc}") from None
+    if rows[:1] != [list(header)]:
+        raise ValueError(f"{path}: expected header {','.join(header)}, got "
+                         f"{','.join(rows[0]) if rows else 'an empty file'}")
+    for n, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {n}: {len(row)} cells, expected {len(header)}")
+    return rows[1:]

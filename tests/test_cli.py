@@ -12,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 
+from protodensity import tensor
 from protodensity.cli import SEED_ENV, _THREAD_ENV, main
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
-                                save_checkpoint)
+                                load_checkpoint, save_checkpoint)
 
 TINY_CFG = """\
 # tiny end-to-end configuration
@@ -158,6 +159,51 @@ def test_malformed_manifest_and_provenance_exit_usage(tmp_path, cfg_path, capsys
                  "--out", str(tmp_path / "eval.csv")]) == 1
     err = capsys.readouterr().err
     assert provenance in err and "prototype id 9" in err
+
+
+@pytest.mark.parametrize("text", ["", "x,y\r\n1.0\r\n"])
+def test_malformed_points_file_exits_usage(tmp_path, cfg_path, capsys, text):
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    points = os.path.join(data, "samples", "sample_00001_points.csv")
+    with open(points, "w", newline="") as f:
+        f.write(text)
+    assert main(["pretrain", "--config", cfg_path, "--data", data,
+                 "--out", str(tmp_path / "ex")]) == 1
+    assert points in capsys.readouterr().err
+
+
+def test_interrupted_checkpoint_save_does_not_load(tmp_path, cfg_path, capsys,
+                                                   monkeypatch):
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    ckpt = str(tmp_path / "ckpt")
+    config = ModelConfig(k_cell=2, k_bg=2, d=16)
+    save_checkpoint(CountModel(config, FeatureExtractor(np.random.default_rng(0))), ckpt)
+    load_checkpoint(ckpt)
+
+    # a second save, cut short at its third tensor
+    saved = []
+    real_save = tensor.save_tensor
+
+    def failing_save(path, array, dtype="float64"):
+        if len(saved) == 2:
+            raise OSError("disk full")
+        saved.append(path)
+        real_save(path, array, dtype)
+
+    monkeypatch.setattr(tensor, "save_tensor", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(CountModel(config, FeatureExtractor(np.random.default_rng(1)),
+                                   seed=1), ckpt)
+    monkeypatch.undo()
+    with pytest.raises(FileNotFoundError, match="no manifest"):
+        load_checkpoint(ckpt)
+    assert main(["eval", "--model", ckpt, "--data", data,
+                 "--out", str(tmp_path / "eval.csv")]) == 1
+    assert "no manifest" in capsys.readouterr().err
 
 
 def test_seed_env_overrides_config(tmp_path, cfg_path, monkeypatch):

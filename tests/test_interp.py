@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from protodensity.evaluate import localization_rates
 from protodensity.interp import (EXPLANATION_CSV_HEADER, PATCH_CSV_HEADER,
                                  PatchBox, boxes_from_mask,
                                  connected_components, explain_location,
@@ -226,8 +227,8 @@ def test_patch_peak_respects_box_window():
 
 
 def test_global_top_patches_structure(interp_model, tiny_dataset, tiny_features):
-    patches = global_top_patches(interp_model, tiny_dataset, k=3,
-                                 features=tiny_features)
+    patches = global_top_patches(tiny_dataset.train,
+                                 interp_model.predict(tiny_dataset.train, tiny_features)[1], k=3)
     assert len(patches) == interp_model.config.k_total
 
     sims = []
@@ -256,11 +257,11 @@ def test_global_top_patches_structure(interp_model, tiny_dataset, tiny_features)
 
 def test_global_top_patches_k_capped_by_images(interp_model, tiny_dataset,
                                                tiny_features):
-    patches = global_top_patches(interp_model, tiny_dataset, k=100,
-                                 features=tiny_features)
+    _, sims = interp_model.predict(tiny_dataset.train, tiny_features)
+    patches = global_top_patches(tiny_dataset.train, sims, k=100)
     assert all(len(boxes) == len(tiny_dataset.train) for boxes in patches)
     with pytest.raises(ValueError, match="k must be"):
-        global_top_patches(interp_model, tiny_dataset, k=0)
+        global_top_patches(tiny_dataset.train, sims, k=0)
 
 
 # -- per-location explanations ------------------------------------------------
@@ -457,3 +458,20 @@ def test_export_prototype_gallery(interp_model, tiny_dataset, tiny_features,
         assert sim.shape == (4, 4) and mask.shape == (4, 4)
         assert set(np.unique(mask)) <= {0.0, 1.0}
         assert mask.any()
+
+
+def test_gallery_and_localization_forward_the_split_once(interp_model, tiny_dataset,
+                                                         tmp_path, monkeypatch):
+    calls = {"extract_features": 0, "predict": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(CountModel, name), **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(CountModel, name, counted)
+
+    export_prototype_gallery(interp_model, tiny_dataset, str(tmp_path / "gallery"))
+    assert calls == {"extract_features": math.ceil(len(tiny_dataset.train) / 16),
+                     "predict": 1}
+    calls.update(extract_features=0, predict=0)
+    localization_rates(interp_model, tiny_dataset)
+    assert calls["predict"] == 1

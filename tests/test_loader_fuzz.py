@@ -1,8 +1,9 @@
 """Fuzz tests over every reader of a file the package wrote: dataset
-manifests, checkpoints (manifest, provenance table and tensors), extractor
-directories and config files. Whatever the bytes, a loader either returns or
-raises ValueError or FileNotFoundError whose message names the damaged path,
-so the command line ends with exit code 1 and the culprit named."""
+manifests and samples (points table and image tensor), checkpoints (manifest,
+provenance table and tensors), extractor directories and config files.
+Whatever the bytes, a loader either returns or raises ValueError or
+FileNotFoundError whose message names the damaged path, so the command line
+ends with exit code 1 and the culprit named."""
 
 import os
 import shutil
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import TINY_SCENE
 from protodensity.config import (RunConfig, load_config_file, parse_config_text,
                                  resolved_lines)
-from protodensity.datagen import generate_dataset, parse_manifest
+from protodensity.datagen import generate_dataset, load_dataset, parse_manifest
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
                                 PrototypeProvenance, load_checkpoint,
                                 load_extractor, save_checkpoint, save_extractor)
@@ -72,8 +73,9 @@ def _expect_clean_failure(load, path, culprit: str) -> None:
         assert culprit in str(exc), f"{type(exc).__name__} does not name {culprit}: {exc}"
 
 
-def _fuzz_copy(src_dir: str, name: str, damage, load) -> None:
-    """Copy ``src_dir``, damage its file ``name`` and load the copy."""
+def _fuzz_copy(src_dir: str, name: str, damage, load, name_file: bool = False) -> None:
+    """Copy ``src_dir``, damage its file ``name`` and load the copy; a failure
+    must name the copy, or with ``name_file`` the damaged file itself."""
     with tempfile.TemporaryDirectory() as tmp:
         work = os.path.join(tmp, "copy")
         shutil.copytree(src_dir, work)
@@ -82,7 +84,7 @@ def _fuzz_copy(src_dir: str, name: str, damage, load) -> None:
             blob = f.read()
         with open(path, "wb") as f:
             f.write(_damaged(blob, damage))
-        _expect_clean_failure(load, work, work)
+        _expect_clean_failure(load, work, path if name_file else work)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,13 @@ def saved(tmp_path_factory):
 def test_parse_manifest_fails_cleanly(saved, damage):
     _fuzz_copy(str(saved / "data"), "manifest.txt", damage,
                lambda d: parse_manifest(os.path.join(d, "manifest.txt")))
+
+
+@given(name=st.sampled_from(["samples/sample_00001_points.csv",
+                             "samples/sample_00001_image.pdt"]),
+       damage=_damage)
+def test_load_dataset_sample_fails_cleanly(saved, name, damage):
+    _fuzz_copy(str(saved / "data"), name, damage, load_dataset, name_file=True)
 
 
 @given(name=st.sampled_from(["checkpoint.txt", "provenance.csv", "prototypes.pdt",
