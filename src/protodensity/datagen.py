@@ -357,15 +357,24 @@ def load_dataset(dataset_dir: str) -> Dataset:
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"no dataset manifest at {manifest_path}")
     config, downsample, sigma, n_train, n_test, rows = parse_manifest(manifest_path)
+    if downsample < 1:
+        raise ValueError(f"{manifest_path}: downsample must be >= 1, got {downsample}")
+    h, w = config.image_size
+    image_shape, density_shape = (1, h, w), (h // downsample, w // downsample)
     train: list[Sample] = []
     test: list[Sample] = []
     samples_dir = os.path.join(dataset_dir, "samples")
     for sid, split, count, _img, _pts, _den in rows:
         sample = load_sample(samples_dir, sid)
+        img_p, pts_p, den_p = (os.path.join(samples_dir, p) for p in _sample_paths(sid))
+        for path, shape, expected in ((img_p, sample.image.shape, image_shape),
+                                      (den_p, sample.density_gt.shape, density_shape)):
+            if shape != expected:
+                raise ValueError(f"{path}: shape {shape} != {expected}, from {manifest_path}'s "
+                                 f"image_size {config.image_size} and downsample {downsample}")
         if len(sample.annotation) != count:
-            points = os.path.join(samples_dir, _sample_paths(sid)[1])
             raise ValueError(f"{manifest_path}: sample {sid}: manifest count {count} != "
-                             f"{len(sample.annotation)} annotation points in {points}")
+                             f"{len(sample.annotation)} annotation points in {pts_p}")
         (train if split == "train" else test).append(sample)
     if len(train) != n_train or len(test) != n_test:
         raise ValueError(f"{manifest_path}: split sizes differ from recorded n_train/n_test")

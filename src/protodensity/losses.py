@@ -87,16 +87,14 @@ def proto_feature_loss(distances, gt, k_cell: int, k_bg: int) -> Tensor:
     if gt_arr.shape != (b, h, w):
         raise ShapeError(f"proto_feature_loss: gt shape {gt_arr.shape} != {(b, h, w)}")
 
-    total = None
-    for n in range(b):
-        flat = gt_arr[n].reshape(-1)
-        h_max, w_max = divmod(int(np.argmax(flat)), w)
-        h_min, w_min = divmod(int(np.argmin(flat)), w)
-        cell = T.mul(T.tsum(dist[n, 0:k_cell, h_max, w_max]), 1.0 / k_cell)
-        bg = T.mul(T.tsum(dist[n, k_cell:k, h_min, w_min]), 1.0 / k_bg)
-        term = T.add(cell, bg)
-        total = term if total is None else T.add(total, term)
-    return T.mul(total, 1.0 / b)
+    flat = gt_arr.reshape(b, -1)
+    h_max, w_max = np.divmod(np.argmax(flat, axis=1), w)
+    h_min, w_min = np.divmod(np.argmin(flat, axis=1), w)
+    rows = np.arange(b)[:, None]
+    # (b, k_cell) distances at each sample's argmax, (b, k_bg) at its argmin
+    cell = dist[rows, np.arange(k_cell)[None, :], h_max[:, None], w_max[:, None]]
+    bg = dist[rows, np.arange(k_cell, k)[None, :], h_min[:, None], w_min[:, None]]
+    return T.add(T.tmean(cell), T.tmean(bg))
 
 
 def diversity_loss(prototypes, k_cell: int, k_bg: int, tau_cell: float,

@@ -5,8 +5,11 @@ the output node; calling ``backward()`` on a scalar result replays the tape
 in reverse topological order. The op set is exactly what the counting model
 and its losses need: elementwise arithmetic, sigmoid/relu/log, 2-D matmul,
 reductions, indexing, row normalization, 1x1 and 3x3 convolutions, 2x2 max
-pooling, and prototype distance maps. A central finite-difference oracle
-(`finite_diff_grad`) verifies every analytic gradient.
+pooling, and prototype distance maps. The distance map's forward sums
+explicit differences one prototype at a time and its backward is two GEMMs,
+so neither direction holds a K-fold (B,K,d,H,W) buffer. A central
+finite-difference oracle (`finite_diff_grad`) verifies every analytic
+gradient.
 
 The module also holds the package's file formats: PDTF tensors, and the one
 ``key = value`` writer and reader and the one CSV writer and reader behind
@@ -312,14 +315,12 @@ def log(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    """Elementwise 1/(1+exp(-x)), computed branch-wise so neither tail overflows."""
+    """Elementwise 1/(1+exp(-x)), computed branch-wise so neither tail
+    overflows: with ex = exp(-|x|), 1/(1+ex) for x >= 0 and ex/(1+ex) below."""
     a = _coerce(a)
     x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
     def backward():
         _accum(a, out.grad * out_data * (1.0 - out_data))
@@ -607,6 +608,13 @@ def distance_map(features, prototypes) -> Tensor:
     prototype: out[i,h,w] = sum_c (features[c,h,w] - prototypes[i,c])^2.
 
     Accepts d x H x W or B x d x H x W features; prototypes are K x d.
+
+    The forward sums the explicit differences one prototype at a time, so a
+    prototype equal to a feature vector gives exactly 0 and no K-fold
+    (B,K,d,H,W) buffer is built. The backward needs no difference buffer
+    either: with g = d(loss)/d(out) it is two GEMMs over (B,K,HW) x (B,HW,d),
+    grad_f = 2 (f * sum_k g_k - P^T g) and
+    grad_P = -2 (sum_b g f^T - (sum g_k) P).
     """
     features, prototypes = _coerce(features), _coerce(prototypes)
     fd, squeeze = _as_batched(features, "distance_map")
@@ -617,19 +625,26 @@ def distance_map(features, prototypes) -> Tensor:
     if d_p != d:
         raise ShapeError(f"distance_map: features have {d} channels but prototypes have {d_p}")
 
-    diff = fd[:, None] - prototypes.data[None, :, :, None, None]  # (B,K,d,H,W)
-    out_data = np.einsum("bkdhw,bkdhw->bkhw", diff, diff)
+    pd = prototypes.data
+    out_data = np.empty((b_, k, h, w))
+    for i in range(k):
+        diff = fd - pd[i][None, :, None, None]
+        out_data[:, i] = np.einsum("bdhw,bdhw->bhw", diff, diff)
     if squeeze:
         out_data = out_data[0]
 
     def backward():
-        g = out.grad if not squeeze else out.grad[None]
+        g = (out.grad if not squeeze else out.grad[None]).reshape(b_, k, h * w)
+        f2 = fd.reshape(b_, d, h * w)
         if features.requires_grad:
-            gf = 2.0 * np.einsum("bkhw,bkdhw->bdhw", g, diff, optimize=True)
+            gf = f2 * g.sum(axis=1)[:, None, :]
+            gf -= pd.T @ g
+            gf = (2.0 * gf).reshape(b_, d, h, w)
             _accum(features, gf[0] if squeeze else gf)
         if prototypes.requires_grad:
-            gp = -2.0 * np.einsum("bkhw,bkdhw->kd", g, diff, optimize=True)
-            _accum(prototypes, gp)
+            gp = (g @ f2.transpose(0, 2, 1)).sum(axis=0)
+            gp -= g.sum(axis=(0, 2))[:, None] * pd
+            _accum(prototypes, -2.0 * gp)
 
     out = _make(out_data, (features, prototypes), backward)
     return out

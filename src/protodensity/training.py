@@ -326,24 +326,32 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
         os.makedirs(out_dir, exist_ok=True)
 
     def run_epoch(update_params: dict, label: str) -> LossReport:
-        perm = fit_idx[rng.permutation(fit_idx.size)]
-        sums = np.zeros(4)
-        for b0 in range(0, perm.size, config.batch_size):
-            idx = perm[b0:b0 + config.batch_size]
-            model.zero_grad()
-            out = model.forward_from_features(Tensor(features[idx]))
-            total, rep = total_loss(out.density, gts[idx], out.distances, proto,
-                                    kc, kb, config.loss)
-            if not np.isfinite(rep.total):
-                _restore(params, last_good)
-                raise TrainingDiverged(f"loss went non-finite during {label}; "
-                                       "parameters rolled back to last finished epoch")
-            total.backward()
-            adam_step(update_params, {nm: p.grad for nm, p in update_params.items()},
-                      state, config)
-            sums += idx.size * np.array([rep.density, rep.proto_feature,
-                                         rep.diversity, rep.total])
-        return LossReport(*(float(s) for s in sums / perm.size))
+        # the tape records only what leads to the parameters this epoch
+        # updates: a calibration epoch backpropagates to theta alone
+        for name, p in params.items():
+            p.requires_grad = name in update_params
+        try:
+            perm = fit_idx[rng.permutation(fit_idx.size)]
+            sums = np.zeros(4)
+            for b0 in range(0, perm.size, config.batch_size):
+                idx = perm[b0:b0 + config.batch_size]
+                model.zero_grad()
+                out = model.forward_from_features(Tensor(features[idx]))
+                total, rep = total_loss(out.density, gts[idx], out.distances, proto,
+                                        kc, kb, config.loss)
+                if not np.isfinite(rep.total):
+                    _restore(params, last_good)
+                    raise TrainingDiverged(f"loss went non-finite during {label}; "
+                                           "parameters rolled back to last finished epoch")
+                total.backward()
+                adam_step(update_params, {nm: p.grad for nm, p in update_params.items()},
+                          state, config)
+                sums += idx.size * np.array([rep.density, rep.proto_feature,
+                                             rep.diversity, rep.total])
+            return LossReport(*(float(s) for s in sums / perm.size))
+        finally:
+            for p in params.values():
+                p.requires_grad = True
 
     def val_mae_now() -> float:
         pred, _ = model.predict(None, features[val_idx], batch=config.batch_size)

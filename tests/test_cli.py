@@ -6,6 +6,7 @@ The pipeline test drives gen-data, pretrain, train, eval, and explain on a
 
 import csv
 import os
+import struct
 import subprocess
 import sys
 
@@ -172,6 +173,37 @@ def test_malformed_points_file_exits_usage(tmp_path, cfg_path, capsys, text):
     assert main(["pretrain", "--config", cfg_path, "--data", data,
                  "--out", str(tmp_path / "ex")]) == 1
     assert points in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,dims", [("sample_00001_image.pdt", (1, 16, 64)),
+                                       ("sample_00002_density.pdt", (2, 8))])
+def test_sample_of_another_shape_exits_usage(tmp_path, cfg_path, capsys, name, dims):
+    # a PDTF header edited to another shape with the same payload length
+    # loads as a tensor; the dataset loader must reject it against the
+    # manifest's image_size and downsample
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    path = os.path.join(data, "samples", name)
+    with open(path, "rb") as f:
+        blob = f.read()
+    ndim = blob[5]
+    header = blob[:5] + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    with open(path, "wb") as f:
+        f.write(header + blob[6 + 4 * ndim:])
+    assert tensor.load_tensor(path).shape == dims
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                               FeatureExtractor(np.random.default_rng(0))), ckpt)
+    for argv in (["pretrain", "--config", cfg_path, "--data", data,
+                  "--out", str(tmp_path / "ex")],
+                 ["train", "--config", cfg_path, "--data", data,
+                  "--extractor", str(tmp_path / "ex"), "--out", str(tmp_path / "run")],
+                 ["eval", "--model", ckpt, "--data", data,
+                  "--out", str(tmp_path / "eval.csv")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert path in err and str(dims) in err
 
 
 def test_interrupted_checkpoint_save_does_not_load(tmp_path, cfg_path, capsys,

@@ -136,6 +136,26 @@ def test_proto_feature_k_mismatch():
         proto_feature_loss(np.zeros((1, 4, 2, 2)), np.zeros((1, 2, 2)), 1, 2)
 
 
+def tape_nodes(out) -> int:
+    """Nodes reachable from ``out`` through ``_parents``, ``out`` included."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_proto_feature_tape_size_independent_of_batch(rng):
+    counts = []
+    for b in (2, 32):
+        dist = Tensor(np.abs(rng.normal(size=(b, 8, 4, 4))), requires_grad=True)
+        out = proto_feature_loss(dist, rng.normal(size=(b, 4, 4)), 4, 4)
+        counts.append(tape_nodes(out))
+    assert counts[0] == counts[1]
+
+
 def test_proto_feature_grad(rng):
     dist = np.abs(rng.normal(size=(2, 4, 3, 3))) + 0.05
     gt = rng.normal(size=(2, 3, 3))

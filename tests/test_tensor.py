@@ -1,6 +1,8 @@
 """Tensor kernel tests: op values against small hand/numpy oracles and every
 gradient against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,16 @@ def test_sigmoid_extreme_inputs_finite():
     assert s[0] == 0.0 or s[0] < 1e-300
     assert s[1] == 1.0
     assert s[2] == 0.5
+
+
+def test_sigmoid_equals_two_branch_formula_bitwise(rng):
+    x = np.concatenate([rng.normal(size=500) * 6, [-800.0, 800.0, -0.0, 0.0]])
+    pos = x >= 0
+    expected = np.empty_like(x)
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    assert np.array_equal(T.sigmoid(x).data, expected)
 
 
 # -- shape ops and indexing ----------------------------------------------------
@@ -313,11 +325,50 @@ def test_distance_map_nonnegative(f, p):
 
 
 def test_distance_map_grads(rng):
-    f = rng.normal(size=(2, 3, 3, 3))
-    p = rng.normal(size=(4, 3))
-    w = rng.normal(size=(2, 4, 3, 3))
-    check_grad(lambda t: T.tsum(T.mul(T.distance_map(t, Tensor(p)), Tensor(w))), f)
-    check_grad(lambda t: T.tsum(T.mul(T.distance_map(Tensor(f), t), Tensor(w))), p)
+    # batched with K=4, unbatched (d,H,W) input, and a single prototype
+    for f_shape, w_shape, k in (((2, 3, 3, 3), (2, 4, 3, 3), 4),
+                                ((3, 3, 4), (4, 3, 4), 4),
+                                ((2, 3, 3, 3), (2, 1, 3, 3), 1)):
+        f = rng.normal(size=f_shape)
+        p = rng.normal(size=(k, 3))
+        w = rng.normal(size=w_shape)
+        check_grad(lambda t: T.tsum(T.mul(T.distance_map(t, Tensor(p)), Tensor(w))), f)
+        check_grad(lambda t: T.tsum(T.mul(T.distance_map(Tensor(f), t), Tensor(w))), p)
+
+
+@pytest.mark.parametrize("b", [1, 16, 32])
+def test_distance_map_equals_explicit_difference_bitwise(rng, b):
+    f = rng.uniform(size=(b, 64, 16, 16))
+    p = rng.uniform(size=(8, 64))
+    diff = f[:, None] - p[None, :, :, None, None]
+    expected = np.einsum("bkdhw,bkdhw->bkhw", diff, diff)
+    assert np.array_equal(T.distance_map(f, p).data, expected)
+    assert np.array_equal(T.distance_map(f[0], p).data, expected[0])
+
+
+def test_distance_map_zero_where_prototype_equals_feature(rng):
+    f = rng.uniform(size=(2, 64, 4, 4))
+    p = rng.uniform(size=(3, 64))
+    p[1] = f[1, :, 2, 3]
+    out = T.distance_map(f, p).data
+    assert out[1, 1, 2, 3] == 0.0
+    assert np.all(np.delete(out[:, 1].reshape(-1), 1 * 16 + 2 * 4 + 3) > 0.0)
+
+
+def test_distance_map_keeps_no_kfold_buffer(rng):
+    b, k, d, hw = 32, 8, 64, 16
+    kfold_bytes = 8 * b * k * d * hw * hw   # the (B,K,d,H,W) float64 difference
+    f = Tensor(rng.uniform(size=(b, d, hw, hw)), requires_grad=True)
+    p = Tensor(rng.uniform(size=(k, d)), requires_grad=True)
+    g = Tensor(rng.normal(size=(b, k, hw, hw)))
+    tracemalloc.start()
+    try:
+        T.tsum(T.mul(T.distance_map(f, p), g)).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.grad.shape == f.shape and p.grad.shape == p.shape
+    assert peak < kfold_bytes, f"peak {peak} B >= K-fold buffer {kfold_bytes} B"
 
 
 def test_distance_map_shape_errors(rng):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_train_config
+from protodensity import training
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
                                 load_checkpoint)
 from protodensity.tensor import Parameter
@@ -320,6 +321,51 @@ def test_train_calibration_moves_only_theta(tiny_dataset, tiny_extractor,
     for pa, pb in zip(a.processing.parameters(), b.processing.parameters()):
         assert np.array_equal(pa.data, pb.data)
     assert not np.array_equal(a.head.theta.data, b.head.theta.data)
+
+
+def watch_calibration(monkeypatch, model, on_step=None) -> list:
+    """Patch ``adam_step`` to record, at each calibration step (only theta
+    updated), which model parameters hold a gradient and which record one;
+    ``on_step`` then runs after the real step."""
+    seen = []
+
+    def watched(params, grads, state, config):
+        adam_step(params, grads, state, config)
+        if set(params) == {"head.theta"}:
+            named = model.named_parameters()
+            seen.append(({n for n, p in named.items() if p.grad is not None},
+                         {n for n, p in named.items() if p.requires_grad}))
+            if on_step:
+                on_step()
+
+    monkeypatch.setattr(training, "adam_step", watched)
+    return seen
+
+
+def test_calibration_backpropagates_to_theta_only(tiny_dataset, tiny_extractor,
+                                                  tiny_features, monkeypatch):
+    model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
+    seen = watch_calibration(monkeypatch, model)
+    train(model, tiny_dataset, tiny_train_config(), feature_cache=tiny_features)
+    assert seen and all(s == ({"head.theta"}, {"head.theta"}) for s in seen)
+    assert model.processing.weight.grad is None
+    assert model.prototype_layer.prototypes.grad is None
+    assert all(p.requires_grad for p in model.trainable_parameters().values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_calibration_restores_requires_grad(tiny_dataset, tiny_extractor,
+                                                     tiny_features, monkeypatch):
+    model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
+
+    def blow_up_theta():
+        model.head.theta.data = np.full_like(model.head.theta.data, np.inf)
+
+    watch_calibration(monkeypatch, model, on_step=blow_up_theta)
+    with pytest.raises(TrainingDiverged, match="calibration epoch 2"):
+        train(model, tiny_dataset, tiny_train_config(), feature_cache=tiny_features)
+    assert all(p.requires_grad for p in model.trainable_parameters().values())
+    assert not any(p.requires_grad for p in model.extractor.parameters())
 
 
 def test_train_early_stops_on_stale_validation(tiny_dataset, tiny_extractor,
