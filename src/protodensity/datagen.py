@@ -300,8 +300,10 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
 def parse_manifest(manifest_path: str):
     """Parse a dataset manifest into (config, downsample, sigma, n_train,
     n_test, sample rows). Rows are (id, split, count, image, annotation,
-    density) with paths relative to the manifest directory. A malformed line
-    or a missing field raises ValueError naming the manifest."""
+    density) with paths relative to the manifest directory. A malformed line,
+    a split other than train or test, sample paths other than the
+    ``samples/sample_<id>_*`` names ``generate_dataset`` writes, or a missing
+    field raises ValueError naming the manifest (and the line)."""
     lines = read_text(manifest_path).splitlines()
     table = next((i for i, line in enumerate(lines) if line.strip() == "[samples]"),
                  len(lines))
@@ -315,9 +317,17 @@ def parse_manifest(manifest_path: str):
             continue
         try:
             sid, split, count, img_p, pts_p, den_p = line.split(",")
-            rows.append((int(sid), split, int(count), img_p, pts_p, den_p))
+            sid, count = int(sid), int(count)
         except ValueError as exc:
             raise ValueError(f"{manifest_path}:{lineno}: bad sample row {line!r}: {exc}") from None
+        if split not in ("train", "test"):
+            raise ValueError(f"{manifest_path}:{lineno}: split {split!r} is not 'train' or 'test'")
+        # samples load from these names only, never from a recorded path
+        expected = tuple(f"samples/{p}" for p in _sample_paths(sid))
+        if (img_p, pts_p, den_p) != expected:
+            raise ValueError(f"{manifest_path}:{lineno}: sample {sid} paths {img_p},{pts_p},"
+                             f"{den_p} differ from {','.join(expected)}")
+        rows.append((sid, split, count, img_p, pts_p, den_p))
 
     def get(key, parse=str):
         return require(kv, key, manifest_path, parse)

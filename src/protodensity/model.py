@@ -53,7 +53,14 @@ class ModelConfig:
 
 
 class FeatureExtractor:
-    """Three {3x3 conv, relu, 2x2 max-pool} blocks, widths 1->16->32->64.
+    """Three {3x3 conv, 2x2 max-pool, relu} blocks, widths 1->16->32->64.
+
+    This is the conv -> relu -> pool block in values and gradients, with the
+    relu on a quarter of the elements: relu is monotone, so it commutes with
+    the window max, and the pool routes each window's gradient to its first
+    maximum, which is also the first maximum after the relu whenever that
+    maximum is positive; when it is not, the relu zeroes the gradient in
+    either order.
 
     Downsamples by exactly 8. Pretrained once, then frozen: after
     ``freeze()`` no gradient ever reaches these weights.
@@ -72,7 +79,7 @@ class FeatureExtractor:
     def forward(self, x) -> Tensor:
         out = x if isinstance(x, Tensor) else Tensor(x)
         for w, b in zip(self.weights, self.biases):
-            out = T.maxpool2x2(T.relu(T.conv3x3(out, w, b)))
+            out = T.relu(T.maxpool2x2(T.conv3x3(out, w, b)))
         return out
 
     def parameters(self) -> list[Parameter]:

@@ -5,9 +5,14 @@ the output node; calling ``backward()`` on a scalar result replays the tape
 in reverse topological order. The op set is exactly what the counting model
 and its losses need: elementwise arithmetic, sigmoid/relu/log, 2-D matmul,
 reductions, indexing, row normalization, 1x1 and 3x3 convolutions, 2x2 max
-pooling, and prototype distance maps. The distance map's forward sums
-explicit differences one prototype at a time and its backward is two GEMMs,
-so neither direction holds a K-fold (B,K,d,H,W) buffer. A central
+pooling, and prototype distance maps. The 3x3 convolution builds a
+batch-major (B, C*9, H*W) im2col matrix from nine shifted slices, so its
+forward and both backward GEMMs run on NCHW data with no transposed copy;
+max pooling compares the four strided window corners, and its backward
+routes each window's gradient by a compare mask to the first maximum in
+row-major window order. The distance map's forward sums explicit
+differences one prototype at a time and its backward is two GEMMs, so
+neither direction holds a K-fold (B,K,d,H,W) buffer. A central
 finite-difference oracle (`finite_diff_grad`) verifies every analytic
 gradient.
 
@@ -228,9 +233,15 @@ def _make(data: np.ndarray, parents: Iterable[Tensor], backward: Callable[[], No
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif g.shape == t.shape:
+        # zeros + g in one pass: a new array, since g may be another node's
+        # grad (and a 0-d g + 0.0 would be a scalar); -0.0 still becomes 0.0
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad += g
 
 
 def _check_elementwise(a: Tensor, b: Tensor, opname: str) -> None:
@@ -528,7 +539,15 @@ def conv1x1(x, weight, bias=None) -> Tensor:
 
 
 def conv3x3(x, weight, bias=None) -> Tensor:
-    """3x3 convolution, stride 1, zero padding 1 (spatial dims preserved)."""
+    """3x3 convolution, stride 1, zero padding 1 (spatial dims preserved).
+
+    The im2col matrix is batch-major, col[b] = (C*9, H*W), built from nine
+    shifted slices of the padded input, so the forward is one batched GEMM
+    whose result is already B x C_out x H x W. The backward is
+    grad_W = sum_b g[b] col[b]^T and, for the input, W^T g[b], one sample at
+    a time, scattered back by nine shifted adds into the padded gradient;
+    nothing is transposed.
+    """
     x, weight = _coerce(x), _coerce(weight)
     bias = _coerce(bias) if bias is not None else None
     xd, squeeze = _as_batched(x, "conv3x3")
@@ -542,30 +561,35 @@ def conv3x3(x, weight, bias=None) -> Tensor:
         raise ShapeError(f"conv3x3: bias shape {bias.shape} != ({c_out},)")
 
     padded = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
-    # (B,C,H,W,3,3) -> (C,3,3,B,H,W) -> (C*9, B*H*W)
-    col = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(c * 9, b_ * h * w)
+    # row c*9 + 3i + j of col[b] is channel c shifted by tap (i, j), the
+    # order of weight.reshape(C_out, C*9)
+    col = np.empty((b_, c, 9, h, w))
+    for i in range(3):
+        for j in range(3):
+            col[:, :, 3 * i + j] = padded[:, :, i:i + h, j:j + w]
+    col = col.reshape(b_, c * 9, h * w)
     w2 = weight.data.reshape(c_out, c * 9)
     oc = w2 @ col
     if bias is not None:
-        oc = oc + bias.data[:, None]
-    out_data = oc.reshape(c_out, b_, h, w).transpose(1, 0, 2, 3)
+        oc += bias.data[:, None]
+    out_data = oc.reshape(b_, c_out, h, w)
     if squeeze:
         out_data = out_data[0]
 
     def backward():
-        g = out.grad if not squeeze else out.grad[None]
-        gc = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, b_ * h * w)
+        g = out.grad.reshape(b_, c_out, h * w)
         if weight.requires_grad:
-            _accum(weight, (gc @ col.T).reshape(weight.shape))
+            _accum(weight, (g @ col.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape))
         if bias is not None and bias.requires_grad:
-            _accum(bias, gc.sum(axis=1))
+            _accum(bias, g.sum(axis=(0, 2)))
         if x.requires_grad:
-            gcol = (w2.T @ gc).reshape(c, 3, 3, b_, h, w)
+            # one sample at a time, so the (C*9, H*W) temporary stays small
             gpad = np.zeros_like(padded)
-            for i in range(3):
-                for j in range(3):
-                    gpad[:, :, i:i + h, j:j + w] += gcol[:, i, j].transpose(1, 0, 2, 3)
+            for n in range(b_):
+                gcol = (w2.T @ g[n]).reshape(c, 9, h, w)
+                for i in range(3):
+                    for j in range(3):
+                        gpad[n, :, i:i + h, j:j + w] += gcol[:, 3 * i + j]
             gx = gpad[:, :, 1:-1, 1:-1]
             _accum(x, gx[0] if squeeze else gx)
 
@@ -575,29 +599,54 @@ def conv3x3(x, weight, bias=None) -> Tensor:
 
 
 def maxpool2x2(x) -> Tensor:
-    """2x2 max pooling with stride 2. Gradient flows to the selected element
-    only; ties select the first element in row-major window order."""
+    """2x2 max pooling with stride 2. Each window's value and gradient belong
+    to its first maximum in row-major window order (top-left, top-right,
+    bottom-left, bottom-right).
+
+    The forward is ``np.maximum`` over the four strided corner views, with
+    any zero result taken from the first corner holding a zero (the maximum
+    of -0.0 and 0.0 may be either). The backward routes the gradient by a
+    compare mask in the same corner order: a corner gets it where it equals
+    the maximum and no earlier corner did, and the last corner gets the rest.
+    """
     x = _coerce(x)
     xd, squeeze = _as_batched(x, "maxpool2x2")
     b_, c, h, w = xd.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {h}x{w}")
-    win = xd.reshape(b_, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = np.ascontiguousarray(win).reshape(b_, c, h // 2, w // 2, 4)
-    sel = np.argmax(win, axis=-1)
-    out_data = np.take_along_axis(win, sel[..., None], axis=-1)[..., 0]
-    if squeeze:
-        out_data = out_data[0]
+    corners = [xd[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    pooled = np.maximum(np.maximum(corners[0], corners[1]),
+                        np.maximum(corners[2], corners[3]))
+    zero = pooled == 0.0
+    if zero.any():
+        first = corners[3]
+        for corner in corners[2::-1]:
+            first = np.where(corner == 0.0, corner, first)
+        pooled[zero] = first[zero]
+    out_data = pooled[0] if squeeze else pooled
 
     def backward():
         if not x.requires_grad:
             return
         g = out.grad if not squeeze else out.grad[None]
-        gwin = np.zeros((b_, c, h // 2, w // 2, 4))
-        np.put_along_axis(gwin, sel[..., None], g[..., None], axis=-1)
-        gx = gwin.reshape(b_, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        gx = gx.reshape(b_, c, h, w)
-        _accum(x, gx[0] if squeeze else gx)
+        gx = np.empty_like(xd)
+        gx_corners = [gx[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+        taken = np.zeros(pooled.shape, dtype=bool)
+        for corner, g_corner in zip(corners[:3], gx_corners):
+            hit = corner == pooled
+            hit &= ~taken
+            np.multiply(g, hit, out=g_corner)
+            taken |= hit
+        np.multiply(g, ~taken, out=gx_corners[3])
+        gx = gx[0] if squeeze else gx
+        if x.grad is None:
+            # gx is this call's own buffer, so it becomes the gradient with
+            # no copy; adding 0.0 in place turns the -0.0 of g * False into
+            # 0.0, as _accum's zeros + g does
+            gx += 0.0
+            x.grad = gx
+        else:
+            x.grad += gx
 
     out = _make(out_data, (x,), backward)
     return out

@@ -206,6 +206,37 @@ def test_sample_of_another_shape_exits_usage(tmp_path, cfg_path, capsys, name, d
         assert path in err and str(dims) in err
 
 
+@pytest.mark.parametrize("old,new,named", [
+    ("samples/sample_00001_image.pdt", "samples/no_such_file.pdt", "no_such_file"),
+    ("1,train,", "1,validation,", "'validation'"),
+])
+def test_edited_sample_row_exits_usage(tmp_path, cfg_path, capsys, old, new, named):
+    # the loader reads samples/sample_<id>_* only, so a manifest row that
+    # records another path, or a split other than train/test, is rejected
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    manifest = os.path.join(data, "manifest.txt")
+    with open(manifest) as f:
+        lines = f.read().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1) if line.startswith("1,"))
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+    with open(manifest, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                               FeatureExtractor(np.random.default_rng(0))), ckpt)
+    for argv in (["pretrain", "--config", cfg_path, "--data", data,
+                  "--out", str(tmp_path / "ex")],
+                 ["train", "--config", cfg_path, "--data", data,
+                  "--extractor", str(tmp_path / "ex"), "--out", str(tmp_path / "run")],
+                 ["eval", "--model", ckpt, "--data", data,
+                  "--out", str(tmp_path / "eval.csv")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}:{lineno}:" in err and named in err
+
+
 def test_interrupted_checkpoint_save_does_not_load(tmp_path, cfg_path, capsys,
                                                    monkeypatch):
     data = str(tmp_path / "data")

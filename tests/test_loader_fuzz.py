@@ -6,12 +6,13 @@ FileNotFoundError whose message names the damaged path, so the command line
 ends with exit code 1 and the culprit named."""
 
 import os
+import re
 import shutil
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import TINY_SCENE
@@ -105,6 +106,33 @@ def saved(tmp_path_factory):
 def test_parse_manifest_fails_cleanly(saved, damage):
     _fuzz_copy(str(saved / "data"), "manifest.txt", damage,
                lambda d: parse_manifest(os.path.join(d, "manifest.txt")))
+
+
+@given(damage=_damage)
+def test_load_dataset_manifest_fails_cleanly(saved, damage):
+    _fuzz_copy(str(saved / "data"), "manifest.txt", damage, load_dataset)
+
+
+@given(row=st.integers(0, 2), column=st.sampled_from([1, 3, 4, 5]),
+       value=st.text(st.characters(blacklist_characters=","), max_size=40))
+def test_load_dataset_rejects_edited_split_or_path(saved, row, column, value):
+    # any other split than the recorded one, and any other sample path than
+    # samples/sample_<id>_*, fails naming the manifest
+    with tempfile.TemporaryDirectory() as tmp:
+        work = os.path.join(tmp, "copy")
+        shutil.copytree(str(saved / "data"), work)
+        manifest = os.path.join(work, "manifest.txt")
+        with open(manifest) as f:
+            lines = f.read().splitlines()
+        at = lines.index("id,split,count,image,annotation,density") + 1 + row
+        cells = lines[at].split(",")
+        assume(value.strip() != cells[column])
+        cells[column] = value
+        lines[at] = ",".join(cells)
+        with open(manifest, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(manifest)):
+            load_dataset(work)
 
 
 @given(name=st.sampled_from(["samples/sample_00001_points.csv",

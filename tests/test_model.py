@@ -1,6 +1,8 @@
 """Model stage tests: shape chains, init distributions, the distance-to-
 similarity transform, counting, and checkpoint round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from protodensity.model import (DOWNSAMPLE, FEATURE_DIM, CountModel,
                                 load_checkpoint, load_extractor,
                                 save_checkpoint, save_extractor,
                                 similarity_from_distance, count)
+from protodensity import tensor as T
 from protodensity.tensor import ShapeError, Tensor, no_grad
 
 
@@ -79,6 +82,57 @@ def test_processed_lives_in_unit_interval(model):
         out = model.forward(Tensor(x))
     assert np.all(out.processed.data > 0.0) and np.all(out.processed.data < 1.0)
     assert np.all(out.distances.data >= 0.0)
+
+
+# -- extractor blocks ----------------------------------------------------------
+
+
+def test_extractor_pool_then_relu_equals_relu_then_pool_bitwise():
+    # integer inputs and weights make every conv output an exact integer,
+    # so windows tie often and many are all <= 0
+    rng = np.random.default_rng(3)
+    extractor = FeatureExtractor(rng)
+    for w in extractor.weights:
+        w.data[...] = rng.integers(-2, 3, size=w.shape)
+    for b in extractor.biases:
+        b.data[...] = rng.integers(-2, 3, size=b.shape)
+    images = rng.integers(-2, 3, size=(2, 1, 16, 16)).astype(np.float64)
+    g = rng.normal(size=(2, FEATURE_DIM, 2, 2))
+
+    def run(blocks):
+        x = Tensor(images, requires_grad=True)
+        out = blocks(x)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        grads = [x.grad] + [p.grad for p in extractor.parameters()]
+        for p in extractor.parameters():
+            p.zero_grad()
+        return out.data, grads
+
+    def relu_then_pool(x):
+        for w, b in zip(extractor.weights, extractor.biases):
+            x = T.maxpool2x2(T.relu(T.conv3x3(x, w, b)))
+        return x
+
+    out, grads = run(extractor.forward)
+    ref_out, ref_grads = run(relu_then_pool)
+    assert np.count_nonzero(out) and np.count_nonzero(out == 0)
+    for a, b in zip([out, *grads], [ref_out, *ref_grads]):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_extractor_peak_memory():
+    # one pretraining-sized step: B=16 images of 1x128x128 through the three
+    # conv, pool, relu blocks and back to every weight
+    extractor = FeatureExtractor(np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).uniform(size=(16, 1, 128, 128)))
+    tracemalloc.start()
+    try:
+        T.tsum(extractor.forward(x)).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in extractor.parameters())
+    assert peak < 400e6, f"peak {peak / 1e6:.1f} MB >= 400 MB"
 
 
 # -- initialization ------------------------------------------------------------

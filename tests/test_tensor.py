@@ -262,15 +262,34 @@ def test_conv3x3_matches_loop_oracle(rng):
     b = rng.normal(size=(4,))
     np.testing.assert_allclose(T.conv3x3(x, w, b).data, conv3x3_oracle(x, w, b),
                                rtol=1e-10, atol=1e-12)
+    x = rng.normal(size=(3, 1, 5, 4))
+    w = rng.normal(size=(2, 1, 3, 3))
+    np.testing.assert_allclose(T.conv3x3(x, w).data, conv3x3_oracle(x, w, np.zeros(2)),
+                               rtol=1e-10, atol=1e-12)
 
 
 def test_conv3x3_grads(rng):
-    x = rng.normal(size=(1, 2, 3, 3))
-    w = rng.normal(size=(2, 2, 3, 3))
-    b = rng.normal(size=(2,))
-    check_grad(lambda t: T.tsum(T.conv3x3(t, Tensor(w), Tensor(b))), x)
-    check_grad(lambda t: T.tsum(T.conv3x3(Tensor(x), t, Tensor(b))), w)
-    check_grad(lambda t: T.tsum(T.conv3x3(Tensor(x), Tensor(w), t)), b)
+    # batch 1 and 2 and an unbatched input; the weighted sum sends every
+    # output position a different gradient
+    for shape in [(1, 2, 3, 3), (2, 2, 3, 4), (2, 3, 4)]:
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(3, 2, 3, 3))
+        b = rng.normal(size=(3,))
+        g = Tensor(rng.normal(size=shape[:-3] + (3,) + shape[-2:]))
+        check_grad(lambda t: T.tsum(T.mul(T.conv3x3(t, Tensor(w), Tensor(b)), g)), x)
+        check_grad(lambda t: T.tsum(T.mul(T.conv3x3(Tensor(x), t, Tensor(b)), g)), w)
+        check_grad(lambda t: T.tsum(T.mul(T.conv3x3(Tensor(x), Tensor(w), t), g)), b)
+
+
+@given(b=st.integers(1, 3), c_in=st.integers(1, 4), c_out=st.integers(1, 4),
+       h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_conv3x3_matches_loop_oracle_property(b, c_in, c_out, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, c_in, h, w))
+    wt = rng.normal(size=(c_out, c_in, 3, 3))
+    bias = rng.normal(size=(c_out,))
+    np.testing.assert_allclose(T.conv3x3(x, wt, bias).data, conv3x3_oracle(x, wt, bias),
+                               rtol=1e-10, atol=1e-12)
 
 
 def test_maxpool_matches_block_oracle(rng):
@@ -287,6 +306,57 @@ def test_maxpool_odd_dims_raise():
 def test_maxpool_grad(rng):
     x = rng.normal(size=(1, 2, 4, 4))
     check_grad(lambda t: T.tsum(T.maxpool2x2(t)), x)
+
+
+def maxpool_oracle(x, g):
+    """Per-window loop: the value and the gradient of each 2x2 window go to
+    its first maximum in row-major window order."""
+    bs, c, h, w = x.shape
+    out = np.zeros((bs, c, h // 2, w // 2))
+    gx = np.zeros_like(x)
+    for idx in np.ndindex(bs, c, h // 2, w // 2):
+        n, ch, r, q = idx
+        cells = [(2 * r + i, 2 * q + j) for i in (0, 1) for j in (0, 1)]
+        values = [x[n, ch, i, j] for i, j in cells]
+        first = next(k for k, v in enumerate(values) if v == max(values))
+        out[idx] = values[first]
+        gx[(n, ch) + cells[first]] = g[idx]
+    return out, gx
+
+
+def assert_bitwise_equal(a, b):
+    # np.array_equal alone takes -0.0 == 0.0
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_maxpool_tie_routes_gradient_to_first_in_window(rng):
+    windows = [
+        [5.0, 5.0, 1.0, 0.0],      # two equal maxima
+        [1.0, 3.0, 3.0, 3.0],      # three
+        [2.0, 2.0, 2.0, 2.0],      # four
+        [-4.0, -1.0, -3.0, -1.0],  # all negative, tied
+        [-0.0, 0.0, -1.0, -2.0],   # signed zeros: the first one wins
+        [-1.0, 0.0, -0.0, -0.0],
+        [-2.0, -1.0, -0.0, 0.0],
+    ]
+    x = np.zeros((1, 1, 2, 2 * len(windows)))
+    for k, (a, b, c, d) in enumerate(windows):
+        x[0, 0, :, 2 * k:2 * k + 2] = [[a, b], [c, d]]
+    tied = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(2, 3, 6, 8))
+    for data in (x, tied, tied[0]):
+        batched = data if data.ndim == 4 else data[None]
+        g = rng.normal(size=batched[:, :, ::2, ::2].shape)
+        ref_out, ref_gx = maxpool_oracle(batched, g)
+        if data.ndim == 3:
+            g, ref_out, ref_gx = g[0], ref_out[0], ref_gx[0]
+        leaf = Tensor(data, requires_grad=True)
+        out = T.maxpool2x2(leaf)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        assert_bitwise_equal(out.data, ref_out)
+        assert_bitwise_equal(leaf.grad, ref_gx)
+        # a second backward adds into the gradient already there
+        T.tsum(T.mul(T.maxpool2x2(leaf), Tensor(g))).backward()
+        assert_bitwise_equal(leaf.grad, 2.0 * ref_gx)
 
 
 def test_unbatched_conv_and_pool_shapes(rng):
@@ -402,6 +472,21 @@ def test_backward_consumes_tape():
     y.backward()
     assert y._parents == () and y._backward is None
     np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
+
+
+def test_first_accumulation_equals_zeros_plus_grad_bitwise():
+    g = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -1.5, 2.0 ** -1074])
+    source = g.copy()
+    t = Tensor(np.zeros_like(g), requires_grad=True)
+    T._accum(t, g)
+    assert np.array_equal(t.grad.view(np.int64), (np.zeros_like(g) + g).view(np.int64))
+    assert t.grad is not g and not np.shares_memory(t.grad, g)
+    T._accum(t, np.ones_like(g))
+    assert np.array_equal(g.view(np.int64), source.view(np.int64))
+    scalar = Tensor(0.0, requires_grad=True)
+    T._accum(scalar, np.asarray(-0.0))
+    assert isinstance(scalar.grad, np.ndarray) and scalar.grad.shape == ()
+    assert not np.signbit(scalar.grad)
 
 
 def test_grad_accumulates_across_backwards():
