@@ -265,13 +265,19 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
     """Write a full dataset (images, annotations, density maps, manifest) to
     ``out_dir`` and return the manifest path. Sample ids 0..n_train-1 are the
     training split, the rest are test; the split is recorded in the manifest.
+    An old manifest is removed before the first sample and the new one is
+    written last, so a run cut short leaves a directory that fails to load
+    instead of an old manifest over new samples.
     """
     validate_config(config, downsample)
     samples_dir = os.path.join(out_dir, "samples")
+    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     try:
         os.makedirs(samples_dir, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create dataset directory {out_dir}: {exc}") from exc
+    if os.path.lexists(manifest_path):
+        os.remove(manifest_path)
 
     rows = []
     for i in range(n_train + n_test):
@@ -284,7 +290,6 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
         rows.append((i, split, len(annotation), f"samples/{img_p}",
                      f"samples/{pts_p}", f"samples/{den_p}"))
 
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     write_key_values(manifest_path, [
         ("format", MANIFEST_FORMAT),
         ("n_train", n_train),

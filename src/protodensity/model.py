@@ -241,20 +241,13 @@ class CountModel:
                 batch: int = 16) -> tuple[np.ndarray, np.ndarray]:
         """Counts (N,) and similarity maps (N, K, Hf, Wf) for every sample,
         with no tape, ``batch`` at a time: from ``features`` (N, C, Hf, Wf)
-        when given, else from the sample images, stacked one batch at a time
-        so no copy of the whole split is held."""
-        n = len(samples) if features is None else features.shape[0]
-        counts, sims = [], []
-        with T.no_grad():
-            for start in range(0, n, batch):
-                if features is None:
-                    x = np.stack([s.image for s in samples[start:start + batch]])
-                    out = self.forward(Tensor(x))
-                else:
-                    out = self.forward_from_features(Tensor(features[start:start + batch]))
-                counts.append(out.count)
-                sims.append(out.similarities.data)
-                del out  # free this batch's activations before the next forward
+        when given, else from the sample images."""
+        if features is None:
+            forward, inputs = self.forward, samples
+        else:
+            forward, inputs = self.forward_from_features, features
+        counts, sims = zip(*forward_batches(
+            forward, inputs, batch, lambda out: (out.count, out.similarities.data)))
         return np.concatenate(counts), np.concatenate(sims)
 
     # -- parameter plumbing ---------------------------------------------------
@@ -270,6 +263,21 @@ class CountModel:
     def zero_grad(self) -> None:
         for p in self.named_parameters().values():
             p.zero_grad()
+
+
+def forward_batches(forward, inputs, batch: int, keep) -> list:
+    """``keep(forward(Tensor(x)))`` for each ``batch``-sized slice ``x`` of
+    ``inputs``, with no tape. ``inputs`` is an array, or a list of samples
+    whose images are stacked one batch at a time, so no copy of the whole
+    split is held; only what ``keep`` returns outlives its batch."""
+    kept = []
+    with T.no_grad():
+        for start in range(0, len(inputs), batch):
+            x = inputs[start:start + batch]
+            if not isinstance(x, np.ndarray):
+                x = np.stack([s.image for s in x])
+            kept.append(keep(forward(Tensor(x))))
+    return kept
 
 
 def count(density) -> float | np.ndarray:

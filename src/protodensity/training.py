@@ -7,6 +7,12 @@ computed once per run and cached; every epoch then touches only the
 processing layer, prototypes, and head. Projection replaces each prototype
 with the nearest processed feature vector across the training split and
 records where it came from.
+
+After the final projection only the head's theta moves, so the similarity
+and distance maps of the training split are fixed: calibration computes them
+once, in ``batch_size`` no-tape forwards, and every calibration step and
+validation pass then runs the head alone on them. The losses and theta's
+gradient equal those of a full forward bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from . import tensor as T
 from .tensor import Parameter, Tensor
 from .losses import LossConfig, LossReport, density_loss, total_loss
 from .model import (CountModel, FeatureExtractor, PrototypeProvenance,
-                    save_checkpoint)
+                    forward_batches, save_checkpoint)
 
 HISTORY_CSV_HEADER = ("phase", "epoch", "density", "proto_feature", "diversity",
                       "total", "val_mae")
@@ -158,10 +164,6 @@ def adam_step(params: dict, grads: dict, state: AdamState,
 # -- data plumbing ------------------------------------------------------------
 
 
-def _stack_images(samples) -> np.ndarray:
-    return np.stack([s.image for s in samples])
-
-
 def _stack_gt(samples) -> np.ndarray:
     return np.stack([s.density_gt for s in samples])
 
@@ -169,12 +171,8 @@ def _stack_gt(samples) -> np.ndarray:
 def compute_features(extractor: FeatureExtractor, samples,
                      batch_size: int = 16) -> np.ndarray:
     """Run the extractor over every sample image; (N, C, Hf, Wf)."""
-    images = _stack_images(samples)
-    chunks = []
-    with T.no_grad():
-        for i in range(0, len(samples), batch_size):
-            chunks.append(extractor.forward(Tensor(images[i:i + batch_size])).data)
-    return np.concatenate(chunks)
+    return np.concatenate(forward_batches(extractor.forward, samples, batch_size,
+                                          lambda out: out.data))
 
 
 # -- pretraining --------------------------------------------------------------
@@ -206,7 +204,7 @@ def pretrain_extractor(dataset, config: TrainConfig) -> tuple[FeatureExtractor, 
     params[head_w.name] = head_w
     params[head_b.name] = head_b
 
-    images = _stack_images(samples)
+    images = np.stack([s.image for s in samples])
     gts = _stack_gt(samples)
     n = len(samples)
     state = AdamState()
@@ -280,6 +278,16 @@ def _restore(params: dict, snap: dict) -> None:
         p.data = snap[name].copy()
 
 
+def _fixed_maps_forward(model: CountModel, features: np.ndarray, batch: int):
+    """``forward(idx)`` giving the density and distance maps of samples
+    ``idx`` from similarity and distance maps computed here once, ``batch``
+    at a time: valid while only the head moves."""
+    sims, dists = (np.concatenate(maps) for maps in zip(*forward_batches(
+        model.forward_from_features, features, batch,
+        lambda out: (out.similarities.data, out.distances.data))))
+    return lambda idx: (model.predict_density(Tensor(sims[idx])), Tensor(dists[idx]))
+
+
 def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
           feature_cache=None) -> tuple[CountModel, TrainHistory]:
     """Mini-batch training of processing layer, prototypes, and head with the
@@ -325,9 +333,10 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    def run_epoch(update_params: dict, label: str) -> LossReport:
+    def run_epoch(update_params: dict, label: str, forward) -> LossReport:
         # the tape records only what leads to the parameters this epoch
-        # updates: a calibration epoch backpropagates to theta alone
+        # updates: a calibration epoch backpropagates to theta alone.
+        # ``forward(idx)`` gives the batch's density and distance maps
         for name, p in params.items():
             p.requires_grad = name in update_params
         try:
@@ -336,8 +345,8 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
             for b0 in range(0, perm.size, config.batch_size):
                 idx = perm[b0:b0 + config.batch_size]
                 model.zero_grad()
-                out = model.forward_from_features(Tensor(features[idx]))
-                total, rep = total_loss(out.density, gts[idx], out.distances, proto,
+                density, distances = forward(idx)
+                total, rep = total_loss(density, gts[idx], distances, proto,
                                         kc, kb, config.loss)
                 if not np.isfinite(rep.total):
                     _restore(params, last_good)
@@ -353,13 +362,20 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
             for p in params.values():
                 p.requires_grad = True
 
-    def val_mae_now() -> float:
-        pred, _ = model.predict(None, features[val_idx], batch=config.batch_size)
+    def val_mae_now(forward) -> float:
+        with T.no_grad():
+            pred = np.concatenate([
+                forward(val_idx[b0:b0 + config.batch_size])[0].data.sum(axis=(-2, -1))
+                for b0 in range(0, val_idx.size, config.batch_size)])
         return float(np.abs(pred - counts[val_idx]).mean())
+
+    def fit_forward(idx):
+        out = model.forward_from_features(Tensor(features[idx]))
+        return out.density, out.distances
 
     epoch = 0
     for epoch in range(1, config.max_epochs + 1):
-        history.reports.append(run_epoch(params, f"epoch {epoch}"))
+        history.reports.append(run_epoch(params, f"epoch {epoch}", fit_forward))
 
         if epoch % config.projection_interval == 0:
             records = _project_onto(model, samples, features)
@@ -367,7 +383,7 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
             if out_dir:
                 save_checkpoint(model, os.path.join(out_dir, f"checkpoint_epoch{epoch:04d}"))
 
-        mae = val_mae_now()
+        mae = val_mae_now(fit_forward)
         history.val_mae.append(mae)
         last_good = _snapshot(params)
 
@@ -386,12 +402,16 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
     # the projection just snapped prototypes onto real feature vectors, which
     # reshapes the similarity peaks; re-fit the head weights against the
     # projected prototypes. Only theta moves, so the prototypes stay exactly
-    # projected in the shipped model.
+    # projected in the shipped model, and the distance and similarity maps
+    # are fixed: compute them once and run every calibration step on theta * S
     theta = model.head.theta
     theta_params = {theta.name: theta}
+    if config.calibration_epochs:
+        calibration_forward = _fixed_maps_forward(model, features, config.batch_size)
     for i in range(config.calibration_epochs):
-        history.calibration_reports.append(run_epoch(theta_params, f"calibration epoch {i + 1}"))
-        history.calibration_val_mae.append(val_mae_now())
+        history.calibration_reports.append(
+            run_epoch(theta_params, f"calibration epoch {i + 1}", calibration_forward))
+        history.calibration_val_mae.append(val_mae_now(calibration_forward))
         last_good = _snapshot(params)
 
     if model.extractor.checksum() != checksum_before:

@@ -13,8 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from protodensity import tensor
+from protodensity import datagen, tensor
 from protodensity.cli import SEED_ENV, _THREAD_ENV, main
+from protodensity.datagen import load_dataset
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
                                 load_checkpoint, save_checkpoint)
 
@@ -267,6 +268,38 @@ def test_interrupted_checkpoint_save_does_not_load(tmp_path, cfg_path, capsys,
     assert main(["eval", "--model", ckpt, "--data", data,
                  "--out", str(tmp_path / "eval.csv")]) == 1
     assert "no manifest" in capsys.readouterr().err
+
+
+def test_interrupted_gen_data_does_not_load(tmp_path, cfg_path, capsys, monkeypatch):
+    data = str(tmp_path / "data")
+    extractor = str(tmp_path / "ex")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    assert main(["pretrain", "--config", cfg_path, "--data", data, "--out", extractor]) == 0
+    load_dataset(data)
+
+    # a second gen-data into the same directory, cut short at its third sample
+    saved = []
+    real_save = datagen.save_sample
+
+    def failing_save(samples_dir, sample):
+        if len(saved) == 2:
+            raise OSError("disk full")
+        saved.append(sample.sample_id)
+        real_save(samples_dir, sample)
+
+    monkeypatch.setattr(datagen, "save_sample", failing_save)
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 2
+    monkeypatch.undo()
+    manifest = os.path.join(data, "manifest.txt")
+    with pytest.raises(FileNotFoundError) as exc:
+        load_dataset(data)
+    assert manifest in str(exc.value)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--data", data, "--extractor", extractor,
+                 "--out", str(tmp_path / "run")]) == 1
+    assert manifest in capsys.readouterr().err
 
 
 def test_seed_env_overrides_config(tmp_path, cfg_path, monkeypatch):

@@ -5,6 +5,7 @@ extractor, so each full train() call costs a fraction of a second.
 """
 
 import csv
+import math
 import types
 
 import numpy as np
@@ -14,7 +15,7 @@ from conftest import tiny_train_config
 from protodensity import training
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
                                 load_checkpoint)
-from protodensity.tensor import Parameter
+from protodensity.tensor import Parameter, Tensor
 from protodensity.training import (HISTORY_CSV_HEADER, PROJECTION_CSV_HEADER,
                                    AdamState, TrainConfig, TrainingDiverged,
                                    adam_step, compute_features,
@@ -366,6 +367,75 @@ def test_diverged_calibration_restores_requires_grad(tiny_dataset, tiny_extracto
         train(model, tiny_dataset, tiny_train_config(), feature_cache=tiny_features)
     assert all(p.requires_grad for p in model.trainable_parameters().values())
     assert not any(p.requires_grad for p in model.extractor.parameters())
+
+
+def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
+                                            tiny_features, monkeypatch):
+    # after the final projection only theta moves: the split's maps are
+    # computed once, batch_size at a time, and no calibration step or
+    # validation pass runs the processing layer again. Five epochs with
+    # projection every three put the final projection after the main loop.
+    model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
+    config = tiny_train_config(batch_size=3, max_epochs=5)
+    events = []
+    for name in ("forward_from_features", "process_features"):
+        def counted(*args, _name=name, _real=getattr(model, name)):
+            events.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(model, name, counted)
+    real_project = training._project_onto
+
+    def project(*args):
+        records = real_project(*args)
+        events.append("project")
+        return records
+
+    def step(params, grads, state, cfg):
+        adam_step(params, grads, state, cfg)
+        if set(params) == {"head.theta"}:
+            events.append("calibration step")
+
+    monkeypatch.setattr(training, "_project_onto", project)
+    monkeypatch.setattr(training, "adam_step", step)
+    _, history = train(model, tiny_dataset, config, feature_cache=tiny_features)
+
+    n = len(tiny_dataset.train)
+    batches = math.ceil(n / config.batch_size)
+    after = events[len(events) - events[::-1].index("project"):]
+    first_step = after.index("calibration step")
+    assert 0 < after[:first_step].count("forward_from_features") <= batches
+    assert after[:first_step].count("process_features") <= batches
+    assert set(after[first_step:]) == {"calibration step"}
+
+    order = np.random.default_rng([config.seed, 2]).permutation(n)
+    val_idx = order[:int(round(config.val_fraction * n))]
+    counts = np.array([len(tiny_dataset.train[i].annotation) for i in val_idx], dtype=float)
+    pred, _ = model.predict(None, tiny_features[val_idx], batch=config.batch_size)
+    assert history.calibration_val_mae[-1] == float(np.abs(pred - counts).mean())
+
+
+def test_calibration_on_cached_maps_equals_full_forward(tiny_dataset, tiny_extractor,
+                                                        tiny_features, monkeypatch):
+    # reference: every calibration step and validation pass runs the whole
+    # forward from the extractor features, as the main loop does
+    def full_forward(model, features, batch):
+        def forward(idx):
+            out = model.forward_from_features(Tensor(features[idx]))
+            return out.density, out.distances
+        return forward
+
+    runs = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(training, "_fixed_maps_forward", full_forward)
+        model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
+        config = tiny_train_config(batch_size=3, calibration_epochs=3)
+        _, history = train(model, tiny_dataset, config, feature_cache=tiny_features)
+        runs.append((history, model.head.theta.data))
+    (cached, theta), (full, theta_full) = runs
+    assert cached.calibration_reports == full.calibration_reports
+    assert cached.calibration_val_mae == full.calibration_val_mae
+    assert np.array_equal(theta, theta_full)
 
 
 def test_train_early_stops_on_stale_validation(tiny_dataset, tiny_extractor,
