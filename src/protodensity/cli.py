@@ -36,9 +36,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _number_list(raw: str, kind=int) -> list:
     try:
-        return [kind(p) for p in raw.split(",") if p.strip()]
+        values = [kind(p.strip()) for p in raw.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError(f"expected comma-separated {kind.__name__}s, got {raw!r}") from exc
+    if not values:
+        raise UsageError(f"expected a comma-separated list, got {raw!r}")
+    return values
+
+
+def _variant(name: str) -> str:
+    from .evaluate import VARIANTS
+
+    if name not in VARIANTS:
+        raise UsageError(f"unknown ablation variant {name!r}")
+    return name
 
 
 def _loc(raw: str) -> tuple[int, int]:
@@ -58,8 +69,11 @@ def _load_run_config(args) -> "RunConfig":
         from dataclasses import replace
         try:
             seed = int(env_seed)
-        except ValueError as exc:
-            raise UsageError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from exc
+        except ValueError:
+            seed = -1
+        if seed < 0:
+            raise UsageError(f"{SEED_ENV} must be a non-negative integer, "
+                             f"got {env_seed!r}")
         config = type(config)(replace(config.scene, seed=seed), config.model,
                               replace(config.train, seed=seed))
     return config
@@ -69,12 +83,6 @@ def _echo(config, out_dir, **extra) -> None:
     from .config import write_resolved_config
 
     write_resolved_config(config, out_dir, extra)
-
-
-def _load_frozen_extractor(path):
-    from .model import load_extractor
-
-    return load_extractor(path) if path else None
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -174,58 +182,42 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    from .datagen import load_dataset
-    from .evaluate import run_ablation, variant_loss_config
+# command: (help, grid flag, its default, default seeds, entry parser,
+#           harness in evaluate.py and its grid keyword, printed line format)
+_GRIDS = {
+    "ablate": ("loss-term ablation runs", "variants",
+               "full,no_diversity,no_proto_feature", "0,1,2", _variant,
+               "run_ablation", "variants",
+               "{0.variant:<17} seed {0.seed}: MAE {0.mae:.3f} min dist cell "
+               "{0.distances.cell_min:.4f} bg {0.distances.bg_min:.4f}"),
+    "sweep-k": ("prototype-count sweep", "k", "2,4,6,8", "0,1,2,3,4", int,
+                "sweep_k", "k_values", "K={0[0]} seed {0[1]}: MAE {0[2]:.3f}"),
+    "sweep-tau": ("diversity-threshold sweep", "tau", "0,0.4,0.8", "0", float,
+                  "sweep_tau", "tau_values",
+                  "tau={0[0]:g} seed {0[1]}: MAE {0[2]:.3f}"),
+}
 
+
+def cmd_grid(args) -> int:
+    """ablate, sweep-k and sweep-tau: train a grid of runs on one dataset and
+    one frozen extractor, every run from the resolved config's model."""
+    from . import evaluate
+    from .datagen import load_dataset
+    from .model import load_extractor
+
+    _, flag, _, _, kind, harness, keyword, line = _GRIDS[args.command]
+    values = _number_list(getattr(args, flag), kind)
+    seeds = _number_list(args.seeds)
     config = _load_run_config(args)
     dataset = load_dataset(args.data)
-    variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
-    for variant in variants:
-        variant_loss_config(config.train.loss, variant)
-    _echo(config, args.out, command="ablate", data=args.data,
-          variants=",".join(variants), seeds=args.seeds)
-    reports = run_ablation(dataset, config.train, seeds=_number_list(args.seeds),
-                           model_config=config.model,
-                           extractor=_load_frozen_extractor(args.extractor),
-                           variants=variants, out_dir=args.out)
-    for r in reports:
-        print(f"{r.variant:<17} seed {r.seed}: MAE {r.mae:.3f} "
-              f"min dist cell {r.distances.cell_min:.4f} bg {r.distances.bg_min:.4f}")
-    return EXIT_OK
-
-
-def cmd_sweep_k(args) -> int:
-    from .datagen import load_dataset
-    from .evaluate import sweep_k
-
-    config = _load_run_config(args)
-    dataset = load_dataset(args.data)
-    _echo(config, args.out, command="sweep-k", data=args.data, k=args.k,
-          seeds=args.seeds)
-    rows = sweep_k(dataset, config.train, k_values=_number_list(args.k),
-                   seeds=_number_list(args.seeds),
-                   extractor=_load_frozen_extractor(args.extractor),
-                   out_dir=args.out)
-    for k, seed, value in rows:
-        print(f"K={k} seed {seed}: MAE {value:.3f}")
-    return EXIT_OK
-
-
-def cmd_sweep_tau(args) -> int:
-    from .datagen import load_dataset
-    from .evaluate import sweep_tau
-
-    config = _load_run_config(args)
-    dataset = load_dataset(args.data)
-    _echo(config, args.out, command="sweep-tau", data=args.data, tau=args.tau,
-          seeds=args.seeds)
-    rows = sweep_tau(dataset, config.train, tau_values=_number_list(args.tau, float),
-                     seeds=_number_list(args.seeds), model_config=config.model,
-                     extractor=_load_frozen_extractor(args.extractor),
-                     out_dir=args.out)
-    for tau, seed, value in rows:
-        print(f"tau={tau:g} seed {seed}: MAE {value:.3f}")
+    _echo(config, args.out, command=args.command, data=args.data,
+          seeds=args.seeds, **{flag: getattr(args, flag)})
+    rows = getattr(evaluate, harness)(
+        dataset, config.train, seeds=seeds, model_config=config.model,
+        extractor=load_extractor(args.extractor) if args.extractor else None,
+        out_dir=args.out, **{keyword: values})
+    for row in rows:
+        print(line.format(row))
     return EXIT_OK
 
 
@@ -247,32 +239,28 @@ def run_gradcheck_suite(trials: int = 20, seed: int = 0) -> dict[str, float]:
     b, k, d, hw = 2, 4, 8, 6
     worst: dict[str, float] = {}
 
-    def record(name: str, err: float) -> None:
+    def record(name: str, fn, at) -> None:
+        leaf = Tensor(at, requires_grad=True)
+        fn(leaf).backward()
+        err = gradcheck_rel_error(fn, at, leaf.grad)
         worst[name] = max(worst.get(name, 0.0), err)
 
     for _ in range(trials):
         pred = rng.normal(size=(b, hw, hw))
         gt = np.abs(rng.normal(size=(b, hw, hw)))
-        record("density_loss", gradcheck_rel_error(
-            lambda t: density_loss(t, Tensor(gt)), pred,
-            _grad_of(lambda t: density_loss(t, Tensor(gt)), pred)))
+        record("density_loss", lambda t: density_loss(t, Tensor(gt)), pred)
 
         dist = np.abs(rng.normal(size=(b, k, hw, hw))) + 0.05
-        record("proto_feature_loss", gradcheck_rel_error(
-            lambda t: proto_feature_loss(t, Tensor(gt), 2, 2), dist,
-            _grad_of(lambda t: proto_feature_loss(t, Tensor(gt), 2, 2), dist)))
+        record("proto_feature_loss",
+               lambda t: proto_feature_loss(t, Tensor(gt), 2, 2), dist)
 
         protos = rng.uniform(0.05, 1.0, size=(k, d))
-        record("diversity_loss", gradcheck_rel_error(
-            lambda t: diversity_loss(t, 2, 2, 0.1, 0.1), protos,
-            _grad_of(lambda t: diversity_loss(t, 2, 2, 0.1, 0.1), protos)))
+        record("diversity_loss", lambda t: diversity_loss(t, 2, 2, 0.1, 0.1),
+               protos)
 
         config = LossConfig(tau_cell=0.1, tau_bg=0.1)
-        record("total_loss", gradcheck_rel_error(
-            lambda t: total_loss(Tensor(pred), Tensor(gt), t, Tensor(protos),
-                                 2, 2, config)[0], dist,
-            _grad_of(lambda t: total_loss(Tensor(pred), Tensor(gt), t,
-                                          Tensor(protos), 2, 2, config)[0], dist)))
+        record("total_loss", lambda t: total_loss(
+            Tensor(pred), Tensor(gt), t, Tensor(protos), 2, 2, config)[0], dist)
 
         feats = rng.normal(size=(b, d, hw, hw))
         weight = rng.normal(size=(d, d)) * 0.4
@@ -284,17 +272,8 @@ def run_gradcheck_suite(trials: int = 20, seed: int = 0) -> dict[str, float]:
             sims = similarity_from_distance(distances, 1e-4)
             return tsum(conv1x1(sims, Tensor(theta)))
 
-        record("count_through_model", gradcheck_rel_error(
-            end_to_end, feats, _grad_of(end_to_end, feats)))
+        record("count_through_model", end_to_end, feats)
     return worst
-
-
-def _grad_of(scalar_fn, at):
-    from .tensor import Tensor
-
-    leaf = Tensor(at, requires_grad=True)
-    scalar_fn(leaf).backward()
-    return leaf.grad
 
 
 def cmd_gradcheck(args) -> int:
@@ -362,32 +341,15 @@ def build_parser() -> _Parser:
     p.add_argument("--loc", type=_loc, help="feature location H,W")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("ablate", help="loss-term ablation runs")
-    _add_config_flags(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--extractor", help="pretrained extractor (else pretrain)")
-    p.add_argument("--variants", default="full,no_diversity,no_proto_feature")
-    p.add_argument("--seeds", default="0,1,2")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("sweep-k", help="prototype-count sweep")
-    _add_config_flags(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--extractor")
-    p.add_argument("--k", default="2,4,6,8")
-    p.add_argument("--seeds", default="0,1,2,3,4")
-    p.set_defaults(func=cmd_sweep_k)
-
-    p = sub.add_parser("sweep-tau", help="diversity-threshold sweep")
-    _add_config_flags(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--extractor")
-    p.add_argument("--tau", default="0,0.4,0.8")
-    p.add_argument("--seeds", default="0")
-    p.set_defaults(func=cmd_sweep_tau)
+    for command, (help_text, flag, default, seeds, *_) in _GRIDS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_config_flags(p)
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--extractor", help="pretrained extractor (else pretrain)")
+        p.add_argument(f"--{flag}", default=default)
+        p.add_argument("--seeds", default=seeds)
+        p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--trials", type=int, default=20)

@@ -63,6 +63,8 @@ def validate_config(config: SceneConfig, downsample: int = DOWNSAMPLE_DEFAULT) -
             raise ValueError(f"unknown artifact kind {kind!r}, expected one of {_KNOWN_ARTIFACTS}")
     if config.noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
+    if config.seed < 0:
+        raise ValueError(f"scene.seed must be >= 0, got {config.seed}")
 
 
 @dataclass

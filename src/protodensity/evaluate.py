@@ -2,8 +2,9 @@
 
 Counting MAE over a split, loss-term ablations (diversity off, prototype-to-
 feature off) with distance tables and localization rates, and the K and tau
-sweeps. Every harness trains all its runs on one dataset and asserts the
-manifest hash stayed the same.
+sweeps. All three harnesses are one grid loop, ``_train_grid``: it validates
+every run first, then trains them in order on one dataset and one frozen
+extractor. The ablation records the dataset's manifest hash in every row.
 """
 
 from __future__ import annotations
@@ -152,6 +153,25 @@ def _harness_inputs(dataset: Dataset, config: TrainConfig,
     return extractor, feature_cache, compute_features(extractor, dataset.test)
 
 
+def _train_grid(dataset: Dataset, config: TrainConfig, runs,
+                extractor: FeatureExtractor | None, feature_cache):
+    """Train every ``(model_config, run_config)`` pair of ``runs`` in order on
+    one frozen extractor, yielding (model, test MAE, train features) per run.
+    All pairs are validated, and an empty grid rejected, before any training."""
+    if not runs:
+        raise ValueError("experiment grid is empty: no values or no seeds")
+    for model_config, run_config in runs:
+        model_config.validate()
+        run_config.validate()
+    extractor, feature_cache, test_features = _harness_inputs(
+        dataset, config, extractor, feature_cache)
+    for model_config, run_config in runs:
+        model = CountModel(model_config, extractor, seed=run_config.seed)
+        model, _ = train(model, dataset, run_config, feature_cache=feature_cache)
+        yield model, mae(model, dataset.test, features=test_features,
+                         seed=run_config.seed).mae, feature_cache
+
+
 def run_ablation(dataset: Dataset, config: TrainConfig, seeds=(0, 1, 2, 3, 4),
                  model_config: ModelConfig | None = None,
                  extractor: FeatureExtractor | None = None,
@@ -164,28 +184,18 @@ def run_ablation(dataset: Dataset, config: TrainConfig, seeds=(0, 1, 2, 3, 4),
     groups' min and mean pairwise distances over seeds.
     """
     model_config = model_config or ModelConfig()
-    extractor, feature_cache, test_features = _harness_inputs(
-        dataset, config, extractor, feature_cache)
-
+    grid = [(variant, seed) for seed in seeds for variant in variants]
+    runs = [(model_config, replace(config, seed=seed,
+                                   loss=variant_loss_config(config.loss, variant)))
+            for variant, seed in grid]
     reports = []
-    for seed in seeds:
-        for variant in variants:
-            run_config = replace(config, seed=seed,
-                                 loss=variant_loss_config(config.loss, variant))
-            model = CountModel(model_config, extractor, seed=seed)
-            model, _ = train(model, dataset, run_config,
-                             feature_cache=feature_cache)
-            report = mae(model, dataset.test, features=test_features, seed=seed)
-            cell_rate, bg_rate = localization_rates(model, dataset,
-                                                    features=feature_cache)
-            stats = intra_group_distances(model.prototype_layer.prototypes,
-                                          model_config.k_cell, model_config.k_bg)
-            reports.append(AblationReport(variant, seed, report.mae, stats,
-                                          cell_rate, bg_rate,
-                                          dataset.manifest_hash))
-    hashes = {r.manifest_hash for r in reports}
-    if len(hashes) > 1:
-        raise RuntimeError(f"ablation runs saw different manifests: {hashes}")
+    for (model, test_mae, features), (variant, seed) in zip(
+            _train_grid(dataset, config, runs, extractor, feature_cache), grid):
+        cell_rate, bg_rate = localization_rates(model, dataset, features=features)
+        stats = intra_group_distances(model.prototype_layer.prototypes,
+                                      model_config.k_cell, model_config.k_bg)
+        reports.append(AblationReport(variant, seed, test_mae, stats, cell_rate,
+                                      bg_rate, dataset.manifest_hash))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_ablation_csv(reports, os.path.join(out_dir, "ablation.csv"))
@@ -225,29 +235,21 @@ def format_distance_table(reports) -> str:
 
 
 def sweep_k(dataset: Dataset, config: TrainConfig, k_values=(2, 4, 6, 8),
-            seeds=(0, 1, 2, 3, 4), extractor: FeatureExtractor | None = None,
+            seeds=(0, 1, 2, 3, 4), model_config: ModelConfig | None = None,
+            extractor: FeatureExtractor | None = None,
             out_dir=None, feature_cache=None) -> list[tuple[int, int, float]]:
-    """Train one model per total prototype count K per seed, equal group
-    split, and report test MAE rows (K, seed, MAE)."""
+    """Train one model per total prototype count K per seed, ``model_config``
+    with K split equally, and report test MAE rows (K, seed, MAE)."""
     for k in k_values:
         if k < 2 or k % 2:
             raise ValueError(f"sweep_k: K values must be even and >= 2, got {k}")
-    extractor, feature_cache, test_features = _harness_inputs(
-        dataset, config, extractor, feature_cache)
-
-    rows = []
-    for k in k_values:
-        model_config = ModelConfig(k_cell=k // 2, k_bg=k // 2)
-        for seed in seeds:
-            model = CountModel(model_config, extractor, seed=seed)
-            model, _ = train(model, dataset, replace(config, seed=seed),
-                             feature_cache=feature_cache)
-            report = mae(model, dataset.test, features=test_features, seed=seed)
-            rows.append((k, seed, report.mae))
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "sweep_k.csv"), SWEEP_K_CSV_HEADER,
-                  [[k, seed, repr(value)] for k, seed, value in rows])
+    model_config = model_config or ModelConfig()
+    grid = [(k, seed) for k in k_values for seed in seeds]
+    runs = [(replace(model_config, k_cell=k // 2, k_bg=k // 2),
+             replace(config, seed=seed)) for k, seed in grid]
+    rows = [(k, seed, test_mae) for (_, test_mae, _), (k, seed) in zip(
+        _train_grid(dataset, config, runs, extractor, feature_cache), grid)]
+    _write_sweep_csv(out_dir, "sweep_k.csv", SWEEP_K_CSV_HEADER, rows)
     return rows
 
 
@@ -260,27 +262,24 @@ def sweep_tau(dataset: Dataset, config: TrainConfig,
     """Retrain per diversity threshold tau and emit a patch gallery per run
     for qualitative comparison, plus MAE rows (tau, seed, MAE)."""
     model_config = model_config or ModelConfig()
-    extractor, feature_cache, test_features = _harness_inputs(
-        dataset, config, extractor, feature_cache)
-
+    grid = [(tau, seed) for tau in tau_values for seed in seeds]
+    runs = [(model_config, replace(config, seed=seed, loss=replace(
+        config.loss, tau_cell=tau, tau_bg=tau))) for tau, seed in grid]
     rows = []
-    for tau in tau_values:
-        for seed in seeds:
-            run_config = replace(config, seed=seed,
-                                 loss=replace(config.loss, tau_cell=tau,
-                                              tau_bg=tau))
-            model = CountModel(model_config, extractor, seed=seed)
-            model, _ = train(model, dataset, run_config,
-                             feature_cache=feature_cache)
-            report = mae(model, dataset.test, features=test_features, seed=seed)
-            rows.append((tau, seed, report.mae))
-            if out_dir:
-                gallery = os.path.join(out_dir, f"tau_{tau:g}_seed{seed}")
-                export_prototype_gallery(model, dataset, gallery, k=gallery_k,
-                                         features=feature_cache)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "sweep_tau.csv"), SWEEP_TAU_CSV_HEADER,
-                  [[tau, seed, repr(value)] for tau, seed, value in rows])
+    for (model, test_mae, features), (tau, seed) in zip(
+            _train_grid(dataset, config, runs, extractor, feature_cache), grid):
+        rows.append((tau, seed, test_mae))
+        if out_dir:
+            gallery = os.path.join(out_dir, f"tau_{tau:g}_seed{seed}")
+            export_prototype_gallery(model, dataset, gallery, k=gallery_k,
+                                     features=features)
+    _write_sweep_csv(out_dir, "sweep_tau.csv", SWEEP_TAU_CSV_HEADER, rows)
     return rows
 
+
+def _write_sweep_csv(out_dir, name: str, header, rows) -> None:
+    """One (value, seed, MAE) row per sweep run, if ``out_dir`` is given."""
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        write_csv(os.path.join(out_dir, name), header,
+                  [[value, seed, repr(m)] for value, seed, m in rows])

@@ -82,6 +82,8 @@ class TrainConfig:
         if self.pretrain_batch_size < 1:
             raise ValueError(f"pretrain_batch_size must be >= 1, "
                              f"got {self.pretrain_batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
         self.loss.validate()
 
 

@@ -43,5 +43,33 @@ def tiny_features(tiny_dataset, tiny_extractor):
 
 
 @pytest.fixture
+def trained_configs(monkeypatch):
+    """The ModelConfig of every model the harnesses in evaluate.py train, in
+    order."""
+    import protodensity.evaluate as evaluate
+
+    configs = []
+    real_train = evaluate.train
+
+    def recording_train(model, *args, **kwargs):
+        configs.append(model.config)
+        return real_train(model, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train", recording_train)
+    return configs
+
+
+@pytest.fixture
+def no_pretraining(monkeypatch):
+    """Fail the test if a harness in evaluate.py pretrains an extractor."""
+    import protodensity.evaluate as evaluate
+
+    def pretrain(*args, **kwargs):
+        raise AssertionError("pretrained for a grid that cannot run")
+
+    monkeypatch.setattr(evaluate, "pretrain_extractor", pretrain)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -313,6 +313,85 @@ def test_seed_env_overrides_config(tmp_path, cfg_path, monkeypatch):
     assert "train.seed = 7" in lines
 
 
+def _files(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _data_and_extractor(tmp_path, cfg_path):
+    data, extractor = str(tmp_path / "data"), str(tmp_path / "ex")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "4", "--n-test", "2"]) == 0
+    assert main(["pretrain", "--config", cfg_path, "--data", data,
+                 "--out", extractor]) == 0
+    return data, extractor
+
+
+@pytest.mark.parametrize("command, named", [
+    ("gen-data", "scene.seed"), ("pretrain", "train.seed"),
+    ("train", "train.seed"), ("gen-data", SEED_ENV)])
+def test_negative_seed_exits_before_writing(tmp_path, cfg_path, capsys, monkeypatch,
+                                            command, named):
+    data, extractor = _data_and_extractor(tmp_path, cfg_path)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    argv = {"gen-data": ["--out", data, "--n-train", "4", "--n-test", "2"],
+            "pretrain": ["--data", data, "--out", str(tmp_path / "ex2")],
+            "train": ["--data", data, "--extractor", extractor,
+                      "--out", str(tmp_path / "run")]}[command]
+    if named == SEED_ENV:
+        monkeypatch.setenv(SEED_ENV, "-1")
+    else:
+        argv += ["--set", f"{named}=-1"]
+    assert main([command, "--config", cfg_path, *argv]) == 1
+    assert named in capsys.readouterr().err
+    assert _files(tmp_path) == before
+    load_dataset(data)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["ablate", "--variants", "full,nope"], "nope"),
+    (["ablate", "--seeds", ""], "comma-separated"),
+    (["sweep-k", "--k", ""], "comma-separated"),
+    (["sweep-tau", "--tau", ","], "comma-separated"),
+])
+def test_bad_grid_list_exits_before_any_output(tmp_path, cfg_path, capsys,
+                                               no_pretraining, flags, named):
+    data, out = str(tmp_path / "data"), tmp_path / "out"
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    capsys.readouterr()
+    assert main([flags[0], "--config", cfg_path, "--data", data, "--out", str(out),
+                 *flags[1:]]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_tau_out_of_range_trains_nothing(tmp_path, cfg_path, capsys):
+    data, extractor = _data_and_extractor(tmp_path, cfg_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep-tau", "--config", cfg_path, "--data", data,
+                 "--extractor", extractor, "--out", str(out),
+                 "--tau", "0,2"]) == 1
+    assert "tau_cell" in capsys.readouterr().err
+    assert not (out / "tau_0_seed0").exists()
+    assert not (out / "sweep_tau.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["ablate", "--variants", "full"],
+                                   ["sweep-k", "--k", "2,4"],
+                                   ["sweep-tau", "--tau", "0.5"]])
+def test_grid_commands_train_the_configured_model(tmp_path, cfg_path,
+                                                  trained_configs, flags):
+    data, extractor = _data_and_extractor(tmp_path, cfg_path)
+    assert main([flags[0], "--config", cfg_path, "--data", data, "--extractor",
+                 extractor, "--out", str(tmp_path / "out"), "--seeds", "0",
+                 "--set", "model.d=8", "--set", "model.epsilon=0.001",
+                 *flags[1:]]) == 0
+    assert trained_configs
+    assert all(c.d == 8 and c.epsilon == 0.001 for c in trained_configs)
+
+
 def test_gradcheck_passes_and_sets_threads(capsys):
     saved = {name: os.environ.get(name) for name in _THREAD_ENV}
     try:

@@ -236,3 +236,26 @@ def test_sweep_tau_tiny_with_galleries(tiny_dataset, tiny_extractor,
         gallery = out / name
         assert (gallery / "patches.csv").is_file()
         assert list(gallery.glob("proto*_rank1_img*.pgm"))
+
+
+def test_sweep_k_trains_the_given_model_config(tiny_dataset, tiny_extractor,
+                                               tiny_features, trained_configs):
+    sweep_k(tiny_dataset, harness_config(), k_values=(2, 4), seeds=(0, 1),
+            model_config=ModelConfig(d=8, epsilon=1e-3),
+            extractor=tiny_extractor, feature_cache=tiny_features)
+    assert [(c.k_cell, c.k_bg) for c in trained_configs] == [(1, 1), (1, 1),
+                                                             (2, 2), (2, 2)]
+    assert all(c.d == 8 and c.epsilon == 1e-3 for c in trained_configs)
+
+
+@pytest.mark.parametrize("harness, grid", [
+    (run_ablation, dict(variants=())), (run_ablation, dict(seeds=())),
+    (sweep_k, dict(k_values=())), (sweep_tau, dict(seeds=())),
+    (sweep_tau, dict(tau_values=(0.0, 2.0))), (sweep_k, dict(seeds=(0, -1))),
+])
+def test_grid_is_validated_before_pretraining(tiny_dataset, tmp_path,
+                                              no_pretraining, harness, grid):
+    with pytest.raises(ValueError, match="empty|tau_cell|train.seed"):
+        harness(tiny_dataset, harness_config(), out_dir=str(tmp_path / "out"),
+                **grid)
+    assert not (tmp_path / "out").exists()

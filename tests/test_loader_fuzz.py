@@ -129,7 +129,7 @@ def test_load_dataset_rejects_edited_split_or_path(saved, row, column, value):
         assume(value.strip() != cells[column])
         cells[column] = value
         lines[at] = ",".join(cells)
-        with open(manifest, "w") as f:
+        with open(manifest, "w", errors="surrogatepass") as f:
             f.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(manifest)):
             load_dataset(work)
