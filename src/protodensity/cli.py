@@ -207,6 +207,8 @@ def cmd_grid(args) -> int:
 
     _, flag, _, _, kind, harness, keyword, line = _GRIDS[args.command]
     values = _number_list(getattr(args, flag), kind)
+    if args.command == "sweep-tau":
+        evaluate.check_tau_names(values)
     seeds = _number_list(args.seeds)
     config = _load_run_config(args)
     dataset = load_dataset(args.data)

@@ -17,11 +17,11 @@ from functools import partial
 
 import numpy as np
 
+from .model import DOWNSAMPLE
 from .tensor import (load_tensor, parse_key_values, parse_value, read_csv,
                      read_text, require, save_tensor, write_csv,
                      write_key_values)
 
-DOWNSAMPLE_DEFAULT = 8
 SIGMA_DEFAULT = 1.0
 
 MANIFEST_NAME = "manifest.txt"
@@ -46,7 +46,7 @@ class SceneConfig:
 _KNOWN_ARTIFACTS = ("blob", "streak", "gradient")
 
 
-def validate_config(config: SceneConfig, downsample: int = DOWNSAMPLE_DEFAULT) -> None:
+def validate_config(config: SceneConfig, downsample: int = DOWNSAMPLE) -> None:
     h, w = config.image_size
     if h % downsample or w % downsample:
         raise ValueError(f"image_size {config.image_size} must be divisible by {downsample}")
@@ -199,7 +199,7 @@ def render_scene(config: SceneConfig, index: int) -> tuple[np.ndarray, DotAnnota
 
 
 def make_density_map(annotation: DotAnnotation, input_size: tuple[int, int],
-                     downsample: int = DOWNSAMPLE_DEFAULT,
+                     downsample: int = DOWNSAMPLE,
                      sigma: float = SIGMA_DEFAULT) -> np.ndarray:
     """Accumulate one grid-renormalized Gaussian kernel per annotated point.
 
@@ -262,7 +262,7 @@ def load_sample(samples_dir: str, sample_id: int) -> Sample:
 
 
 def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: str,
-                     downsample: int = DOWNSAMPLE_DEFAULT,
+                     downsample: int = DOWNSAMPLE,
                      sigma: float = SIGMA_DEFAULT) -> str:
     """Write a full dataset (images, annotations, density maps, manifest) to
     ``out_dir`` and return the manifest path. Sample ids 0..n_train-1 are the
@@ -374,8 +374,9 @@ def load_dataset(dataset_dir: str) -> Dataset:
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"no dataset manifest at {manifest_path}")
     config, downsample, sigma, n_train, n_test, rows = parse_manifest(manifest_path)
-    if downsample < 1:
-        raise ValueError(f"{manifest_path}: downsample must be >= 1, got {downsample}")
+    if downsample != DOWNSAMPLE:
+        raise ValueError(f"{manifest_path}: downsample {downsample} != the model's "
+                         f"{DOWNSAMPLE}")
     h, w = config.image_size
     image_shape, density_shape = (1, h, w), (h // downsample, w // downsample)
     train: list[Sample] = []

@@ -261,6 +261,7 @@ def sweep_tau(dataset: Dataset, config: TrainConfig,
               gallery_k: int = 3) -> list[tuple[float, int, float]]:
     """Retrain per diversity threshold tau and emit a patch gallery per run
     for qualitative comparison, plus MAE rows (tau, seed, MAE)."""
+    check_tau_names(tau_values)
     model_config = model_config or ModelConfig()
     grid = [(tau, seed) for tau in tau_values for seed in seeds]
     runs = [(model_config, replace(config, seed=seed, loss=replace(
@@ -275,6 +276,15 @@ def sweep_tau(dataset: Dataset, config: TrainConfig,
                                      features=features)
     _write_sweep_csv(out_dir, "sweep_tau.csv", SWEEP_TAU_CSV_HEADER, rows)
     return rows
+
+
+def check_tau_names(tau_values) -> None:
+    """Reject tau values that print alike as ``{:g}``, the name of their
+    runs' gallery directories ``tau_<tau>_seed<seed>``."""
+    names = [f"{tau:g}" for tau in tau_values]
+    if len(set(names)) < len(names):
+        raise ValueError(f"sweep_tau: tau values {', '.join(map(repr, tau_values))} "
+                         f"share gallery names: {', '.join(names)}")
 
 
 def _write_sweep_csv(out_dir, name: str, header, rows) -> None:

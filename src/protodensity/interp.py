@@ -82,7 +82,7 @@ def percentile_threshold(sim_map, q: float = 99) -> np.ndarray:
         raise ValueError("percentile_threshold: empty map")
     if not 0 < q <= 100:
         raise ValueError(f"percentile_threshold: q must be in (0, 100], got {q}")
-    flat = np.sort(arr, axis=None)
+    flat = np.sort(arr.reshape(-1))
     rank = math.ceil(q * flat.size / 100.0)
     threshold = flat[rank - 1]
     return arr >= threshold
@@ -210,16 +210,16 @@ def patch_peak(box: PatchBox, similarity_map) -> tuple[int, int]:
 
 def explain_location(model: CountModel, x, h: int, w: int) -> Explanation:
     """Decompose the predicted density at feature location (h, w) into one
-    theta_i * S_i term per prototype."""
+    theta_i * S_i term per prototype, for one (H, W) or (1, H, W) image."""
     xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if xd.ndim == 2:
         xd = xd[None]
     if xd.ndim != 3:
         raise T.ShapeError(f"explain_location: expected one image, got shape {xd.shape}")
     with no_grad():
-        out = model.forward(Tensor(xd))
-    sims = out.similarities.data
-    density = out.density.data
+        out = model.forward(Tensor(xd[None]))
+    sims = out.similarities.data[0]
+    density = out.density.data[0]
     if not (0 <= h < density.shape[0] and 0 <= w < density.shape[1]):
         raise IndexError(f"explain_location: ({h}, {w}) outside density map "
                          f"{density.shape}")

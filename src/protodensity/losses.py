@@ -19,15 +19,13 @@ from .tensor import ShapeError, Tensor
 
 @dataclass
 class LossConfig:
-    """Term weights, similarity thresholds, and the normalization mode of
-    the diversity term."""
+    """Term weights and the diversity term's similarity thresholds."""
 
     lambda1: float = 1.0
     lambda2: float = 1.0
     lambda3: float = 100.0
     tau_cell: float = 0.8
     tau_bg: float = 0.8
-    cosine: bool = True  # False: raw dot products in the diversity Gram matrix
 
     def validate(self) -> None:
         for name in ("lambda1", "lambda2", "lambda3"):
@@ -50,10 +48,6 @@ class LossReport:
 def _coerce_maps(pred, gt, opname: str):
     pred = pred if isinstance(pred, Tensor) else Tensor(pred)
     gt_arr = np.asarray(gt.data if isinstance(gt, Tensor) else gt, dtype=np.float64)
-    if pred.ndim == 2:
-        pred = T.reshape(pred, (1,) + pred.shape)
-    if gt_arr.ndim == 2:
-        gt_arr = gt_arr[None]
     if pred.ndim != 3 or gt_arr.ndim != 3:
         raise ShapeError(f"{opname}: expects BxHxW maps, got {pred.shape} and {gt_arr.shape}")
     if pred.shape != gt_arr.shape:
@@ -74,10 +68,6 @@ def proto_feature_loss(distances, gt, k_cell: int, k_bg: int) -> Tensor:
     (first row-major index on ties), then the batch mean."""
     dist = distances if isinstance(distances, Tensor) else Tensor(distances)
     gt_arr = np.asarray(gt.data if isinstance(gt, Tensor) else gt, dtype=np.float64)
-    if dist.ndim == 3:
-        dist = T.reshape(dist, (1,) + dist.shape)
-    if gt_arr.ndim == 2:
-        gt_arr = gt_arr[None]
     if dist.ndim != 4:
         raise ShapeError(f"proto_feature_loss: distances must be BxKxHxW, got {dist.shape}")
     b, k, h, w = dist.shape
@@ -98,7 +88,7 @@ def proto_feature_loss(distances, gt, k_cell: int, k_bg: int) -> Tensor:
 
 
 def diversity_loss(prototypes, k_cell: int, k_bg: int, tau_cell: float,
-                   tau_bg: float, cosine: bool = True) -> Tensor:
+                   tau_bg: float) -> Tensor:
     """Within each prototype group: threshold the pairwise cosine similarity
     matrix at tau, zero the diagonal, and average over the off-diagonal
     entries; return half the sum of the two group terms. A group with a
@@ -117,7 +107,7 @@ def diversity_loss(prototypes, k_cell: int, k_bg: int, tau_cell: float,
         if k_g < 2:
             continue
         group = p[start:stop]
-        rows = T.l2_normalize_rows(group) if cosine else group
+        rows = T.l2_normalize_rows(group)
         gram = T.matmul(rows, T.transpose(rows, (1, 0)))
         thresholded = T.relu(T.sub(gram, tau))
         mask = Tensor(1.0 - np.eye(k_g))
@@ -135,8 +125,7 @@ def total_loss(pred_density, gt_density, distances, prototypes, k_cell: int,
     config.validate()
     dterm = density_loss(pred_density, gt_density)
     pterm = proto_feature_loss(distances, gt_density, k_cell, k_bg)
-    vterm = diversity_loss(prototypes, k_cell, k_bg, config.tau_cell,
-                           config.tau_bg, cosine=config.cosine)
+    vterm = diversity_loss(prototypes, k_cell, k_bg, config.tau_cell, config.tau_bg)
     total = T.add(T.add(T.mul(dterm, config.lambda1), T.mul(pterm, config.lambda2)),
                   T.mul(vterm, config.lambda3))
     report = LossReport(density=float(dterm.data), proto_feature=float(pterm.data),

@@ -158,12 +158,8 @@ class DensityHead:
         self.theta = Parameter(np.zeros(k_total), name="head.theta")
 
     def forward(self, similarities) -> Tensor:
-        k = self.theta.shape[0]
-        weight = T.reshape(self.theta, (1, k))
-        out = T.conv1x1(similarities, weight)
-        if out.ndim == 3:          # (1, Hf, Wf) -> (Hf, Wf)
-            return out[0]
-        return out[:, 0]           # (B, 1, Hf, Wf) -> (B, Hf, Wf)
+        """(B, K, Hf, Wf) similarities -> (B, Hf, Wf) density."""
+        return T.conv1x1(similarities, T.reshape(self.theta, (1, -1)))[:, 0]
 
     def parameters(self) -> list[Parameter]:
         return [self.theta]
@@ -189,8 +185,8 @@ class ModelOutputs:
     processed: Tensor      # post 1x1+sigmoid
     distances: Tensor      # per-prototype squared L2
     similarities: Tensor   # log-transformed distances
-    density: Tensor        # (Hf, Wf) or (B, Hf, Wf)
-    count: float | np.ndarray
+    density: Tensor        # (B, Hf, Wf)
+    count: np.ndarray      # (B,)
 
 
 class CountModel:
@@ -280,12 +276,9 @@ def forward_batches(forward, inputs, batch: int, keep) -> list:
     return kept
 
 
-def count(density) -> float | np.ndarray:
-    """Total count: the sum over the density map. For a batched map, one
-    count per batch element."""
+def count(density) -> np.ndarray:
+    """One count per batch element: the sum over its (Hf, Wf) density map."""
     data = density.data if isinstance(density, Tensor) else np.asarray(density)
-    if data.ndim == 2:
-        return float(data.sum())
     return data.sum(axis=(-2, -1))
 
 

@@ -21,7 +21,8 @@ The module also holds the package's file formats: PDTF tensors, and the one
 every manifest, config and table.
 
 Shapes are strict: elementwise ops require equal shapes, the only implicit
-broadcasting is scalar-vs-tensor. All compute is float64.
+broadcasting is scalar-vs-tensor, the spatial ops take B x C x H x W only,
+and ``tsum`` and ``tmean`` reduce the whole tensor. All compute is float64.
 """
 
 from __future__ import annotations
@@ -408,39 +409,23 @@ def getitem(a, idx) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
-def _expand_axis_grad(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape).copy()
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(ax % len(shape) for ax in axes)
-    g_exp = g
-    for ax in sorted(axes):
-        g_exp = np.expand_dims(g_exp, ax)
-    return np.broadcast_to(g_exp, shape).copy()
-
-
-def tsum(a, axis=None) -> Tensor:
+def tsum(a) -> Tensor:
     a = _coerce(a)
-    out_data = np.asarray(a.data.sum(axis=axis))
+    out_data = np.asarray(a.data.sum())
 
     def backward():
-        _accum(a, _expand_axis_grad(out.grad, a.shape, axis))
+        _accum(a, np.broadcast_to(out.grad, a.shape).copy())
 
     out = _make(out_data, (a,), backward)
     return out
 
 
-def tmean(a, axis=None) -> Tensor:
+def tmean(a) -> Tensor:
     a = _coerce(a)
-    out_data = np.asarray(a.data.mean(axis=axis))
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([a.shape[ax % a.ndim] for ax in axes]))
+    out_data = np.asarray(a.data.mean())
 
     def backward():
-        _accum(a, _expand_axis_grad(out.grad, a.shape, axis) / count)
+        _accum(a, np.broadcast_to(out.grad, a.shape).copy() / a.data.size)
 
     out = _make(out_data, (a,), backward)
     return out
@@ -487,24 +472,20 @@ def l2_normalize_rows(a) -> Tensor:
 
 # -- convolution / pooling / distances ---------------------------------------
 #
-# Spatial ops accept either C x H x W or B x C x H x W input; a 3-D input is
-# treated as a single-element batch and the batch axis is stripped again on
-# output.
+# Spatial ops take B x C x H x W input only; any other rank is a ShapeError.
 
 
-def _as_batched(x: Tensor, opname: str):
-    if x.ndim == 3:
-        return x.data[None], True
-    if x.ndim == 4:
-        return x.data, False
-    raise ShapeError(f"{opname}: expects CxHxW or BxCxHxW input, got shape {x.shape}")
+def _batched(x: Tensor, opname: str) -> np.ndarray:
+    if x.ndim != 4:
+        raise ShapeError(f"{opname}: expects BxCxHxW input, got shape {x.shape}")
+    return x.data
 
 
 def conv1x1(x, weight, bias=None) -> Tensor:
-    """Pointwise convolution: out[o,h,w] = sum_c weight[o,c] * x[c,h,w] (+ bias[o])."""
+    """Pointwise convolution: out[b,o,h,w] = sum_c weight[o,c] x[b,c,h,w] (+ bias[o])."""
     x, weight = _coerce(x), _coerce(weight)
     bias = _coerce(bias) if bias is not None else None
-    xd, squeeze = _as_batched(x, "conv1x1")
+    xd = _batched(x, "conv1x1")
     if weight.ndim != 2:
         raise ShapeError(f"conv1x1: weight must be C_out x C_in, got shape {weight.shape}")
     b_, c, h, w = xd.shape
@@ -519,15 +500,11 @@ def conv1x1(x, weight, bias=None) -> Tensor:
     if bias is not None:
         oc = oc + bias.data[:, None]
     out_data = oc.reshape(c_out, b_, h, w).transpose(1, 0, 2, 3)
-    if squeeze:
-        out_data = out_data[0]
 
     def backward():
-        g = out.grad if not squeeze else out.grad[None]
-        gc = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, b_ * h * w)
+        gc = np.ascontiguousarray(out.grad.transpose(1, 0, 2, 3)).reshape(c_out, b_ * h * w)
         if x.requires_grad:
-            gx = (weight.data.T @ gc).reshape(c, b_, h, w).transpose(1, 0, 2, 3)
-            _accum(x, gx[0] if squeeze else gx)
+            _accum(x, (weight.data.T @ gc).reshape(c, b_, h, w).transpose(1, 0, 2, 3))
         if weight.requires_grad:
             _accum(weight, gc @ xc.T)
         if bias is not None and bias.requires_grad:
@@ -550,7 +527,7 @@ def conv3x3(x, weight, bias=None) -> Tensor:
     """
     x, weight = _coerce(x), _coerce(weight)
     bias = _coerce(bias) if bias is not None else None
-    xd, squeeze = _as_batched(x, "conv3x3")
+    xd = _batched(x, "conv3x3")
     if weight.ndim != 4 or weight.shape[2:] != (3, 3):
         raise ShapeError(f"conv3x3: weight must be C_out x C_in x 3 x 3, got shape {weight.shape}")
     b_, c, h, w = xd.shape
@@ -573,8 +550,6 @@ def conv3x3(x, weight, bias=None) -> Tensor:
     if bias is not None:
         oc += bias.data[:, None]
     out_data = oc.reshape(b_, c_out, h, w)
-    if squeeze:
-        out_data = out_data[0]
 
     def backward():
         g = out.grad.reshape(b_, c_out, h * w)
@@ -590,8 +565,7 @@ def conv3x3(x, weight, bias=None) -> Tensor:
                 for i in range(3):
                     for j in range(3):
                         gpad[n, :, i:i + h, j:j + w] += gcol[:, 3 * i + j]
-            gx = gpad[:, :, 1:-1, 1:-1]
-            _accum(x, gx[0] if squeeze else gx)
+            _accum(x, gpad[:, :, 1:-1, 1:-1])
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(out_data, parents, backward)
@@ -610,7 +584,7 @@ def maxpool2x2(x) -> Tensor:
     the maximum and no earlier corner did, and the last corner gets the rest.
     """
     x = _coerce(x)
-    xd, squeeze = _as_batched(x, "maxpool2x2")
+    xd = _batched(x, "maxpool2x2")
     b_, c, h, w = xd.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {h}x{w}")
@@ -623,12 +597,11 @@ def maxpool2x2(x) -> Tensor:
         for corner in corners[2::-1]:
             first = np.where(corner == 0.0, corner, first)
         pooled[zero] = first[zero]
-    out_data = pooled[0] if squeeze else pooled
 
     def backward():
         if not x.requires_grad:
             return
-        g = out.grad if not squeeze else out.grad[None]
+        g = out.grad
         gx = np.empty_like(xd)
         gx_corners = [gx[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
         taken = np.zeros(pooled.shape, dtype=bool)
@@ -638,7 +611,6 @@ def maxpool2x2(x) -> Tensor:
             np.multiply(g, hit, out=g_corner)
             taken |= hit
         np.multiply(g, ~taken, out=gx_corners[3])
-        gx = gx[0] if squeeze else gx
         if x.grad is None:
             # gx is this call's own buffer, so it becomes the gradient with
             # no copy; adding 0.0 in place turns the -0.0 of g * False into
@@ -648,15 +620,14 @@ def maxpool2x2(x) -> Tensor:
         else:
             x.grad += gx
 
-    out = _make(out_data, (x,), backward)
+    out = _make(pooled, (x,), backward)
     return out
 
 
 def distance_map(features, prototypes) -> Tensor:
     """Squared L2 distance between every spatial feature vector and every
-    prototype: out[i,h,w] = sum_c (features[c,h,w] - prototypes[i,c])^2.
-
-    Accepts d x H x W or B x d x H x W features; prototypes are K x d.
+    prototype: out[b,i,h,w] = sum_c (features[b,c,h,w] - prototypes[i,c])^2,
+    for B x d x H x W features and K x d prototypes.
 
     The forward sums the explicit differences one prototype at a time, so a
     prototype equal to a feature vector gives exactly 0 and no K-fold
@@ -666,7 +637,7 @@ def distance_map(features, prototypes) -> Tensor:
     grad_P = -2 (sum_b g f^T - (sum g_k) P).
     """
     features, prototypes = _coerce(features), _coerce(prototypes)
-    fd, squeeze = _as_batched(features, "distance_map")
+    fd = _batched(features, "distance_map")
     if prototypes.ndim != 2:
         raise ShapeError(f"distance_map: prototypes must be K x d, got shape {prototypes.shape}")
     b_, d, h, w = fd.shape
@@ -679,17 +650,14 @@ def distance_map(features, prototypes) -> Tensor:
     for i in range(k):
         diff = fd - pd[i][None, :, None, None]
         out_data[:, i] = np.einsum("bdhw,bdhw->bhw", diff, diff)
-    if squeeze:
-        out_data = out_data[0]
 
     def backward():
-        g = (out.grad if not squeeze else out.grad[None]).reshape(b_, k, h * w)
+        g = out.grad.reshape(b_, k, h * w)
         f2 = fd.reshape(b_, d, h * w)
         if features.requires_grad:
             gf = f2 * g.sum(axis=1)[:, None, :]
             gf -= pd.T @ g
-            gf = (2.0 * gf).reshape(b_, d, h, w)
-            _accum(features, gf[0] if squeeze else gf)
+            _accum(features, (2.0 * gf).reshape(b_, d, h, w))
         if prototypes.requires_grad:
             gp = (g @ f2.transpose(0, 2, 1)).sum(axis=0)
             gp -= g.sum(axis=(0, 2))[:, None] * pd
@@ -847,15 +815,10 @@ def format_value(value) -> str:
 
 
 def parse_value(raw: str, like):
-    """Read ``raw`` back as a value of ``like``'s type: bool, int, float, str,
-    or a tuple typed by its first element (of ``like``'s length unless its
+    """Read ``raw`` back as a value of ``like``'s type: int, float, str, or a
+    tuple typed by its first element (of ``like``'s length unless its
     elements are strings)."""
     kind = type(like)
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered not in ("true", "yes", "1", "false", "no", "0"):
-            raise ValueError(f"not a boolean: {raw!r}")
-        return lowered in ("true", "yes", "1")
     if kind is tuple:
         parts = [p.strip() for p in raw.strip("()").split(",") if p.strip()]
         elem = type(like[0]) if like else str

@@ -17,7 +17,7 @@ from protodensity import datagen, tensor
 from protodensity.cli import SEED_ENV, _THREAD_ENV, main
 from protodensity.datagen import load_dataset
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
-                                load_checkpoint, save_checkpoint)
+                                load_checkpoint, save_checkpoint, save_extractor)
 
 TINY_CFG = """\
 # tiny end-to-end configuration
@@ -353,6 +353,7 @@ def test_negative_seed_exits_before_writing(tmp_path, cfg_path, capsys, monkeypa
     (["ablate", "--seeds", ""], "comma-separated"),
     (["sweep-k", "--k", ""], "comma-separated"),
     (["sweep-tau", "--tau", ","], "comma-separated"),
+    (["sweep-tau", "--tau", "0.4,0.4000001"], "share gallery names"),
 ])
 def test_bad_grid_list_exits_before_any_output(tmp_path, cfg_path, capsys,
                                                no_pretraining, flags, named):
@@ -376,6 +377,26 @@ def test_sweep_tau_out_of_range_trains_nothing(tmp_path, cfg_path, capsys):
     assert "tau_cell" in capsys.readouterr().err
     assert not (out / "tau_0_seed0").exists()
     assert not (out / "sweep_tau.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train", "eval"])
+def test_dataset_of_another_downsample_exits_naming_its_manifest(tmp_path, cfg_path,
+                                                                 capsys, command):
+    data = str(tmp_path / "data")
+    datagen.generate_dataset(datagen.SceneConfig(image_size=(32, 32)), 4, 2, data,
+                             downsample=4)
+    model = CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                       FeatureExtractor(np.random.default_rng(0)))
+    ckpt, extractor = str(tmp_path / "ckpt"), str(tmp_path / "ex")
+    save_checkpoint(model, ckpt)
+    save_extractor(model.extractor, extractor)
+    argv = {"pretrain": ["--config", cfg_path, "--out", str(tmp_path / "ex2")],
+            "train": ["--config", cfg_path, "--extractor", extractor,
+                      "--out", str(tmp_path / "run")],
+            "eval": ["--model", ckpt, "--out", str(tmp_path / "eval.csv")]}[command]
+    assert main([command, "--data", data, *argv]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.txt" in err and "downsample 4" in err
 
 
 @pytest.mark.parametrize("flags", [["ablate", "--variants", "full"],
@@ -440,10 +461,13 @@ def test_divergence_exits_runtime(tmp_path, cfg_path, capsys):
      ["data", "extractor", "sweep_k.csv", "sweep_tau.csv", "tau_0.8_seed0"]),
 ])
 def test_experiment_scripts_keep_their_layout(tmp_path, cfg_path, script, flags, layout):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
     out = tmp_path / "out"
-    subprocess.run([sys.executable, path, "--out", str(out), "--config", cfg_path,
-                    "--n-train", "8", "--n-test", "4", *flags],
-                   check=True, capture_output=True)
+    # the scripts import the package from src/ whether or not it is installed
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, os.path.join(root, "scripts", script), "--out",
+                    str(out), "--config", cfg_path, "--n-train", "8", "--n-test", "4",
+                    *flags], check=True, capture_output=True, env=env)
     for entry in layout:
         assert (out / entry).exists(), entry

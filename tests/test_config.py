@@ -49,13 +49,13 @@ def test_coercion_by_field_type():
         "scene.cell_count_range = 3,12",
         "model.d = 16",
         "train.val_fraction = 0.25",
-        "loss.cosine = false",
+        "scene.artifact_kinds = blob, streak",
     ])
     assert config.scene.image_size == (48, 64)
     assert config.scene.cell_count_range == (3, 12)
     assert config.model.d == 16
     assert config.train.val_fraction == 0.25
-    assert config.train.loss.cosine is False
+    assert config.scene.artifact_kinds == ("blob", "streak")
 
 
 def test_loss_keys_land_inside_train():
@@ -70,7 +70,7 @@ def test_loss_keys_land_inside_train():
     ("train.bogus_field = 1", "bogus_field"),
     ("model.d = not_a_number", "model.d"),
     ("scene.image_size = 64", "image_size"),  # needs both dims
-    ("loss.cosine = maybe", "loss.cosine"),
+    ("loss.tau_cell = maybe", "loss.tau_cell"),
 ])
 def test_bad_keys_and_values_name_the_culprit(override, fragment):
     with pytest.raises(ConfigError, match=fragment):

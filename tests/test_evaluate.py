@@ -248,6 +248,15 @@ def test_sweep_k_trains_the_given_model_config(tiny_dataset, tiny_extractor,
     assert all(c.d == 8 and c.epsilon == 1e-3 for c in trained_configs)
 
 
+def test_sweep_tau_rejects_values_that_share_a_gallery(tiny_dataset, tmp_path,
+                                                       no_pretraining):
+    # 0.4 and 0.4000001 both print as 0.4: one tau_0.4_seed0 gallery for two runs
+    with pytest.raises(ValueError, match="share gallery names"):
+        sweep_tau(tiny_dataset, harness_config(), tau_values=(0.4, 0.4000001),
+                  out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("harness, grid", [
     (run_ablation, dict(variants=())), (run_ablation, dict(seeds=())),
     (sweep_k, dict(k_values=())), (sweep_tau, dict(seeds=())),

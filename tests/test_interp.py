@@ -268,7 +268,8 @@ def test_global_top_patches_k_capped_by_images(interp_model, tiny_dataset,
 
 
 class _StubModel:
-    """Forward-only stand-in with fixed similarity maps."""
+    """Forward-only stand-in with fixed (K, Hf, Wf) similarity maps; like the
+    real model it takes a batch and returns batched outputs."""
 
     def __init__(self, theta, sims):
         self.head = types.SimpleNamespace(theta=types.SimpleNamespace(
@@ -276,8 +277,10 @@ class _StubModel:
         self._sims = np.asarray(sims, dtype=np.float64)
 
     def forward(self, x):
-        density = np.einsum("k,khw->hw", self.head.theta.data, self._sims)
-        return types.SimpleNamespace(similarities=Tensor(self._sims),
+        assert x.ndim == 4 and x.shape[0] == 1, x.shape
+        sims = self._sims[None]
+        density = np.einsum("k,bkhw->bhw", self.head.theta.data, sims)
+        return types.SimpleNamespace(similarities=Tensor(sims),
                                      density=Tensor(density))
 
 

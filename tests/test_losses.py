@@ -32,7 +32,6 @@ def test_loss_config_defaults():
     config = LossConfig()
     assert (config.lambda1, config.lambda2, config.lambda3) == (1.0, 1.0, 100.0)
     assert config.tau_cell == config.tau_bg == 0.8
-    assert config.cosine
     config.validate()
 
 
@@ -53,14 +52,6 @@ def test_density_loss_hand_value():
     pred = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     gt = np.array([[[1.0, 0.0], [0.0, 4.0]]])
     assert float(density_loss(pred, gt).data) == (4.0 + 9.0) / 4.0
-
-
-def test_density_loss_2d_coercion(rng):
-    pred = rng.normal(size=(4, 4))
-    gt = rng.normal(size=(4, 4))
-    a = float(density_loss(pred, gt).data)
-    b = float(density_loss(pred[None], gt[None]).data)
-    assert a == b
 
 
 def test_density_loss_zero_on_match(rng):
@@ -181,13 +172,12 @@ def test_diversity_single_member_groups_are_zero():
     assert float(diversity_loss(p, 1, 1, 0.8, 0.8).data) == 0.0
 
 
-def diversity_oracle(p, k_cell, k_bg, tau_cell, tau_bg, cosine=True):
+def diversity_oracle(p, k_cell, k_bg, tau_cell, tau_bg):
     def group_term(rows, tau):
         k_g = len(rows)
         if k_g < 2:
             return 0.0
-        if cosine:
-            rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         acc = 0.0
         for i in range(k_g):
             for j in range(k_g):
@@ -219,13 +209,6 @@ def test_diversity_tau_zero_equals_mean_positive_cosine(rng):
     assert float(diversity_loss(full, 3, 1, 0.0, 0.0).data) == pytest.approx(expected, abs=1e-12)
 
 
-def test_diversity_raw_dot_mode(rng):
-    p = rng.uniform(0.1, 0.9, size=(4, 3))
-    ours = float(diversity_loss(p, 2, 2, 0.1, 0.1, cosine=False).data)
-    assert ours == pytest.approx(
-        diversity_oracle(p, 2, 2, 0.1, 0.1, cosine=False), abs=1e-12)
-
-
 def test_diversity_zero_row_raises_in_cosine_mode():
     p = np.ones((4, 3))
     p[1] = 0.0
@@ -241,11 +224,6 @@ def test_diversity_row_count_mismatch():
 def test_diversity_grad(rng):
     p = rng.uniform(0.1, 1.0, size=(5, 4))
     check_grad(lambda t: diversity_loss(t, 3, 2, 0.05, 0.1), p)
-
-
-def test_diversity_grad_raw_dot(rng):
-    p = rng.uniform(0.1, 1.0, size=(4, 4))
-    check_grad(lambda t: diversity_loss(t, 2, 2, 0.05, 0.1, cosine=False), p)
 
 
 # -- total loss ----------------------------------------------------------------

@@ -51,16 +51,16 @@ def test_config_rejects(bad):
 
 @pytest.mark.parametrize("hw", [64, 128, 256])
 def test_shape_chain(model, hw):
-    x = np.random.default_rng(1).uniform(0, 1, size=(1, hw, hw))
+    x = np.random.default_rng(1).uniform(0, 1, size=(1, 1, hw, hw))
     with no_grad():
         out = model.forward(Tensor(x))
     f = hw // DOWNSAMPLE
-    assert out.features.shape == (FEATURE_DIM, f, f)
-    assert out.processed.shape == (model.config.d, f, f)
-    assert out.distances.shape == (5, f, f)
-    assert out.similarities.shape == (5, f, f)
-    assert out.density.shape == (f, f)
-    assert isinstance(out.count, float)
+    assert out.features.shape == (1, FEATURE_DIM, f, f)
+    assert out.processed.shape == (1, model.config.d, f, f)
+    assert out.distances.shape == (1, 5, f, f)
+    assert out.similarities.shape == (1, 5, f, f)
+    assert out.density.shape == (1, f, f)
+    assert out.count.shape == (1,) and out.count.dtype == np.float64
 
 
 def test_batched_shape_chain(model):
@@ -77,7 +77,7 @@ def test_indivisible_input_raises(model):
 
 
 def test_processed_lives_in_unit_interval(model):
-    x = np.random.default_rng(3).uniform(0, 1, size=(1, 64, 64))
+    x = np.random.default_rng(3).uniform(0, 1, size=(1, 1, 64, 64))
     with no_grad():
         out = model.forward(Tensor(x))
     assert np.all(out.processed.data > 0.0) and np.all(out.processed.data < 1.0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from protodensity import tensor as T
+from protodensity.losses import density_loss, proto_feature_loss
 from protodensity.tensor import (Parameter, ShapeError, Tensor,
                                  gradcheck_rel_error, no_grad)
 
@@ -192,11 +193,14 @@ def test_sum_mean_match_numpy(a):
 
 
 def test_sum_mean_axis_grads(rng):
+    # the reductions take no axis: each sums or averages the whole tensor
     a = rng.normal(size=(3, 4, 2))
-    w0 = rng.normal(size=(4, 2))
-    check_grad(lambda t: T.tsum(T.mul(T.tsum(t, axis=0), Tensor(w0))), a)
-    check_grad(lambda t: T.tsum(T.mul(T.tmean(t, axis=(0, 2)), Tensor(np.arange(4.0)))), a)
+    w = rng.normal(size=(3, 4, 2))
+    check_grad(lambda t: T.tsum(T.mul(t, Tensor(w))), a)
+    check_grad(lambda t: T.tmean(T.mul(t, Tensor(w))), a)
     check_grad(lambda t: T.tmean(t), a)
+    with pytest.raises(TypeError):
+        T.tsum(a, axis=0)
 
 
 # -- row normalization ---------------------------------------------------------
@@ -269,13 +273,13 @@ def test_conv3x3_matches_loop_oracle(rng):
 
 
 def test_conv3x3_grads(rng):
-    # batch 1 and 2 and an unbatched input; the weighted sum sends every
-    # output position a different gradient
-    for shape in [(1, 2, 3, 3), (2, 2, 3, 4), (2, 3, 4)]:
+    # batch 1 and 2, square and not; the weighted sum sends every output
+    # position a different gradient
+    for shape in [(1, 2, 3, 3), (2, 2, 3, 4), (1, 2, 3, 4)]:
         x = rng.normal(size=shape)
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=(3,))
-        g = Tensor(rng.normal(size=shape[:-3] + (3,) + shape[-2:]))
+        g = Tensor(rng.normal(size=(shape[0], 3) + shape[2:]))
         check_grad(lambda t: T.tsum(T.mul(T.conv3x3(t, Tensor(w), Tensor(b)), g)), x)
         check_grad(lambda t: T.tsum(T.mul(T.conv3x3(Tensor(x), t, Tensor(b)), g)), w)
         check_grad(lambda t: T.tsum(T.mul(T.conv3x3(Tensor(x), Tensor(w), t), g)), b)
@@ -343,12 +347,9 @@ def test_maxpool_tie_routes_gradient_to_first_in_window(rng):
     for k, (a, b, c, d) in enumerate(windows):
         x[0, 0, :, 2 * k:2 * k + 2] = [[a, b], [c, d]]
     tied = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(2, 3, 6, 8))
-    for data in (x, tied, tied[0]):
-        batched = data if data.ndim == 4 else data[None]
-        g = rng.normal(size=batched[:, :, ::2, ::2].shape)
-        ref_out, ref_gx = maxpool_oracle(batched, g)
-        if data.ndim == 3:
-            g, ref_out, ref_gx = g[0], ref_out[0], ref_gx[0]
+    for data in (x, tied, tied[:1]):
+        g = rng.normal(size=data[:, :, ::2, ::2].shape)
+        ref_out, ref_gx = maxpool_oracle(data, g)
         leaf = Tensor(data, requires_grad=True)
         out = T.maxpool2x2(leaf)
         T.tsum(T.mul(out, Tensor(g))).backward()
@@ -360,10 +361,19 @@ def test_maxpool_tie_routes_gradient_to_first_in_window(rng):
 
 
 def test_unbatched_conv_and_pool_shapes(rng):
+    # one image is a batch of one: a (C, H, W) input, or any rank other than
+    # B x C x H x W, is a ShapeError, as are unbatched maps in the losses
     x = rng.normal(size=(3, 4, 4))
-    assert T.conv1x1(x, rng.normal(size=(5, 3))).shape == (5, 4, 4)
-    assert T.conv3x3(x, rng.normal(size=(5, 3, 3, 3))).shape == (5, 4, 4)
-    assert T.maxpool2x2(x).shape == (3, 2, 2)
+    calls = [lambda: T.conv1x1(x, rng.normal(size=(5, 3))),
+             lambda: T.conv3x3(x, rng.normal(size=(5, 3, 3, 3))),
+             lambda: T.maxpool2x2(x),
+             lambda: T.maxpool2x2(x[None, None]),
+             lambda: T.distance_map(x, rng.normal(size=(2, 3))),
+             lambda: density_loss(x[0], x[1]),
+             lambda: proto_feature_loss(x, x[0], 2, 1)]
+    for call in calls:
+        with pytest.raises(ShapeError):
+            call()
 
 
 # -- distance map --------------------------------------------------------------
@@ -381,9 +391,10 @@ def distance_oracle(f, p):
 
 
 def test_distance_map_matches_loop_oracle(rng):
-    f = rng.normal(size=(3, 4, 4))
+    f = rng.normal(size=(2, 3, 4, 4))
     p = rng.normal(size=(5, 3))
-    np.testing.assert_allclose(T.distance_map(f, p).data, distance_oracle(f, p),
+    np.testing.assert_allclose(T.distance_map(f, p).data,
+                               np.stack([distance_oracle(fb, p) for fb in f]),
                                rtol=1e-10, atol=1e-12)
 
 
@@ -395,9 +406,9 @@ def test_distance_map_nonnegative(f, p):
 
 
 def test_distance_map_grads(rng):
-    # batched with K=4, unbatched (d,H,W) input, and a single prototype
+    # batch 2 and 1 with K=4, and a single prototype
     for f_shape, w_shape, k in (((2, 3, 3, 3), (2, 4, 3, 3), 4),
-                                ((3, 3, 4), (4, 3, 4), 4),
+                                ((1, 3, 3, 4), (1, 4, 3, 4), 4),
                                 ((2, 3, 3, 3), (2, 1, 3, 3), 1)):
         f = rng.normal(size=f_shape)
         p = rng.normal(size=(k, 3))
@@ -413,7 +424,7 @@ def test_distance_map_equals_explicit_difference_bitwise(rng, b):
     diff = f[:, None] - p[None, :, :, None, None]
     expected = np.einsum("bkdhw,bkdhw->bkhw", diff, diff)
     assert np.array_equal(T.distance_map(f, p).data, expected)
-    assert np.array_equal(T.distance_map(f[0], p).data, expected[0])
+    assert np.array_equal(T.distance_map(f[:1], p).data, expected[:1])
 
 
 def test_distance_map_zero_where_prototype_equals_feature(rng):

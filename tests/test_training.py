@@ -279,7 +279,7 @@ def test_train_loop_artifacts(tiny_dataset, tiny_extractor, tiny_features,
     assert (out / "checkpoint_epoch0003").is_dir()
     assert (out / "checkpoint_epoch0006").is_dir()
     loaded = load_checkpoint(str(out / "checkpoint_final"))
-    x = tiny_dataset.test[0].image
+    x = tiny_dataset.test[0].image[None]
     assert np.array_equal(loaded.forward(x).density.data,
                           model.forward(x).density.data)
 
