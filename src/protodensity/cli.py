@@ -160,21 +160,24 @@ def cmd_explain(args) -> int:
                          write_explanation_csv)
     from .model import load_checkpoint
 
+    # the arguments and the explanation are checked before anything is written
+    if (args.image is None) != (args.loc is None):
+        raise ValueError("--image ID and --loc H,W go together")
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
+    explanation = None
+    if args.image is not None:
+        by_id = {s.sample_id: s for s in dataset.all_samples}
+        if args.image not in by_id:
+            raise ValueError(f"no sample with id {args.image} in {args.data}")
+        explanation = explain_location(model, by_id[args.image].image, *args.loc)
     os.makedirs(args.out, exist_ok=True)
     patches = export_prototype_gallery(model, dataset, args.out,
                                        k=args.global_k, q=args.percentile)
     print(f"wrote {sum(len(p) for p in patches)} patches for "
           f"{len(patches)} prototypes to {args.out}")
-    if args.image is not None:
-        if args.loc is None:
-            raise UsageError("--image requires --loc H,W")
-        by_id = {s.sample_id: s for s in dataset.all_samples}
-        if args.image not in by_id:
-            raise UsageError(f"no sample with id {args.image} in {args.data}")
+    if explanation is not None:
         h, w = args.loc
-        explanation = explain_location(model, by_id[args.image].image, h, w)
         path = os.path.join(args.out,
                             f"explanation_img{args.image:04d}_h{h}w{w}.csv")
         write_explanation_csv(explanation, path)
@@ -207,10 +210,9 @@ def cmd_grid(args) -> int:
 
     _, flag, _, _, kind, harness, keyword, line = _GRIDS[args.command]
     values = _number_list(getattr(args, flag), kind)
-    if args.command == "sweep-tau":
-        evaluate.check_tau_names(values)
     seeds = _number_list(args.seeds)
     config = _load_run_config(args)
+    evaluate.plan_grid(harness, config.train, values, seeds, config.model)
     dataset = load_dataset(args.data)
     _echo(config, args.out, command=args.command, data=args.data,
           seeds=args.seeds, **{flag: getattr(args, flag)})

@@ -22,7 +22,7 @@ from .tensor import (load_tensor, parse_key_values, parse_value, read_csv,
                      read_text, require, save_tensor, write_csv,
                      write_key_values)
 
-SIGMA_DEFAULT = 1.0
+SIGMA = 1.0  # ground-truth kernel width, in feature-grid cells
 
 MANIFEST_NAME = "manifest.txt"
 MANIFEST_FORMAT = "protodensity-dataset-v1"
@@ -46,10 +46,10 @@ class SceneConfig:
 _KNOWN_ARTIFACTS = ("blob", "streak", "gradient")
 
 
-def validate_config(config: SceneConfig, downsample: int = DOWNSAMPLE) -> None:
+def validate_config(config: SceneConfig) -> None:
     h, w = config.image_size
-    if h % downsample or w % downsample:
-        raise ValueError(f"image_size {config.image_size} must be divisible by {downsample}")
+    if h % DOWNSAMPLE or w % DOWNSAMPLE:
+        raise ValueError(f"image_size {config.image_size} must be divisible by {DOWNSAMPLE}")
     for name in ("cell_count_range", "cell_radius_range", "cell_intensity_range",
                  "artifact_count_range"):
         lo, hi = getattr(config, name)
@@ -198,29 +198,26 @@ def render_scene(config: SceneConfig, index: int) -> tuple[np.ndarray, DotAnnota
 # -- ground-truth density maps ------------------------------------------------
 
 
-def make_density_map(annotation: DotAnnotation, input_size: tuple[int, int],
-                     downsample: int = DOWNSAMPLE,
-                     sigma: float = SIGMA_DEFAULT) -> np.ndarray:
-    """Accumulate one grid-renormalized Gaussian kernel per annotated point.
+def make_density_map(annotation: DotAnnotation, input_size: tuple[int, int]) -> np.ndarray:
+    """Accumulate one grid-renormalized Gaussian kernel of width ``SIGMA``
+    per annotated point.
 
-    Each kernel is centered at the point's coordinates divided by the
-    downsample factor and scaled to sum exactly 1 over the output grid, so
-    the map total equals the point count regardless of boundary truncation.
+    Each kernel is centered at the point's coordinates divided by
+    ``DOWNSAMPLE`` and scaled to sum exactly 1 over the output grid, so the
+    map total equals the point count regardless of boundary truncation.
     """
     h, w = input_size
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if h % downsample or w % downsample:
-        raise ValueError(f"input size {input_size} not divisible by downsample {downsample}")
-    hf, wf = h // downsample, w // downsample
+    if h % DOWNSAMPLE or w % DOWNSAMPLE:
+        raise ValueError(f"input size {input_size} not divisible by downsample {DOWNSAMPLE}")
+    hf, wf = h // DOWNSAMPLE, w // DOWNSAMPLE
     out = np.zeros((hf, wf), dtype=np.float64)
     cols = np.arange(wf, dtype=np.float64)[None, :]
     rows = np.arange(hf, dtype=np.float64)[:, None]
     for x, y in annotation.points:
         if not (0 <= x < w and 0 <= y < h):
             raise ValueError(f"annotation point ({x}, {y}) outside image bounds {w}x{h}")
-        cx, cy = x / downsample, y / downsample
-        kernel = np.exp(-((cols - cx) ** 2 + (rows - cy) ** 2) / (2.0 * sigma * sigma))
+        cx, cy = x / DOWNSAMPLE, y / DOWNSAMPLE
+        kernel = np.exp(-((cols - cx) ** 2 + (rows - cy) ** 2) / (2.0 * SIGMA * SIGMA))
         total = kernel.sum()
         if total == 0.0:
             # kernel underflowed everywhere; assign all mass to the nearest cell
@@ -261,9 +258,7 @@ def load_sample(samples_dir: str, sample_id: int) -> Sample:
     return Sample(image, DotAnnotation(points), density, sample_id)
 
 
-def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: str,
-                     downsample: int = DOWNSAMPLE,
-                     sigma: float = SIGMA_DEFAULT) -> str:
+def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: str) -> str:
     """Write a full dataset (images, annotations, density maps, manifest) to
     ``out_dir`` and return the manifest path. Sample ids 0..n_train-1 are the
     training split, the rest are test; the split is recorded in the manifest.
@@ -271,7 +266,7 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
     written last, so a run cut short leaves a directory that fails to load
     instead of an old manifest over new samples.
     """
-    validate_config(config, downsample)
+    validate_config(config)
     samples_dir = os.path.join(out_dir, "samples")
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     try:
@@ -284,7 +279,7 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
     rows = []
     for i in range(n_train + n_test):
         image, annotation = render_scene(config, i)
-        density = make_density_map(annotation, config.image_size, downsample, sigma)
+        density = make_density_map(annotation, config.image_size)
         sample = Sample(image, annotation, density, sample_id=i)
         save_sample(samples_dir, sample)
         img_p, pts_p, den_p = _sample_paths(i)
@@ -296,8 +291,8 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
         ("format", MANIFEST_FORMAT),
         ("n_train", n_train),
         ("n_test", n_test),
-        ("downsample", downsample),
-        ("sigma", sigma),
+        ("downsample", DOWNSAMPLE),
+        ("sigma", SIGMA),
         *((f"config.{name}", value) for name, value in vars(config).items()),
     ], ["[samples]", "id,split,count,image,annotation,density",
         *(",".join(str(v) for v in row) for row in rows)])
@@ -351,8 +346,6 @@ class Dataset:
     """An in-memory dataset plus the manifest it came from."""
 
     config: SceneConfig
-    downsample: int
-    sigma: float
     train: list[Sample]
     test: list[Sample]
     manifest_path: str
@@ -373,7 +366,7 @@ def load_dataset(dataset_dir: str) -> Dataset:
     manifest_path = os.path.join(dataset_dir, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"no dataset manifest at {manifest_path}")
-    config, downsample, sigma, n_train, n_test, rows = parse_manifest(manifest_path)
+    config, downsample, _sigma, n_train, n_test, rows = parse_manifest(manifest_path)
     if downsample != DOWNSAMPLE:
         raise ValueError(f"{manifest_path}: downsample {downsample} != the model's "
                          f"{DOWNSAMPLE}")
@@ -396,8 +389,7 @@ def load_dataset(dataset_dir: str) -> Dataset:
         (train if split == "train" else test).append(sample)
     if len(train) != n_train or len(test) != n_test:
         raise ValueError(f"{manifest_path}: split sizes differ from recorded n_train/n_test")
-    return Dataset(config, downsample, sigma, train, test,
-                   manifest_path, manifest_hash(manifest_path))
+    return Dataset(config, train, test, manifest_path, manifest_hash(manifest_path))
 
 
 # -- PGM preview export -------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Counting MAE over a split, loss-term ablations (diversity off, prototype-to-
 feature off) with distance tables and localization rates, and the K and tau
-sweeps. All three harnesses are one grid loop, ``_train_grid``: it validates
-every run first, then trains them in order on one dataset and one frozen
+sweeps. All three harnesses are one grid: ``plan_grid`` lists and validates
+every run first (the CLI calls it too, before it writes anything), then
+``_train_grid`` trains them in order on one dataset and one frozen
 extractor. The ablation records the dataset's manifest hash in every row.
 """
 
@@ -155,21 +156,59 @@ def _harness_inputs(dataset: Dataset, config: TrainConfig,
 
 def _train_grid(dataset: Dataset, config: TrainConfig, runs,
                 extractor: FeatureExtractor | None, feature_cache):
-    """Train every ``(model_config, run_config)`` pair of ``runs`` in order on
-    one frozen extractor, yielding (model, test MAE, train features) per run.
-    All pairs are validated, and an empty grid rejected, before any training."""
-    if not runs:
-        raise ValueError("experiment grid is empty: no values or no seeds")
-    for model_config, run_config in runs:
-        model_config.validate()
-        run_config.validate()
+    """Train every ``(label, model_config, run_config)`` of ``runs``, from
+    ``plan_grid``, in order on one frozen extractor, yielding (label, model,
+    test MAE, train features) per run."""
     extractor, feature_cache, test_features = _harness_inputs(
         dataset, config, extractor, feature_cache)
-    for model_config, run_config in runs:
+    for label, model_config, run_config in runs:
         model = CountModel(model_config, extractor, seed=run_config.seed)
         model, _ = train(model, dataset, run_config, feature_cache=feature_cache)
-        yield model, mae(model, dataset.test, features=test_features,
-                         seed=run_config.seed).mae, feature_cache
+        yield label, model, mae(model, dataset.test, features=test_features,
+                                seed=run_config.seed).mae, feature_cache
+
+
+def _ablation_runs(config, model_config, variants, seeds):
+    return [((variant, seed), model_config,
+             replace(config, seed=seed, loss=variant_loss_config(config.loss, variant)))
+            for seed in seeds for variant in variants]
+
+
+def _sweep_k_runs(config, model_config, k_values, seeds):
+    for k in k_values:
+        if k < 2 or k % 2:
+            raise ValueError(f"sweep_k: K values must be even and >= 2, got {k}")
+    return [((k, seed), replace(model_config, k_cell=k // 2, k_bg=k // 2),
+             replace(config, seed=seed)) for k in k_values for seed in seeds]
+
+
+def _sweep_tau_runs(config, model_config, tau_values, seeds):
+    # a run's gallery is tau_<tau:g>_seed<seed>, so two taus must not print alike
+    names = [f"{tau:g}" for tau in tau_values]
+    if len(set(names)) < len(names):
+        raise ValueError(f"sweep_tau: tau values {', '.join(map(repr, tau_values))} "
+                         f"share gallery names: {', '.join(names)}")
+    return [((tau, seed), model_config, replace(config, seed=seed, loss=replace(
+        config.loss, tau_cell=tau, tau_bg=tau))) for tau in tau_values for seed in seeds]
+
+
+_GRID_RUNS = {"run_ablation": _ablation_runs, "sweep_k": _sweep_k_runs,
+              "sweep_tau": _sweep_tau_runs}
+
+
+def plan_grid(harness: str, config: TrainConfig, values, seeds,
+              model_config: ModelConfig | None = None) -> list:
+    """Every run of ``harness``'s grid over ``values`` and ``seeds``, as
+    (label, model_config, run_config). Each value is checked and each run
+    validated, and an empty grid rejected, so a bad grid raises ValueError
+    before anything is pretrained or written."""
+    runs = _GRID_RUNS[harness](config, model_config or ModelConfig(), values, seeds)
+    if not runs:
+        raise ValueError("experiment grid is empty: no values or no seeds")
+    for _, run_model_config, run_config in runs:
+        run_model_config.validate()
+        run_config.validate()
+    return runs
 
 
 def run_ablation(dataset: Dataset, config: TrainConfig, seeds=(0, 1, 2, 3, 4),
@@ -183,17 +222,13 @@ def run_ablation(dataset: Dataset, config: TrainConfig, seeds=(0, 1, 2, 3, 4),
     Emits per-run reports plus a distance table averaging both prototype
     groups' min and mean pairwise distances over seeds.
     """
-    model_config = model_config or ModelConfig()
-    grid = [(variant, seed) for seed in seeds for variant in variants]
-    runs = [(model_config, replace(config, seed=seed,
-                                   loss=variant_loss_config(config.loss, variant)))
-            for variant, seed in grid]
+    runs = plan_grid("run_ablation", config, variants, seeds, model_config)
     reports = []
-    for (model, test_mae, features), (variant, seed) in zip(
-            _train_grid(dataset, config, runs, extractor, feature_cache), grid):
+    for (variant, seed), model, test_mae, features in _train_grid(
+            dataset, config, runs, extractor, feature_cache):
         cell_rate, bg_rate = localization_rates(model, dataset, features=features)
-        stats = intra_group_distances(model.prototype_layer.prototypes,
-                                      model_config.k_cell, model_config.k_bg)
+        stats = intra_group_distances(model.prototype_layer.prototypes.data,
+                                      model.config.k_cell, model.config.k_bg)
         reports.append(AblationReport(variant, seed, test_mae, stats, cell_rate,
                                       bg_rate, dataset.manifest_hash))
     if out_dir:
@@ -240,15 +275,9 @@ def sweep_k(dataset: Dataset, config: TrainConfig, k_values=(2, 4, 6, 8),
             out_dir=None, feature_cache=None) -> list[tuple[int, int, float]]:
     """Train one model per total prototype count K per seed, ``model_config``
     with K split equally, and report test MAE rows (K, seed, MAE)."""
-    for k in k_values:
-        if k < 2 or k % 2:
-            raise ValueError(f"sweep_k: K values must be even and >= 2, got {k}")
-    model_config = model_config or ModelConfig()
-    grid = [(k, seed) for k in k_values for seed in seeds]
-    runs = [(replace(model_config, k_cell=k // 2, k_bg=k // 2),
-             replace(config, seed=seed)) for k, seed in grid]
-    rows = [(k, seed, test_mae) for (_, test_mae, _), (k, seed) in zip(
-        _train_grid(dataset, config, runs, extractor, feature_cache), grid)]
+    runs = plan_grid("sweep_k", config, k_values, seeds, model_config)
+    rows = [(k, seed, test_mae) for (k, seed), _, test_mae, _ in _train_grid(
+        dataset, config, runs, extractor, feature_cache)]
     _write_sweep_csv(out_dir, "sweep_k.csv", SWEEP_K_CSV_HEADER, rows)
     return rows
 
@@ -261,14 +290,10 @@ def sweep_tau(dataset: Dataset, config: TrainConfig,
               gallery_k: int = 3) -> list[tuple[float, int, float]]:
     """Retrain per diversity threshold tau and emit a patch gallery per run
     for qualitative comparison, plus MAE rows (tau, seed, MAE)."""
-    check_tau_names(tau_values)
-    model_config = model_config or ModelConfig()
-    grid = [(tau, seed) for tau in tau_values for seed in seeds]
-    runs = [(model_config, replace(config, seed=seed, loss=replace(
-        config.loss, tau_cell=tau, tau_bg=tau))) for tau, seed in grid]
+    runs = plan_grid("sweep_tau", config, tau_values, seeds, model_config)
     rows = []
-    for (model, test_mae, features), (tau, seed) in zip(
-            _train_grid(dataset, config, runs, extractor, feature_cache), grid):
+    for (tau, seed), model, test_mae, features in _train_grid(
+            dataset, config, runs, extractor, feature_cache):
         rows.append((tau, seed, test_mae))
         if out_dir:
             gallery = os.path.join(out_dir, f"tau_{tau:g}_seed{seed}")
@@ -276,15 +301,6 @@ def sweep_tau(dataset: Dataset, config: TrainConfig,
                                      features=features)
     _write_sweep_csv(out_dir, "sweep_tau.csv", SWEEP_TAU_CSV_HEADER, rows)
     return rows
-
-
-def check_tau_names(tau_values) -> None:
-    """Reject tau values that print alike as ``{:g}``, the name of their
-    runs' gallery directories ``tau_<tau>_seed<seed>``."""
-    names = [f"{tau:g}" for tau in tau_values]
-    if len(set(names)) < len(names):
-        raise ValueError(f"sweep_tau: tau values {', '.join(map(repr, tau_values))} "
-                         f"share gallery names: {', '.join(names)}")
 
 
 def _write_sweep_csv(out_dir, name: str, header, rows) -> None:

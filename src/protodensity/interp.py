@@ -3,7 +3,9 @@
 Turns similarity maps into human-inspectable evidence: percentile-threshold
 masks, 8-connected component bounding boxes, per-prototype galleries of the
 strongest training patches, additive per-location explanations of the density
-prediction, and intra-group prototype distance statistics.
+prediction, and intra-group prototype distance statistics. Maps, masks and
+prototypes are plain arrays, and an image is one (1, H, W) array, as the
+dataset stores it.
 """
 
 from __future__ import annotations
@@ -77,93 +79,64 @@ def percentile_threshold(sim_map, q: float = 99) -> np.ndarray:
     The threshold is the 1-based ceil(q*n/100)-th smallest value, so at least
     one pixel is always set and q=100 keeps exactly the global maxima.
     """
-    arr = sim_map.data if isinstance(sim_map, Tensor) else np.asarray(sim_map, dtype=np.float64)
-    if arr.size == 0:
+    if sim_map.size == 0:
         raise ValueError("percentile_threshold: empty map")
     if not 0 < q <= 100:
         raise ValueError(f"percentile_threshold: q must be in (0, 100], got {q}")
-    flat = np.sort(arr.reshape(-1))
+    flat = np.sort(sim_map.reshape(-1))
     rank = math.ceil(q * flat.size / 100.0)
     threshold = flat[rank - 1]
-    return arr >= threshold
-
-
-_NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1))
+    return sim_map >= threshold
 
 
 def connected_components(mask) -> tuple[np.ndarray, int]:
-    """Label 8-connected components of a binary mask.
+    """Label 8-connected components of a binary mask by flood fill.
 
-    Returns (labels, n) where labels holds 0 for background and 1..n for
-    components numbered in first-encounter row-major order.
+    Each mask pixel that has no label yet, taken in row-major order, starts
+    the next label, so components are numbered 1..n in the order of their
+    first row-major pixel and background stays 0. Returns (labels, n).
     """
-    m = np.asarray(mask, dtype=bool)
-    h, w = m.shape
-    provisional = np.zeros((h, w), dtype=np.int64)
-    parent: list[int] = [0]
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for i in range(h):
-        for j in range(w):
-            if not m[i, j]:
-                continue
-            roots = set()
-            for di, dj in _NEIGHBORS:
-                ni, nj = i + di, j + dj
-                if 0 <= ni < h and 0 <= nj < w and provisional[ni, nj]:
-                    roots.add(find(provisional[ni, nj]))
-            if not roots:
-                label = len(parent)
-                parent.append(label)
-                provisional[i, j] = label
-            else:
-                keep = min(roots)
-                provisional[i, j] = keep
-                for r in roots:
-                    parent[r] = keep
-    # Final labels follow each merged component's smallest provisional label,
-    # which is the label created at its first row-major pixel.
-    root_order: dict[int, int] = {}
+    h, w = mask.shape
     labels = np.zeros((h, w), dtype=np.int64)
-    for i in range(h):
-        for j in range(w):
-            if not m[i, j]:
-                continue
-            root = find(provisional[i, j])
-            if root not in root_order:
-                root_order[root] = len(root_order) + 1
-            labels[i, j] = root_order[root]
-    return labels, len(root_order)
+    n = 0
+    for i, j in zip(*np.nonzero(mask)):
+        if labels[i, j]:
+            continue
+        n += 1
+        labels[i, j] = n
+        stack = [(i, j)]
+        while stack:
+            y, x = stack.pop()
+            for ny in range(max(y - 1, 0), min(y + 2, h)):
+                for nx in range(max(x - 1, 0), min(x + 2, w)):
+                    if mask[ny, nx] and not labels[ny, nx]:
+                        labels[ny, nx] = n
+                        stack.append((ny, nx))
+    return labels, n
 
 
-def boxes_from_mask(labels, similarity_map, image_id: int, prototype_id: int,
-                    scale: int = DOWNSAMPLE) -> list[PatchBox]:
-    """One tight bounding box per component, scaled to input-pixel coordinates
-    and sorted by score (max similarity in the component) descending."""
-    lab = np.asarray(labels)
-    sim = similarity_map.data if isinstance(similarity_map, Tensor) else np.asarray(similarity_map)
-    if lab.shape != sim.shape:
-        raise T.ShapeError(f"boxes_from_mask: labels {lab.shape} vs similarity {sim.shape}")
+def boxes_from_mask(labels, similarity_map, image_id: int,
+                    prototype_id: int) -> list[PatchBox]:
+    """One tight bounding box per component, scaled by ``DOWNSAMPLE`` to
+    input-pixel coordinates and sorted by score (max similarity in the
+    component) descending."""
+    if labels.shape != similarity_map.shape:
+        raise T.ShapeError(f"boxes_from_mask: labels {labels.shape} vs similarity "
+                           f"{similarity_map.shape}")
+    s = DOWNSAMPLE
     boxes = []
-    for label in range(1, int(lab.max(initial=0)) + 1):
-        where = lab == label
+    for label in range(1, int(labels.max(initial=0)) + 1):
+        where = labels == label
         rows = np.flatnonzero(where.any(axis=1))
         cols = np.flatnonzero(where.any(axis=0))
         boxes.append(PatchBox(
             image_id=image_id,
             prototype_id=prototype_id,
-            x0=scale * int(cols[0]),
-            y0=scale * int(rows[0]),
-            x1=scale * (int(cols[-1]) + 1) - 1,
-            y1=scale * (int(rows[-1]) + 1) - 1,
-            score=float(sim[where].max()),
+            x0=s * int(cols[0]),
+            y0=s * int(rows[0]),
+            x1=s * (int(cols[-1]) + 1) - 1,
+            y1=s * (int(rows[-1]) + 1) - 1,
+            score=float(similarity_map[where].max()),
         ))
     boxes.sort(key=lambda b: -b.score)
     return boxes
@@ -196,11 +169,10 @@ def global_top_patches(samples, sims, k: int = 3,
 def patch_peak(box: PatchBox, similarity_map) -> tuple[int, int]:
     """Feature-grid location of the box's scoring pixel (first row-major
     argmax of the similarity map inside the box)."""
-    sim = similarity_map.data if isinstance(similarity_map, Tensor) else np.asarray(similarity_map)
     s = DOWNSAMPLE
     h0, h1 = box.y0 // s, box.y1 // s
     w0, w1 = box.x0 // s, box.x1 // s
-    window = sim[h0:h1 + 1, w0:w1 + 1]
+    window = similarity_map[h0:h1 + 1, w0:w1 + 1]
     dh, dw = np.unravel_index(int(np.argmax(window)), window.shape)
     return h0 + int(dh), w0 + int(dw)
 
@@ -208,20 +180,19 @@ def patch_peak(box: PatchBox, similarity_map) -> tuple[int, int]:
 # -- per-location explanations -------------------------------------------------
 
 
-def explain_location(model: CountModel, x, h: int, w: int) -> Explanation:
+def explain_location(model: CountModel, image, h: int, w: int) -> Explanation:
     """Decompose the predicted density at feature location (h, w) into one
-    theta_i * S_i term per prototype, for one (H, W) or (1, H, W) image."""
-    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if xd.ndim == 2:
-        xd = xd[None]
-    if xd.ndim != 3:
-        raise T.ShapeError(f"explain_location: expected one image, got shape {xd.shape}")
+    theta_i * S_i term per prototype, for one (1, H, W) image. A location
+    outside the density map raises ValueError."""
+    if image.ndim != 3 or image.shape[0] != 1:
+        raise T.ShapeError(f"explain_location: expected one (1, H, W) image, "
+                           f"got shape {image.shape}")
     with no_grad():
-        out = model.forward(Tensor(xd[None]))
+        out = model.forward(Tensor(image[None]))
     sims = out.similarities.data[0]
     density = out.density.data[0]
     if not (0 <= h < density.shape[0] and 0 <= w < density.shape[1]):
-        raise IndexError(f"explain_location: ({h}, {w}) outside density map "
+        raise ValueError(f"explain_location: ({h}, {w}) outside density map "
                          f"{density.shape}")
     theta = model.head.theta.data
     contributions = []
@@ -243,14 +214,13 @@ def _pairwise(group: np.ndarray) -> list[float]:
 def intra_group_distances(prototypes, k_cell: int, k_bg: int) -> GroupDistanceStats:
     """Min and mean pairwise L2 distance (not squared) within the cell group
     and within the background group. Each group needs at least two members."""
-    p = prototypes.data if isinstance(prototypes, Tensor) else np.asarray(prototypes)
-    if p.shape[0] != k_cell + k_bg:
-        raise ValueError(f"intra_group_distances: {p.shape[0]} prototypes != "
+    if prototypes.shape[0] != k_cell + k_bg:
+        raise ValueError(f"intra_group_distances: {prototypes.shape[0]} prototypes != "
                          f"k_cell {k_cell} + k_bg {k_bg}")
     if k_cell < 2 or k_bg < 2:
         raise ValueError("intra_group_distances: each group needs >= 2 prototypes")
-    cell = _pairwise(p[:k_cell])
-    bg = _pairwise(p[k_cell:])
+    cell = _pairwise(prototypes[:k_cell])
+    bg = _pairwise(prototypes[k_cell:])
     return GroupDistanceStats(min(cell), float(np.mean(cell)),
                               min(bg), float(np.mean(bg)))
 
@@ -259,12 +229,10 @@ def intra_group_distances(prototypes, k_cell: int, k_bg: int) -> GroupDistanceSt
 
 
 def write_patches_csv(patches, path) -> None:
-    """Write PatchBoxes (flat or per-prototype lists) as CSV."""
-    rows = []
-    for entry in patches:
-        rows.extend(entry if isinstance(entry, list) else [entry])
+    """Write per-prototype lists of PatchBoxes as one CSV table."""
     T.write_csv(path, PATCH_CSV_HEADER, [[b.prototype_id, b.image_id, b.x0, b.y0,
-                                          b.x1, b.y1, repr(b.score)] for b in rows])
+                                          b.x1, b.y1, repr(b.score)]
+                                         for boxes in patches for b in boxes])
 
 
 def write_explanation_csv(explanation: Explanation, path) -> None:
@@ -275,15 +243,13 @@ def write_explanation_csv(explanation: Explanation, path) -> None:
 
 
 def render_boxes_pgm(image, boxes, path) -> None:
-    """PGM preview of an image with each box drawn as a 1-px border."""
-    img = np.asarray(image.data if isinstance(image, Tensor) else image,
-                     dtype=np.float64)
-    if img.ndim == 3 and img.shape[0] == 1:
-        img = img[0]
-    if img.ndim != 2:
-        raise T.ShapeError(f"render_boxes_pgm: expected one image, got shape {img.shape}")
-    canvas = img.copy()
-    mark = max(1.0, float(img.max()))
+    """PGM preview of one (1, H, W) image with each box drawn as a 1-px
+    border."""
+    if image.ndim != 3 or image.shape[0] != 1:
+        raise T.ShapeError(f"render_boxes_pgm: expected one (1, H, W) image, "
+                           f"got shape {image.shape}")
+    canvas = image[0].copy()
+    mark = max(1.0, float(canvas.max()))
     for b in boxes:
         y0, y1 = max(0, b.y0), min(canvas.shape[0] - 1, b.y1)
         x0, x1 = max(0, b.x0), min(canvas.shape[1] - 1, b.x1)

@@ -76,11 +76,10 @@ class FeatureExtractor:
             self.weights.append(Parameter(w, name=f"extractor.block{i}.weight"))
             self.biases.append(Parameter(np.zeros(c_out), name=f"extractor.block{i}.bias"))
 
-    def forward(self, x) -> Tensor:
-        out = x if isinstance(x, Tensor) else Tensor(x)
+    def forward(self, x: Tensor) -> Tensor:
         for w, b in zip(self.weights, self.biases):
-            out = T.relu(T.maxpool2x2(T.conv3x3(out, w, b)))
-        return out
+            x = T.relu(T.maxpool2x2(T.conv3x3(x, w, b)))
+        return x
 
     def parameters(self) -> list[Parameter]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
@@ -103,9 +102,9 @@ class FeatureExtractor:
 class ProcessingLayer:
     """1x1 convolution plus sigmoid mapping extractor features into (0,1)^d."""
 
-    def __init__(self, d: int, rng: np.random.Generator, d_in: int = FEATURE_DIM):
-        limit = 1.0 / np.sqrt(d_in)
-        self.weight = Parameter(rng.uniform(-limit, limit, size=(d, d_in)),
+    def __init__(self, d: int, rng: np.random.Generator):
+        limit = 1.0 / np.sqrt(FEATURE_DIM)
+        self.weight = Parameter(rng.uniform(-limit, limit, size=(d, FEATURE_DIM)),
                                 name="processing.weight")
         self.bias = Parameter(np.zeros(d), name="processing.bias")
 
@@ -121,27 +120,16 @@ class PrototypeLayer:
     the remaining k_bg are background prototypes."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        self.k_cell = config.k_cell
-        self.k_bg = config.k_bg
-        self.epsilon = config.epsilon
         self.prototypes = Parameter(rng.uniform(0.0, 1.0, size=(config.k_total, config.d)),
                                     name="prototypes")
-
-    @property
-    def k_total(self) -> int:
-        return self.k_cell + self.k_bg
-
-    def distances(self, processed) -> Tensor:
-        return T.distance_map(processed, self.prototypes)
 
     def parameters(self) -> list[Parameter]:
         return [self.prototypes]
 
 
-def similarity_from_distance(distances, epsilon: float) -> Tensor:
+def similarity_from_distance(dist: Tensor, epsilon: float) -> Tensor:
     """log((dist + 1) / (dist + epsilon)): strictly decreasing in distance,
     maxing out at log(1/epsilon) for a zero distance."""
-    dist = distances if isinstance(distances, Tensor) else Tensor(distances)
     if np.any(dist.data < 0):
         raise ValueError("similarity_from_distance: distances must be nonnegative")
     return T.sub(T.log(T.add(dist, 1.0)), T.log(T.add(dist, epsilon)))
@@ -205,9 +193,8 @@ class CountModel:
 
     # -- stages ---------------------------------------------------------------
 
-    def extract_features(self, x) -> Tensor:
-        xd = x.data if isinstance(x, Tensor) else np.asarray(x)
-        h, w = xd.shape[-2], xd.shape[-1]
+    def extract_features(self, x: Tensor) -> Tensor:
+        h, w = x.shape[-2:]
         if h % DOWNSAMPLE or w % DOWNSAMPLE:
             raise T.ShapeError(f"input spatial dims {h}x{w} must be divisible by {DOWNSAMPLE}")
         return self.extractor.forward(x)
@@ -215,22 +202,19 @@ class CountModel:
     def process_features(self, features) -> Tensor:
         return self.processing.forward(features)
 
-    def similarity_map(self, distances) -> Tensor:
-        return similarity_from_distance(distances, self.config.epsilon)
-
     def predict_density(self, similarities) -> Tensor:
         return self.head.forward(similarities)
 
     def forward_from_features(self, features) -> ModelOutputs:
         feats = features if isinstance(features, Tensor) else Tensor(features)
         processed = self.process_features(feats)
-        distances = self.prototype_layer.distances(processed)
-        similarities = self.similarity_map(distances)
+        distances = T.distance_map(processed, self.prototype_layer.prototypes)
+        similarities = similarity_from_distance(distances, self.config.epsilon)
         density = self.predict_density(similarities)
         return ModelOutputs(feats, processed, distances, similarities, density,
                             count(density))
 
-    def forward(self, x) -> ModelOutputs:
+    def forward(self, x: Tensor) -> ModelOutputs:
         return self.forward_from_features(self.extract_features(x))
 
     def predict(self, samples, features=None,
@@ -276,10 +260,9 @@ def forward_batches(forward, inputs, batch: int, keep) -> list:
     return kept
 
 
-def count(density) -> np.ndarray:
+def count(density: Tensor) -> np.ndarray:
     """One count per batch element: the sum over its (Hf, Wf) density map."""
-    data = density.data if isinstance(density, Tensor) else np.asarray(density)
-    return data.sum(axis=(-2, -1))
+    return density.data.sum(axis=(-2, -1))
 
 
 # -- checkpoint I/O -----------------------------------------------------------

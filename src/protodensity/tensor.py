@@ -5,14 +5,17 @@ the output node; calling ``backward()`` on a scalar result replays the tape
 in reverse topological order. The op set is exactly what the counting model
 and its losses need: elementwise arithmetic, sigmoid/relu/log, 2-D matmul,
 reductions, indexing, row normalization, 1x1 and 3x3 convolutions, 2x2 max
-pooling, and prototype distance maps. The 3x3 convolution builds a
-batch-major (B, C*9, H*W) im2col matrix from nine shifted slices, so its
-forward and both backward GEMMs run on NCHW data with no transposed copy;
-max pooling compares the four strided window corners, and its backward
-routes each window's gradient by a compare mask to the first maximum in
-row-major window order. The distance map's forward sums explicit
-differences one prototype at a time and its backward is two GEMMs, so
-neither direction holds a K-fold (B,K,d,H,W) buffer. A central
+pooling, and prototype distance maps. Every op is a module function
+(``T.add``, ``T.mul``, ...): a Tensor has no arithmetic operators, only
+``t[idx]`` for ``getitem`` and ``float(t)`` for a one-element value.
+
+The 3x3 convolution builds a batch-major (B, C*9, H*W) im2col matrix from
+nine shifted slices, so its forward and both backward GEMMs run on NCHW data
+with no transposed copy; max pooling compares the four strided window
+corners, and its backward routes each window's gradient by a compare mask to
+the first maximum in row-major window order. The distance map's forward sums
+explicit differences one prototype at a time and its backward is two GEMMs,
+so neither direction holds a K-fold (B,K,d,H,W) buffer. A central
 finite-difference oracle (`finite_diff_grad`) verifies every analytic
 gradient.
 
@@ -105,18 +108,10 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
-
     def __float__(self) -> float:
-        return self.item()
+        if self.data.size != 1:
+            raise ValueError(f"float() requires a single-element tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -155,48 +150,19 @@ class Tensor:
             node._parents = ()
             node._backward = None
 
-    # -- operator sugar -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("tensor/tensor division is not part of the op set; "
-                             "divide by a scalar instead")
-        return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
 
 class Parameter(Tensor):
-    """A learnable tensor. ``trainable=False`` freezes it: no gradient is
+    """A learnable tensor. ``freeze()`` makes it constant: no gradient is
     recorded and no optimizer step ever touches it."""
 
     __slots__ = ("trainable", "name")
 
-    def __init__(self, data, name: str = "", trainable: bool = True):
-        super().__init__(data, requires_grad=trainable)
-        self.trainable = bool(trainable)
+    def __init__(self, data, name: str = ""):
+        super().__init__(data, requires_grad=True)
+        self.trainable = True
         self.name = name
 
     def freeze(self) -> None:
@@ -236,13 +202,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         return
     if t.grad is not None:
         t.grad += g
-    elif g.shape == t.shape:
+    else:
         # zeros + g in one pass: a new array, since g may be another node's
         # grad (and a 0-d g + 0.0 would be a scalar); -0.0 still becomes 0.0
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
-    else:
-        t.grad = np.zeros_like(t.data)
-        t.grad += g
 
 
 def _check_elementwise(a: Tensor, b: Tensor, opname: str) -> None:
@@ -368,29 +331,13 @@ def transpose(a, axes) -> Tensor:
     return out
 
 
-def _normalize_index(idx):
-    # unwrap Tensor/list indices to plain arrays; report whether indexing is "advanced"
-    if not isinstance(idx, tuple):
-        idx = (idx,)
-    norm = []
-    advanced = False
-    for i in idx:
-        if isinstance(i, Tensor):
-            i = i.data.astype(np.int64)
-        if isinstance(i, list):
-            i = np.asarray(i)
-        if isinstance(i, np.ndarray) and i.ndim > 0:
-            advanced = True
-        norm.append(i)
-    return tuple(norm), advanced
-
-
 def getitem(a, idx) -> Tensor:
+    """``a[idx]`` for an index of ints, slices and int arrays; with an array
+    in it the backward accumulates repeated positions."""
     a = _coerce(a)
-    norm, advanced = _normalize_index(idx)
+    norm = idx if isinstance(idx, tuple) else (idx,)
+    advanced = any(isinstance(i, np.ndarray) and i.ndim > 0 for i in norm)
     out_data = a.data[norm]
-    if not isinstance(out_data, np.ndarray):
-        out_data = np.asarray(out_data)
 
     def backward():
         if not a.requires_grad:
@@ -708,24 +655,19 @@ def gradcheck_rel_error(scalar_fn, at, analytic, h: float = 1e-6) -> float:
 #
 # Layout: magic "PDTF", u8 dtype code (0 = float32, 1 = float64), u8 ndim,
 # ndim x u32 little-endian dims, then the row-major payload in little-endian
-# IEEE-754.
+# IEEE-754. The package writes float64 only; float32 files still load.
 
 PDTF_MAGIC = b"PDTF"
 _PDTF_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_PDTF_CODES = {"float32": 0, "float64": 1}
 _PDTF_MAX_NDIM = 32
 
 
-def save_tensor(path, array, dtype: str = "float64") -> None:
-    """Write an array to ``path`` in the PDTF format."""
-    if dtype not in _PDTF_CODES:
-        raise ValueError(f"save_tensor: unsupported dtype {dtype!r}")
-    arr = np.asarray(array.data if isinstance(array, Tensor) else array)
-    code = _PDTF_CODES[dtype]
-    arr = np.ascontiguousarray(arr, dtype=_PDTF_DTYPES[code])
+def save_tensor(path, array) -> None:
+    """Write an array to ``path`` as a float64 (dtype code 1) PDTF tensor."""
+    arr = np.ascontiguousarray(array, dtype=_PDTF_DTYPES[1])
     if arr.ndim > _PDTF_MAX_NDIM:
         raise ValueError(f"save_tensor: ndim {arr.ndim} exceeds format limit")
-    header = PDTF_MAGIC + struct.pack("<BB", code, arr.ndim)
+    header = PDTF_MAGIC + struct.pack("<BB", 1, arr.ndim)
     header += b"".join(struct.pack("<I", d) for d in arr.shape)
     with open(path, "wb") as f:
         f.write(header)

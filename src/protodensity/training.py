@@ -235,7 +235,17 @@ def pretrain_extractor(dataset, config: TrainConfig) -> tuple[FeatureExtractor, 
 # -- projection ---------------------------------------------------------------
 
 
-def _project_onto(model: CountModel, samples, features: np.ndarray) -> list[PrototypeProvenance]:
+def project_prototypes(model: CountModel, dataset, features=None) -> list[PrototypeProvenance]:
+    """Replace every prototype with its nearest processed feature vector over
+    the training split (first index on ties), record the source image,
+    location, and pre-projection squared distance in ``model.provenance``,
+    and return those records. ``features`` is the split's extractor output
+    when already computed."""
+    samples = dataset.train
+    if not samples:
+        raise ValueError("project_prototypes: training split is empty")
+    if features is None:
+        features = compute_features(model.extractor, samples)
     with T.no_grad():
         processed = model.process_features(Tensor(features)).data
     n, d, hf, wf = processed.shape
@@ -253,19 +263,6 @@ def _project_onto(model: CountModel, samples, features: np.ndarray) -> list[Prot
         model.provenance[i] = rec
         records.append(rec)
     return records
-
-
-def project_prototypes(model: CountModel, dataset, features=None) -> CountModel:
-    """Replace every prototype with its nearest processed feature vector over
-    the training split (first index on ties) and record the source image,
-    location, and pre-projection squared distance."""
-    samples = dataset.train if hasattr(dataset, "train") else list(dataset)
-    if not samples:
-        raise ValueError("project_prototypes: dataset is empty")
-    if features is None:
-        features = compute_features(model.extractor, samples)
-    _project_onto(model, samples, features)
-    return model
 
 
 # -- main loop ----------------------------------------------------------------
@@ -380,7 +377,7 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
         history.reports.append(run_epoch(params, f"epoch {epoch}", fit_forward))
 
         if epoch % config.projection_interval == 0:
-            records = _project_onto(model, samples, features)
+            records = project_prototypes(model, dataset, features)
             history.projections.append(ProjectionEvent(epoch, records))
             if out_dir:
                 save_checkpoint(model, os.path.join(out_dir, f"checkpoint_epoch{epoch:04d}"))
@@ -398,7 +395,7 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
                 break
 
     if not history.projections or history.projections[-1].epoch != epoch:
-        records = _project_onto(model, samples, features)
+        records = project_prototypes(model, dataset, features)
         history.projections.append(ProjectionEvent(epoch, records))
 
     # the projection just snapped prototypes onto real feature vectors, which

@@ -86,7 +86,8 @@ def test_full_pipeline(tmp_path, cfg_path, capsys):
 
     assert main(["gen-data", "--config", cfg_path, "--out", data,
                  "--n-train", "8", "--n-test", "4"]) == 0
-    resolved = open(os.path.join(data, "config_resolved.txt")).read()
+    with open(os.path.join(data, "config_resolved.txt")) as f:
+        resolved = f.read()
     assert resolved.startswith("version = protodensity-")
     assert "seed = 0" in resolved.splitlines()
     assert "command = gen-data" in resolved.splitlines()
@@ -130,6 +131,27 @@ def test_full_pipeline(tmp_path, cfg_path, capsys):
                  "--out", gallery, "--image", "999", "--loc", "1,1"]) == 1
     err = capsys.readouterr().err
     assert "--loc" in err and "999" in err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--image", "1"], "--loc"),
+    (["--loc", "1,1"], "--image"),
+    (["--image", "999", "--loc", "1,1"], "999"),
+    (["--image", "1", "--loc", "99,99"], "outside density map"),
+])
+def test_bad_explain_arguments_exit_before_any_output(tmp_path, cfg_path, capsys,
+                                                      flags, named):
+    data, ckpt, out = str(tmp_path / "data"), str(tmp_path / "ckpt"), tmp_path / "out"
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                               FeatureExtractor(np.random.default_rng(0))), ckpt)
+    capsys.readouterr()
+    assert main(["explain", "--model", ckpt, "--data", data, "--out", str(out),
+                 *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert not out.exists()
 
 
 def test_malformed_manifest_and_provenance_exit_usage(tmp_path, cfg_path, capsys):
@@ -252,11 +274,11 @@ def test_interrupted_checkpoint_save_does_not_load(tmp_path, cfg_path, capsys,
     saved = []
     real_save = tensor.save_tensor
 
-    def failing_save(path, array, dtype="float64"):
+    def failing_save(path, array):
         if len(saved) == 2:
             raise OSError("disk full")
         saved.append(path)
-        real_save(path, array, dtype)
+        real_save(path, array)
 
     monkeypatch.setattr(tensor, "save_tensor", failing_save)
     with pytest.raises(OSError, match="disk full"):
@@ -307,7 +329,8 @@ def test_seed_env_overrides_config(tmp_path, cfg_path, monkeypatch):
     data = str(tmp_path / "data7")
     assert main(["gen-data", "--config", cfg_path, "--out", data,
                  "--n-train", "2", "--n-test", "1"]) == 0
-    lines = open(os.path.join(data, "config_resolved.txt")).read().splitlines()
+    with open(os.path.join(data, "config_resolved.txt")) as f:
+        lines = f.read().splitlines()
     assert "seed = 7" in lines
     assert "scene.seed = 7" in lines
     assert "train.seed = 7" in lines
@@ -354,6 +377,8 @@ def test_negative_seed_exits_before_writing(tmp_path, cfg_path, capsys, monkeypa
     (["sweep-k", "--k", ""], "comma-separated"),
     (["sweep-tau", "--tau", ","], "comma-separated"),
     (["sweep-tau", "--tau", "0.4,0.4000001"], "share gallery names"),
+    (["sweep-k", "--k", "3"], "even"),
+    (["sweep-tau", "--tau", "0,2"], "tau_cell"),
 ])
 def test_bad_grid_list_exits_before_any_output(tmp_path, cfg_path, capsys,
                                                no_pretraining, flags, named):
@@ -383,8 +408,13 @@ def test_sweep_tau_out_of_range_trains_nothing(tmp_path, cfg_path, capsys):
 def test_dataset_of_another_downsample_exits_naming_its_manifest(tmp_path, cfg_path,
                                                                  capsys, command):
     data = str(tmp_path / "data")
-    datagen.generate_dataset(datagen.SceneConfig(image_size=(32, 32)), 4, 2, data,
-                             downsample=4)
+    datagen.generate_dataset(datagen.SceneConfig(image_size=(32, 32)), 4, 2, data)
+    manifest = os.path.join(data, "manifest.txt")
+    with open(manifest) as f:
+        text = f.read()
+    assert "\ndownsample = 8\n" in text
+    with open(manifest, "w") as f:
+        f.write(text.replace("\ndownsample = 8\n", "\ndownsample = 4\n"))
     model = CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
                        FeatureExtractor(np.random.default_rng(0)))
     ckpt, extractor = str(tmp_path / "ckpt"), str(tmp_path / "ex")

@@ -102,7 +102,8 @@ def test_write_resolved_config(tmp_path):
     path = write_resolved_config(config, str(tmp_path), {"command": "train",
                                                          "data": "x"})
     assert path.endswith(RESOLVED_CONFIG_NAME)
-    lines = open(path).read().splitlines()
+    with open(path) as f:
+        lines = f.read().splitlines()
     assert lines[0] == f"version = protodensity-{__version__}"
     assert lines[1] == "seed = 9"
     assert lines[2] == "command = train"

@@ -70,39 +70,39 @@ def test_density_sums_to_count_500_random():
     for _ in range(500):
         n = int(rng.integers(0, 40))
         pts = [(float(rng.uniform(0, 64)), float(rng.uniform(0, 64))) for _ in range(n)]
-        density = make_density_map(DotAnnotation(pts), (64, 64), 8, 1.0)
+        density = make_density_map(DotAnnotation(pts), (64, 64))
         worst = max(worst, abs(float(density.sum()) - n))
     assert worst <= 1e-7, f"mass error {worst:.2e}"
 
 
 def test_density_shape_and_nonnegative():
-    density = make_density_map(DotAnnotation([(5.0, 9.0)]), (64, 48), 8, 1.0)
+    density = make_density_map(DotAnnotation([(5.0, 9.0)]), (64, 48))
     assert density.shape == (8, 6)
     assert np.all(density >= 0.0)
 
 
 def test_density_empty_annotation_is_zero():
-    density = make_density_map(DotAnnotation([]), (32, 32), 8, 1.0)
+    density = make_density_map(DotAnnotation([]), (32, 32))
     np.testing.assert_array_equal(density, np.zeros((4, 4)))
 
 
 def test_density_peak_tracks_point():
-    density = make_density_map(DotAnnotation([(40.0, 8.0)]), (64, 64), 8, 1.0)
+    density = make_density_map(DotAnnotation([(40.0, 8.0)]), (64, 64))
     assert np.unravel_index(np.argmax(density), density.shape) == (1, 5)
 
 
 def test_density_out_of_bounds_names_point():
     with pytest.raises(ValueError, match=r"70"):
-        make_density_map(DotAnnotation([(70.0, 2.0)]), (64, 64), 8, 1.0)
+        make_density_map(DotAnnotation([(70.0, 2.0)]), (64, 64))
     with pytest.raises(ValueError):
-        make_density_map(DotAnnotation([(2.0, -1.0)]), (64, 64), 8, 1.0)
+        make_density_map(DotAnnotation([(2.0, -1.0)]), (64, 64))
 
 
 @given(st.lists(st.tuples(st.floats(0, 31.999), st.floats(0, 31.999)),
                 max_size=12))
 @settings(max_examples=40)
 def test_density_mass_property(points):
-    density = make_density_map(DotAnnotation(points), (32, 32), 8, 1.0)
+    density = make_density_map(DotAnnotation(points), (32, 32))
     assert abs(float(density.sum()) - len(points)) <= 1e-7
     assert np.all(density >= 0.0)
 
@@ -112,7 +112,7 @@ def test_density_mass_property(points):
 
 def test_sample_roundtrip_bit_identical(tmp_path):
     img, ann = render_scene(SMALL, 2)
-    density = make_density_map(ann, SMALL.image_size, 8, 1.0)
+    density = make_density_map(ann, SMALL.image_size)
     from protodensity.datagen import Sample
     sample = Sample(img, ann, density, sample_id=2)
     save_sample(str(tmp_path), sample)

@@ -73,7 +73,7 @@ def test_batched_shape_chain(model):
 
 def test_indivisible_input_raises(model):
     with pytest.raises(ShapeError):
-        model.extract_features(np.zeros((1, 100, 100)))
+        model.extract_features(Tensor(np.zeros((1, 1, 100, 100))))
 
 
 def test_processed_lives_in_unit_interval(model):
@@ -209,10 +209,10 @@ def test_similarity_monotone_decreasing(d):
 
 
 def test_count_equals_sum_exactly(rng):
-    density = rng.uniform(0, 1, size=(8, 8))
-    assert count(density) == density.sum()
+    density = rng.uniform(0, 1, size=(1, 8, 8))
+    assert count(Tensor(density)) == density.sum()
     batched = rng.uniform(0, 1, size=(3, 8, 8))
-    np.testing.assert_array_equal(count(batched), batched.sum(axis=(1, 2)))
+    np.testing.assert_array_equal(count(Tensor(batched)), batched.sum(axis=(1, 2)))
 
 
 # -- parameter plumbing --------------------------------------------------------

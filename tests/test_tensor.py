@@ -1,6 +1,7 @@
 """Tensor kernel tests: op values against small hand/numpy oracles and every
 gradient against central finite differences."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -34,13 +35,14 @@ finite_arrays = arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side
 def test_tensor_is_float64():
     t = Tensor([1, 2, 3])
     assert t.data.dtype == np.float64
-    assert t.shape == (3,) and t.ndim == 1 and t.size == 3
+    assert t.shape == (3,) and t.ndim == 1
 
 
 def test_item_and_float():
     assert float(Tensor(2.5)) == 2.5
-    with pytest.raises(ValueError):
-        Tensor([1.0, 2.0]).item()
+    assert float(Tensor([[2.5]])) == 2.5
+    with pytest.raises(ValueError, match="single-element"):
+        float(Tensor([1.0, 2.0]))
 
 
 def test_backward_requires_scalar():
@@ -90,16 +92,6 @@ def test_scalar_operand_grad(rng):
     a = rng.normal(size=(4,))
     s = np.array(1.7)
     check_grad(lambda t: T.tsum(T.mul(Tensor(a), t)), s)
-
-
-def test_operator_sugar(rng):
-    a = rng.normal(size=(3,))
-    x = Tensor(a, requires_grad=True)
-    y = (-x + 2.0) * 3.0 - 1.0
-    np.testing.assert_allclose(y.data, (-a + 2.0) * 3.0 - 1.0)
-    with pytest.raises(ShapeError):
-        x / Tensor(a)
-    np.testing.assert_allclose((x / 2.0).data, a / 2.0)
 
 
 # -- nonlinearities ------------------------------------------------------------
@@ -544,8 +536,10 @@ def test_pdtf_roundtrip(tmp_path_factory, a):
 
 
 def test_pdtf_float32_roundtrip(tmp_path, rng):
+    # the package writes float64 only; a float32 file from elsewhere still loads
     a = rng.normal(size=(3, 2))
-    T.save_tensor(tmp_path / "t.pdt", a, dtype="float32")
+    (tmp_path / "t.pdt").write_bytes(
+        b"PDTF" + struct.pack("<BBII", 0, 2, 3, 2) + a.astype("<f4").tobytes())
     back = T.load_tensor(tmp_path / "t.pdt")
     assert back.dtype == np.dtype("<f4")
     np.testing.assert_array_equal(back, a.astype(np.float32))
@@ -561,5 +555,3 @@ def test_pdtf_rejects_bad_files(tmp_path):
     (tmp_path / "trunc.pdt").write_bytes(blob[:-8])
     with pytest.raises(ValueError):
         T.load_tensor(tmp_path / "trunc.pdt")
-    with pytest.raises(ValueError):
-        T.save_tensor(tmp_path / "x.pdt", np.ones(2), dtype="int32")

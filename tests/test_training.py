@@ -89,7 +89,8 @@ def test_adam_decay_skips_prototypes():
 
 
 def test_adam_skips_non_trainable():
-    p = Parameter(np.array([1.0]), name="w", trainable=False)
+    p = Parameter(np.array([1.0]), name="w")
+    p.freeze()
     adam_step({"w": p}, {"w": np.array([5.0])}, AdamState(), adam_config())
     assert np.array_equal(p.data, [1.0])
 
@@ -198,13 +199,24 @@ def test_projection_records_provenance(tiny_dataset, tiny_extractor,
         assert rec.distance_before > 0.0
 
 
+def test_projection_returns_the_records_it_stores(tiny_dataset, tiny_extractor,
+                                                  tiny_features):
+    model = CountModel(SMALL_MODEL, tiny_extractor, seed=2)
+    records = project_prototypes(model, tiny_dataset, tiny_features)
+    assert len(records) == SMALL_MODEL.k_total
+    assert all(rec is stored for rec, stored in zip(records, model.provenance))
+    # with no features given it computes the same ones itself
+    again = CountModel(SMALL_MODEL, tiny_extractor, seed=2)
+    assert project_prototypes(again, tiny_dataset) == records
+
+
 def test_projection_ties_resolve_to_first_sample(tiny_extractor):
     # two identical images: every candidate vector repeats in sample 1, so
     # the first-index tie rule must always cite sample 0
     samples = [types.SimpleNamespace(image=np.full((1, 32, 32), 0.5), sample_id=i)
                for i in range(2)]
     model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
-    project_prototypes(model, samples)
+    project_prototypes(model, types.SimpleNamespace(train=samples))
     assert all(rec.image_id == 0 for rec in model.provenance)
 
 
@@ -213,7 +225,7 @@ def test_projection_rejects_empty():
     extractor, _ = pretrain_extractor_stub()
     model = CountModel(model_cfg, extractor, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        project_prototypes(model, [])
+        project_prototypes(model, types.SimpleNamespace(train=[]))
 
 
 def pretrain_extractor_stub():
@@ -279,7 +291,7 @@ def test_train_loop_artifacts(tiny_dataset, tiny_extractor, tiny_features,
     assert (out / "checkpoint_epoch0003").is_dir()
     assert (out / "checkpoint_epoch0006").is_dir()
     loaded = load_checkpoint(str(out / "checkpoint_final"))
-    x = tiny_dataset.test[0].image[None]
+    x = Tensor(tiny_dataset.test[0].image[None])
     assert np.array_equal(loaded.forward(x).density.data,
                           model.forward(x).density.data)
 
@@ -383,7 +395,7 @@ def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
             events.append(_name)
             return _real(*args)
         monkeypatch.setattr(model, name, counted)
-    real_project = training._project_onto
+    real_project = training.project_prototypes
 
     def project(*args):
         records = real_project(*args)
@@ -395,7 +407,7 @@ def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
         if set(params) == {"head.theta"}:
             events.append("calibration step")
 
-    monkeypatch.setattr(training, "_project_onto", project)
+    monkeypatch.setattr(training, "project_prototypes", project)
     monkeypatch.setattr(training, "adam_step", step)
     _, history = train(model, tiny_dataset, config, feature_cache=tiny_features)
 
