@@ -97,22 +97,26 @@ def connected_components(mask) -> tuple[np.ndarray, int]:
     first row-major pixel and background stays 0. Returns (labels, n).
     """
     h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int64)
+    # plain lists, since indexing numpy scalars pixel by pixel is slow
+    rows = mask.tolist()
+    labels = [[0] * w for _ in range(h)]
     n = 0
-    for i, j in zip(*np.nonzero(mask)):
-        if labels[i, j]:
-            continue
-        n += 1
-        labels[i, j] = n
-        stack = [(i, j)]
-        while stack:
-            y, x = stack.pop()
-            for ny in range(max(y - 1, 0), min(y + 2, h)):
-                for nx in range(max(x - 1, 0), min(x + 2, w)):
-                    if mask[ny, nx] and not labels[ny, nx]:
-                        labels[ny, nx] = n
-                        stack.append((ny, nx))
-    return labels, n
+    for i in range(h):
+        for j in range(w):
+            if not rows[i][j] or labels[i][j]:
+                continue
+            n += 1
+            labels[i][j] = n
+            stack = [(i, j)]
+            while stack:
+                y, x = stack.pop()
+                for ny in range(max(y - 1, 0), min(y + 2, h)):
+                    row, label_row = rows[ny], labels[ny]
+                    for nx in range(max(x - 1, 0), min(x + 2, w)):
+                        if row[nx] and not label_row[nx]:
+                            label_row[nx] = n
+                            stack.append((ny, nx))
+    return np.array(labels, dtype=np.int64).reshape(h, w), n
 
 
 def boxes_from_mask(labels, similarity_map, image_id: int,

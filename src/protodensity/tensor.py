@@ -9,15 +9,16 @@ pooling, and prototype distance maps. Every op is a module function
 (``T.add``, ``T.mul``, ...): a Tensor has no arithmetic operators, only
 ``t[idx]`` for ``getitem`` and ``float(t)`` for a one-element value.
 
-The 3x3 convolution builds a batch-major (B, C*9, H*W) im2col matrix from
-nine shifted slices, so its forward and both backward GEMMs run on NCHW data
-with no transposed copy; max pooling compares the four strided window
-corners, and its backward routes each window's gradient by a compare mask to
-the first maximum in row-major window order. The distance map's forward sums
-explicit differences one prototype at a time and its backward is two GEMMs,
-so neither direction holds a K-fold (B,K,d,H,W) buffer. A central
-finite-difference oracle (`finite_diff_grad`) verifies every analytic
-gradient.
+The 3x3 convolution runs one sample at a time: nine shifted slices of the
+padded input fill one sample-sized (C*9, H*W) im2col buffer, so its forward
+and backward GEMMs run on NCHW data with no transposed copy, no batch-sized
+im2col matrix exists, and the tape keeps only the padded input. Max pooling
+compares the four strided window corners, and its backward routes each
+window's gradient by a compare mask to the first maximum in row-major window
+order. The distance map's forward sums explicit differences one prototype at
+a time and its backward is two GEMMs, so neither direction holds a K-fold
+(B,K,d,H,W) buffer. A central finite-difference oracle (`finite_diff_grad`)
+verifies every analytic gradient.
 
 The module also holds the package's file formats: PDTF tensors, and the one
 ``key = value`` writer and reader and the one CSV writer and reader behind
@@ -340,8 +341,6 @@ def getitem(a, idx) -> Tensor:
     out_data = a.data[norm]
 
     def backward():
-        if not a.requires_grad:
-            return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         if advanced:
@@ -462,15 +461,28 @@ def conv1x1(x, weight, bias=None) -> Tensor:
     return out
 
 
+def _im2col(col: np.ndarray, pad_n: np.ndarray) -> np.ndarray:
+    # row c*9 + 3i + j of the result is channel c of one padded sample
+    # (C, H+2, W+2) shifted by tap (i, j), the order of
+    # weight.reshape(C_out, C*9); col is the caller's (C, 9, H, W) buffer
+    c, _, h, w = col.shape
+    for i in range(3):
+        for j in range(3):
+            col[:, 3 * i + j] = pad_n[:, i:i + h, j:j + w]
+    return col.reshape(c * 9, h * w)
+
+
 def conv3x3(x, weight, bias=None) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 (spatial dims preserved).
 
-    The im2col matrix is batch-major, col[b] = (C*9, H*W), built from nine
-    shifted slices of the padded input, so the forward is one batched GEMM
-    whose result is already B x C_out x H x W. The backward is
-    grad_W = sum_b g[b] col[b]^T and, for the input, W^T g[b], one sample at
-    a time, scattered back by nine shifted adds into the padded gradient;
-    nothing is transposed.
+    One sample at a time, nine shifted slices of the padded input fill a
+    single (C*9, H*W) im2col buffer and one GEMM writes that sample's
+    C_out x H*W output, so no batch-sized im2col matrix exists and the tape
+    keeps only the padded input. The backward rebuilds each sample's im2col
+    slice, accumulates grad_W = sum_b g[b] col[b]^T in sample order, and
+    scatters W^T g[b] by nine shifted adds into one reused, zeroed padded
+    buffer whose interior is that sample's input gradient; nothing is
+    transposed.
     """
     x, weight = _coerce(x), _coerce(weight)
     bias = _coerce(bias) if bias is not None else None
@@ -485,34 +497,44 @@ def conv3x3(x, weight, bias=None) -> Tensor:
         raise ShapeError(f"conv3x3: bias shape {bias.shape} != ({c_out},)")
 
     padded = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    # row c*9 + 3i + j of col[b] is channel c shifted by tap (i, j), the
-    # order of weight.reshape(C_out, C*9)
-    col = np.empty((b_, c, 9, h, w))
-    for i in range(3):
-        for j in range(3):
-            col[:, :, 3 * i + j] = padded[:, :, i:i + h, j:j + w]
-    col = col.reshape(b_, c * 9, h * w)
     w2 = weight.data.reshape(c_out, c * 9)
-    oc = w2 @ col
+    col = np.empty((c, 9, h, w))
+    oc = np.empty((b_, c_out, h * w))
+    for n in range(b_):
+        np.matmul(w2, _im2col(col, padded[n]), out=oc[n])
     if bias is not None:
         oc += bias.data[:, None]
     out_data = oc.reshape(b_, c_out, h, w)
 
     def backward():
         g = out.grad.reshape(b_, c_out, h * w)
-        if weight.requires_grad:
-            _accum(weight, (g @ col.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2)))
-        if x.requires_grad:
-            # one sample at a time, so the (C*9, H*W) temporary stays small
-            gpad = np.zeros_like(padded)
-            for n in range(b_):
-                gcol = (w2.T @ g[n]).reshape(c, 9, h, w)
+        col = np.empty((c, 9, h, w))
+        gw = np.zeros((c_out, c * 9)) if weight.requires_grad else None
+        gx = np.empty_like(xd) if x.requires_grad else None
+        gpad = np.empty((c, h + 2, w + 2))
+        for n in range(b_):
+            if gw is not None:
+                gw += g[n] @ _im2col(col, padded[n]).T
+            if gx is not None:
+                # W^T g[n] goes into the im2col buffer, which is free again
+                np.matmul(w2.T, g[n], out=col.reshape(c * 9, h * w))
+                gpad.fill(0.0)
                 for i in range(3):
                     for j in range(3):
-                        gpad[n, :, i:i + h, j:j + w] += gcol[:, 3 * i + j]
-            _accum(x, gpad[:, :, 1:-1, 1:-1])
+                        gpad[:, i:i + h, j:j + w] += col[:, 3 * i + j]
+                gx[n] = gpad[:, 1:-1, 1:-1]
+        if gw is not None:
+            _accum(weight, gw.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            _accum(bias, g.sum(axis=(0, 2)))
+        if gx is None:
+            return
+        # gx is this call's own buffer, so it becomes the gradient with no
+        # copy; it holds no -0.0, since each element is a sum started at 0.0
+        if x.grad is None:
+            x.grad = gx
+        else:
+            x.grad += gx
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(out_data, parents, backward)
@@ -546,8 +568,6 @@ def maxpool2x2(x) -> Tensor:
         pooled[zero] = first[zero]
 
     def backward():
-        if not x.requires_grad:
-            return
         g = out.grad
         gx = np.empty_like(xd)
         gx_corners = [gx[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]

@@ -148,9 +148,7 @@ def adam_step(params: dict, grads: dict, state: AdamState,
     for name, p in params.items():
         if not p.trainable:
             continue
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
+        g = grads[name]
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
         m *= b1
@@ -235,17 +233,14 @@ def pretrain_extractor(dataset, config: TrainConfig) -> tuple[FeatureExtractor, 
 # -- projection ---------------------------------------------------------------
 
 
-def project_prototypes(model: CountModel, dataset, features=None) -> list[PrototypeProvenance]:
+def project_prototypes(model: CountModel, dataset, features) -> list[PrototypeProvenance]:
     """Replace every prototype with its nearest processed feature vector over
     the training split (first index on ties), record the source image,
     location, and pre-projection squared distance in ``model.provenance``,
-    and return those records. ``features`` is the split's extractor output
-    when already computed."""
+    and return those records. ``features`` is the split's extractor output."""
     samples = dataset.train
     if not samples:
         raise ValueError("project_prototypes: training split is empty")
-    if features is None:
-        features = compute_features(model.extractor, samples)
     with T.no_grad():
         processed = model.process_features(Tensor(features)).data
     n, d, hf, wf = processed.shape

@@ -132,7 +132,22 @@ def test_extractor_peak_memory():
     finally:
         tracemalloc.stop()
     assert all(p.grad is not None for p in extractor.parameters())
-    assert peak < 400e6, f"peak {peak / 1e6:.1f} MB >= 400 MB"
+    assert peak < 250e6, f"peak {peak / 1e6:.1f} MB >= 250 MB"
+
+
+def test_extractor_no_grad_peak_memory():
+    # the batch-16 forward of eval and the feature cache, with no tape
+    extractor = FeatureExtractor(np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).uniform(size=(16, 1, 128, 128)))
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = extractor.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (16, FEATURE_DIM, 128 // DOWNSAMPLE, 128 // DOWNSAMPLE)
+    assert peak < 80e6, f"peak {peak / 1e6:.1f} MB >= 80 MB"
 
 
 # -- initialization ------------------------------------------------------------

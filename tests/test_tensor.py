@@ -277,6 +277,34 @@ def test_conv3x3_grads(rng):
         check_grad(lambda t: T.tsum(T.mul(T.conv3x3(Tensor(x), Tensor(w), t), g)), b)
 
 
+def test_conv3x3_batch_equals_batch1_calls_bitwise(rng):
+    # the batched call runs sample by sample, so its output and all three
+    # gradients are the batch-1 calls' concatenated outputs and input
+    # gradients and their weight and bias gradients accumulated in sample
+    # order, to the bit (signed zeros included)
+    x = rng.normal(size=(5, 3, 6, 7))
+    x[x > 1.2] = -0.0
+    w, b = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=(4,))
+    g = rng.normal(size=(5, 4, 6, 7))
+    g[g > 1.5] = -0.0
+
+    def run(xs, gs, weight, bias):
+        xt = Tensor(xs, requires_grad=True)
+        out = T.conv3x3(xt, weight, bias)
+        T.tsum(T.mul(out, Tensor(gs))).backward()
+        return out.data, xt.grad
+
+    weight, bias = Parameter(w), Parameter(b)
+    out, gx = run(x, g, weight, bias)
+    weight1, bias1 = Parameter(w), Parameter(b)
+    outs, gxs = zip(*(run(x[n:n + 1], g[n:n + 1], weight1, bias1) for n in range(5)))
+    pairs = [(out, np.concatenate(outs)), (gx, np.concatenate(gxs)),
+             (weight.grad, weight1.grad), (bias.grad, bias1.grad)]
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @given(b=st.integers(1, 3), c_in=st.integers(1, 4), c_out=st.integers(1, 4),
        h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
 def test_conv3x3_matches_loop_oracle_property(b, c_in, c_out, h, w, seed):

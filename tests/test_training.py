@@ -13,8 +13,8 @@ import pytest
 
 from conftest import tiny_train_config
 from protodensity import training
-from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
-                                load_checkpoint)
+from protodensity.model import (FEATURE_DIM, CountModel, FeatureExtractor,
+                                ModelConfig, load_checkpoint)
 from protodensity.tensor import Parameter, Tensor
 from protodensity.training import (HISTORY_CSV_HEADER, PROJECTION_CSV_HEADER,
                                    AdamState, TrainConfig, TrainingDiverged,
@@ -95,9 +95,13 @@ def test_adam_skips_non_trainable():
     assert np.array_equal(p.data, [1.0])
 
 
-def test_adam_missing_grad_means_zero():
+def test_adam_missing_grad_raises():
+    # no silent decay-only step for a parameter the loss did not reach
     p = Parameter(np.array([1.0]), name="w")
-    adam_step({"w": p}, {}, AdamState(), adam_config())
+    with pytest.raises(KeyError):
+        adam_step({"w": p}, {}, AdamState(), adam_config(weight_decay=0.1))
+    with pytest.raises(TypeError):
+        adam_step({"w": p}, {"w": None}, AdamState(), adam_config(weight_decay=0.1))
     assert np.array_equal(p.data, [1.0])
 
 
@@ -205,9 +209,9 @@ def test_projection_returns_the_records_it_stores(tiny_dataset, tiny_extractor,
     records = project_prototypes(model, tiny_dataset, tiny_features)
     assert len(records) == SMALL_MODEL.k_total
     assert all(rec is stored for rec, stored in zip(records, model.provenance))
-    # with no features given it computes the same ones itself
+    # the same model and features give the same records
     again = CountModel(SMALL_MODEL, tiny_extractor, seed=2)
-    assert project_prototypes(again, tiny_dataset) == records
+    assert project_prototypes(again, tiny_dataset, tiny_features) == records
 
 
 def test_projection_ties_resolve_to_first_sample(tiny_extractor):
@@ -216,7 +220,8 @@ def test_projection_ties_resolve_to_first_sample(tiny_extractor):
     samples = [types.SimpleNamespace(image=np.full((1, 32, 32), 0.5), sample_id=i)
                for i in range(2)]
     model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
-    project_prototypes(model, types.SimpleNamespace(train=samples))
+    project_prototypes(model, types.SimpleNamespace(train=samples),
+                       compute_features(tiny_extractor, samples))
     assert all(rec.image_id == 0 for rec in model.provenance)
 
 
@@ -225,7 +230,8 @@ def test_projection_rejects_empty():
     extractor, _ = pretrain_extractor_stub()
     model = CountModel(model_cfg, extractor, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        project_prototypes(model, types.SimpleNamespace(train=[]))
+        project_prototypes(model, types.SimpleNamespace(train=[]),
+                           np.empty((0, FEATURE_DIM, 1, 1)))
 
 
 def pretrain_extractor_stub():
