@@ -2,17 +2,19 @@
 
 Every differentiable operation records its inputs and a backward closure on
 the output node; calling ``backward()`` on a scalar result replays the tape
-in reverse topological order. The op set is exactly what the counting model
-and its losses need: elementwise arithmetic, sigmoid/relu/log, 2-D matmul,
-reductions, indexing, row normalization, 1x1 and 3x3 convolutions, 2x2 max
-pooling, and prototype distance maps. Every op is a module function
-(``T.add``, ``T.mul``, ...): a Tensor has no arithmetic operators, only
-``t[idx]`` for ``getitem`` and ``float(t)`` for a one-element value.
+in reverse topological order and frees each interior node's closure, edges
+and gradient as soon as its closure has run. The op set is exactly what the
+counting model and its losses need: elementwise arithmetic, sigmoid/relu/log,
+2-D matmul, reductions, indexing, row normalization, 1x1 and 3x3
+convolutions, 2x2 max pooling, and prototype distance maps. Every op is a
+module function (``T.add``, ``T.mul``, ...): a Tensor has no arithmetic
+operators, only ``t[idx]`` for ``getitem`` and ``float(t)`` for a one-element
+value.
 
-The 3x3 convolution runs one sample at a time: nine shifted slices of the
-padded input fill one sample-sized (C*9, H*W) im2col buffer, so its forward
-and backward GEMMs run on NCHW data with no transposed copy, no batch-sized
-im2col matrix exists, and the tape keeps only the padded input. Max pooling
+The 3x3 convolution runs one sample at a time: nine shifted, cropped slices
+of the input fill one zero-bordered, sample-sized (C*9, H*W) im2col buffer,
+so its forward and backward GEMMs run on NCHW data with no transposed copy,
+and neither a padded copy nor a batch-sized im2col matrix exists. Max pooling
 compares the four strided window corners, and its backward routes each
 window's gradient by a compare mask to the first maximum in row-major window
 order. The distance map's forward sums explicit differences one prototype at
@@ -124,8 +126,10 @@ class Tensor:
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from this scalar node. The tape is
-        consumed: graph edges are dropped afterwards so the closures (which
-        hold activation buffers and form reference cycles) free immediately."""
+        consumed as it runs: right after an interior node's closure has run,
+        the node drops its closure, its edges and its ``.grad``, so each
+        activation and gradient is freed once no remaining closure needs it.
+        Leaves keep their ``.grad``."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -144,12 +148,11 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
-        for node in topo:
-            node._parents = ()
-            node._backward = None
+                node._backward, node._parents, node.grad = None, (), None
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -207,6 +210,16 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         # zeros + g in one pass: a new array, since g may be another node's
         # grad (and a 0-d g + 0.0 would be a scalar); -0.0 still becomes 0.0
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+
+
+def _accum_own(t: Tensor, g: np.ndarray) -> None:
+    # g is the calling closure's own buffer, so it becomes the gradient with
+    # no copy; adding 0.0 in place turns -0.0 into 0.0, as _accum does
+    if t.grad is None:
+        g += 0.0
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def _check_elementwise(a: Tensor, b: Tensor, opname: str) -> None:
@@ -271,7 +284,7 @@ def relu(a) -> Tensor:
     out_data = np.where(mask, a.data, 0.0)
 
     def backward():
-        _accum(a, out.grad * mask)
+        _accum_own(a, out.grad * mask)
 
     out = _make(out_data, (a,), backward)
     return out
@@ -461,28 +474,35 @@ def conv1x1(x, weight, bias=None) -> Tensor:
     return out
 
 
-def _im2col(col: np.ndarray, pad_n: np.ndarray) -> np.ndarray:
-    # row c*9 + 3i + j of the result is channel c of one padded sample
-    # (C, H+2, W+2) shifted by tap (i, j), the order of
-    # weight.reshape(C_out, C*9); col is the caller's (C, 9, H, W) buffer
+# along one spatial axis, tap k of a 3x3 kernel reads input offset k - 1:
+# (destination, source) slices of the part of that shift inside the input
+_TAP_CROPS = ((slice(1, None), slice(None, -1)), (slice(None), slice(None)),
+              (slice(None, -1), slice(1, None)))
+
+
+def _im2col(col: np.ndarray, x_n: np.ndarray) -> np.ndarray:
+    # row c*9 + 3i + j of the result is channel c of one sample (C, H, W)
+    # shifted by tap (i, j) with zero padding 1, the order of
+    # weight.reshape(C_out, C*9); col is the caller's (C, 9, H, W) buffer,
+    # zeroed once, whose border strips no tap writes
     c, _, h, w = col.shape
-    for i in range(3):
-        for j in range(3):
-            col[:, 3 * i + j] = pad_n[:, i:i + h, j:j + w]
+    for i, (dy, sy) in enumerate(_TAP_CROPS):
+        for j, (dx, sx) in enumerate(_TAP_CROPS):
+            col[:, 3 * i + j, dy, dx] = x_n[:, sy, sx]
     return col.reshape(c * 9, h * w)
 
 
 def conv3x3(x, weight, bias=None) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 (spatial dims preserved).
 
-    One sample at a time, nine shifted slices of the padded input fill a
-    single (C*9, H*W) im2col buffer and one GEMM writes that sample's
-    C_out x H*W output, so no batch-sized im2col matrix exists and the tape
-    keeps only the padded input. The backward rebuilds each sample's im2col
-    slice, accumulates grad_W = sum_b g[b] col[b]^T in sample order, and
-    scatters W^T g[b] by nine shifted adds into one reused, zeroed padded
-    buffer whose interior is that sample's input gradient; nothing is
-    transposed.
+    One sample at a time, the nine shifted, cropped slices of the input fill
+    a single zero-bordered (C*9, H*W) im2col buffer and one GEMM writes that
+    sample's C_out x H*W output, so no padded copy and no batch-sized im2col
+    matrix exist, and the tape keeps nothing beyond the input. The backward
+    rebuilds each sample's im2col slice, accumulates
+    grad_W = sum_b g[b] col[b]^T in sample order, puts W^T g[b] in a second
+    sample-sized buffer and adds its nine cropped slices into that sample's
+    zeroed input gradient in tap order; nothing is transposed.
     """
     x, weight = _coerce(x), _coerce(weight)
     bias = _coerce(bias) if bias is not None else None
@@ -496,45 +516,35 @@ def conv3x3(x, weight, bias=None) -> Tensor:
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"conv3x3: bias shape {bias.shape} != ({c_out},)")
 
-    padded = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
     w2 = weight.data.reshape(c_out, c * 9)
-    col = np.empty((c, 9, h, w))
+    col = np.zeros((c, 9, h, w))
     oc = np.empty((b_, c_out, h * w))
     for n in range(b_):
-        np.matmul(w2, _im2col(col, padded[n]), out=oc[n])
+        np.matmul(w2, _im2col(col, xd[n]), out=oc[n])
     if bias is not None:
         oc += bias.data[:, None]
     out_data = oc.reshape(b_, c_out, h, w)
 
     def backward():
         g = out.grad.reshape(b_, c_out, h * w)
-        col = np.empty((c, 9, h, w))
+        col = np.zeros((c, 9, h, w))
         gw = np.zeros((c_out, c * 9)) if weight.requires_grad else None
-        gx = np.empty_like(xd) if x.requires_grad else None
-        gpad = np.empty((c, h + 2, w + 2))
+        gx = np.zeros_like(xd) if x.requires_grad else None
+        gcol = np.empty((c, 9, h, w)) if x.requires_grad else None
         for n in range(b_):
             if gw is not None:
-                gw += g[n] @ _im2col(col, padded[n]).T
+                gw += g[n] @ _im2col(col, xd[n]).T
             if gx is not None:
-                # W^T g[n] goes into the im2col buffer, which is free again
-                np.matmul(w2.T, g[n], out=col.reshape(c * 9, h * w))
-                gpad.fill(0.0)
-                for i in range(3):
-                    for j in range(3):
-                        gpad[:, i:i + h, j:j + w] += col[:, 3 * i + j]
-                gx[n] = gpad[:, 1:-1, 1:-1]
+                np.matmul(w2.T, g[n], out=gcol.reshape(c * 9, h * w))
+                for i, (dy, sy) in enumerate(_TAP_CROPS):
+                    for j, (dx, sx) in enumerate(_TAP_CROPS):
+                        gx[n, :, sy, sx] += gcol[:, 3 * i + j, dy, dx]
         if gw is not None:
             _accum(weight, gw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2)))
-        if gx is None:
-            return
-        # gx is this call's own buffer, so it becomes the gradient with no
-        # copy; it holds no -0.0, since each element is a sum started at 0.0
-        if x.grad is None:
-            x.grad = gx
-        else:
-            x.grad += gx
+        if gx is not None:
+            _accum_own(x, gx)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(out_data, parents, backward)
@@ -578,14 +588,7 @@ def maxpool2x2(x) -> Tensor:
             np.multiply(g, hit, out=g_corner)
             taken |= hit
         np.multiply(g, ~taken, out=gx_corners[3])
-        if x.grad is None:
-            # gx is this call's own buffer, so it becomes the gradient with
-            # no copy; adding 0.0 in place turns the -0.0 of g * False into
-            # 0.0, as _accum's zeros + g does
-            gx += 0.0
-            x.grad = gx
-        else:
-            x.grad += gx
+        _accum_own(x, gx)
 
     out = _make(pooled, (x,), backward)
     return out

@@ -17,6 +17,7 @@ gradient equal those of a full forward bit for bit.
 
 from __future__ import annotations
 
+import glob
 import os
 from dataclasses import dataclass, field, replace
 
@@ -25,8 +26,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import Parameter, Tensor
 from .losses import LossConfig, LossReport, density_loss, total_loss
-from .model import (CountModel, FeatureExtractor, PrototypeProvenance,
-                    forward_batches, save_checkpoint)
+from .model import (CHECKPOINT_MANIFEST, CountModel, FeatureExtractor,
+                    PrototypeProvenance, forward_batches, save_checkpoint)
 
 HISTORY_CSV_HEADER = ("phase", "epoch", "density", "proto_feature", "diversity",
                       "total", "val_mae")
@@ -326,6 +327,10 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
     last_good = _snapshot(params)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        # a checkpoint an earlier run left here must not load as this run's
+        for stale_manifest in glob.glob(os.path.join(glob.escape(out_dir), "checkpoint_*",
+                                                     CHECKPOINT_MANIFEST)):
+            os.remove(stale_manifest)
 
     def run_epoch(update_params: dict, label: str, forward) -> LossReport:
         # the tape records only what leads to the parameters this epoch

@@ -324,6 +324,28 @@ def test_interrupted_gen_data_does_not_load(tmp_path, cfg_path, capsys, monkeypa
     assert manifest in capsys.readouterr().err
 
 
+def test_rerun_into_same_out_leaves_no_loadable_stale_checkpoint(tmp_path, cfg_path, capsys):
+    data, extractor, run = (str(tmp_path / d) for d in ("data", "ex", "m"))
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "4", "--n-test", "1"]) == 0
+    assert main(["pretrain", "--config", cfg_path, "--data", data, "--out", extractor]) == 0
+    for epochs in (6, 3):
+        assert main(["train", "--config", cfg_path, "--data", data, "--extractor", extractor,
+                     "--out", run, "--set", f"train.max_epochs={epochs}",
+                     "--set", "train.projection_interval=2"]) == 0
+    for kept in ("checkpoint_epoch0002", "checkpoint_final"):
+        load_checkpoint(os.path.join(run, kept))
+    capsys.readouterr()
+    for stale in ("checkpoint_epoch0004", "checkpoint_epoch0006"):
+        ckpt = os.path.join(run, stale)
+        with pytest.raises(FileNotFoundError, match="no manifest"):
+            load_checkpoint(ckpt)
+        assert main(["eval", "--model", ckpt, "--data", data,
+                     "--out", str(tmp_path / "eval.csv")]) == 1
+        assert f"no manifest at {os.path.join(ckpt, 'checkpoint.txt')}" in \
+            capsys.readouterr().err
+
+
 def test_seed_env_overrides_config(tmp_path, cfg_path, monkeypatch):
     monkeypatch.setenv(SEED_ENV, "7")
     data = str(tmp_path / "data7")
@@ -491,13 +513,35 @@ def test_divergence_exits_runtime(tmp_path, cfg_path, capsys):
      ["data", "extractor", "sweep_k.csv", "sweep_tau.csv", "tau_0.8_seed0"]),
 ])
 def test_experiment_scripts_keep_their_layout(tmp_path, cfg_path, script, flags, layout):
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
     out = tmp_path / "out"
+    _run_script(script, "--out", str(out), "--config", cfg_path, "--n-train", "8",
+                "--n-test", "4", *flags)
+    for entry in layout:
+        assert (out / entry).exists(), entry
+
+
+def _run_script(script, *args) -> str:
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
     # the scripts import the package from src/ whether or not it is installed
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, os.path.join(root, "scripts", script), "--out",
-                    str(out), "--config", cfg_path, "--n-train", "8", "--n-test", "4",
-                    *flags], check=True, capture_output=True, env=env)
-    for entry in layout:
-        assert (out / entry).exists(), entry
+    return subprocess.run([sys.executable, os.path.join(root, "scripts", script), *args],
+                          check=True, capture_output=True, text=True, env=env).stdout
+
+
+def test_two_runs_of_the_pipeline_digest_alike(tmp_path, cfg_path):
+    digests = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        _run_script("run_pipeline.py", "--out", out, "--config", cfg_path,
+                    "--n-train", "8", "--n-test", "4", "--gallery-k", "1")
+        digests.append(_run_script("digest_run.py", out))
+    assert digests[0] == digests[1]
+    paths = [line.split("  ", 1)[1] for line in digests[0].splitlines()]
+    assert paths == sorted(paths)
+    assert {"run/checkpoint_final/checkpoint.txt", "run/config_resolved.txt",
+            "eval.csv"} <= set(paths)
+    # the configs echo each run's own paths, masked in the digest
+    a, b = ((tmp_path / name / "run" / "config_resolved.txt").read_text()
+            for name in ("a", "b"))
+    assert a != b

@@ -132,7 +132,7 @@ def test_extractor_peak_memory():
     finally:
         tracemalloc.stop()
     assert all(p.grad is not None for p in extractor.parameters())
-    assert peak < 250e6, f"peak {peak / 1e6:.1f} MB >= 250 MB"
+    assert peak < 130e6, f"peak {peak / 1e6:.1f} MB >= 130 MB"
 
 
 def test_extractor_no_grad_peak_memory():

@@ -497,12 +497,45 @@ def test_no_grad_restores_on_exit():
     assert y.requires_grad
 
 
-def test_backward_consumes_tape():
-    x = Tensor(np.ones(3), requires_grad=True)
-    y = T.tsum(T.mul(x, x))
-    y.backward()
-    assert y._parents == () and y._backward is None
-    np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
+def test_backward_consumes_tape(rng):
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    w = Parameter(rng.normal(size=(3, 4)), name="w")
+    h = T.matmul(x, w)
+    loss = T.tsum(T.mul(T.sigmoid(T.add(T.relu(h), h)), Tensor(rng.normal(size=(2, 4)))))
+    nodes, stack = [], [loss]
+    while stack:
+        node = stack.pop()
+        if all(node is not seen for seen in nodes):
+            nodes.append(node)
+            stack.extend(node._parents)
+    interior = [node for node in nodes if node._backward is not None]
+    loss.backward()
+    assert len(interior) == 6
+    for node in interior:
+        assert node.grad is None and node._parents == () and node._backward is None
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_backward_frees_each_gradient_once_used():
+    # a chain of 8 adds over a 1 MB array: each interior gradient dies as soon
+    # as its closure has run, instead of all 8 living until the backward ends
+    x = Tensor(np.random.default_rng(0).normal(size=2 ** 17), requires_grad=True)
+    tracemalloc.start()
+    try:
+        y = x
+        for _ in range(8):
+            y = T.add(y, 1.0)
+        loss = T.tsum(y)
+        del y
+        tape = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
+    assert peak < tape + 3 * x.data.nbytes, \
+        f"backward peak {peak} B >= tape {tape} B + 3 buffers"
 
 
 def test_first_accumulation_equals_zeros_plus_grad_bitwise():
@@ -518,6 +551,20 @@ def test_first_accumulation_equals_zeros_plus_grad_bitwise():
     T._accum(scalar, np.asarray(-0.0))
     assert isinstance(scalar.grad, np.ndarray) and scalar.grad.shape == ()
     assert not np.signbit(scalar.grad)
+
+
+def test_relu_first_accumulation_equals_zeros_plus_grad_bitwise():
+    # relu hands its own g * mask buffer to its input; a masked negative
+    # gradient is -0.0 there and must still arrive as 0.0
+    a = np.array([1.0, -1.0, 2.0, -0.0, 0.0, 3.0, -4.0])
+    g = np.array([-0.0, -2.0, -1.5, 4.0, -3.0, 0.0, -1e300])
+    x = Tensor(a, requires_grad=True)
+    T.tsum(T.mul(T.relu(x), Tensor(g))).backward()
+    expected = np.zeros_like(a) + (np.zeros_like(g) + g) * (a > 0)
+    assert np.array_equal(x.grad.view(np.int64), expected.view(np.int64))
+    assert not np.signbit(x.grad[x.grad == 0.0]).any()
+    T.tsum(T.mul(T.relu(x), Tensor(g))).backward()
+    assert np.array_equal(x.grad.view(np.int64), (expected + expected).view(np.int64))
 
 
 def test_grad_accumulates_across_backwards():
