@@ -14,8 +14,7 @@ from . import __version__
 from .datagen import SceneConfig, validate_config
 from .losses import LossConfig
 from .model import ModelConfig
-from .tensor import (key_value_lines, parse_key_values, parse_value, read_text,
-                     write_key_values)
+from .tensor import parse_key_values, parse_value, read_text, write_key_values
 from .training import TrainConfig
 
 RESOLVED_CONFIG_NAME = "config_resolved.txt"
@@ -107,10 +106,6 @@ def _resolved_fields(config: RunConfig) -> list[tuple[str, object]]:
             for section, obj in (("scene", config.scene), ("model", config.model),
                                  ("train", config.train), ("loss", config.train.loss))
             for name, value in _section_fields(obj).items()]
-
-
-def resolved_lines(config: RunConfig) -> list[str]:
-    return key_value_lines(_resolved_fields(config))
 
 
 def write_resolved_config(config: RunConfig, out_dir: str,

@@ -211,7 +211,7 @@ def plan_grid(harness: str, config: TrainConfig, values, seeds,
     return runs
 
 
-def run_ablation(dataset: Dataset, config: TrainConfig, seeds=(0, 1, 2, 3, 4),
+def run_ablation(dataset: Dataset, config: TrainConfig, seeds,
                  model_config: ModelConfig | None = None,
                  extractor: FeatureExtractor | None = None,
                  variants=VARIANTS, out_dir=None,
@@ -269,8 +269,8 @@ def format_distance_table(reports) -> str:
 # -- sweeps --------------------------------------------------------------------
 
 
-def sweep_k(dataset: Dataset, config: TrainConfig, k_values=(2, 4, 6, 8),
-            seeds=(0, 1, 2, 3, 4), model_config: ModelConfig | None = None,
+def sweep_k(dataset: Dataset, config: TrainConfig, k_values, seeds,
+            model_config: ModelConfig | None = None,
             extractor: FeatureExtractor | None = None,
             out_dir=None, feature_cache=None) -> list[tuple[int, int, float]]:
     """Train one model per total prototype count K per seed, ``model_config``
@@ -282,8 +282,7 @@ def sweep_k(dataset: Dataset, config: TrainConfig, k_values=(2, 4, 6, 8),
     return rows
 
 
-def sweep_tau(dataset: Dataset, config: TrainConfig,
-              tau_values=(0.0, 0.4, 0.8), seeds=(0,),
+def sweep_tau(dataset: Dataset, config: TrainConfig, tau_values, seeds,
               model_config: ModelConfig | None = None,
               extractor: FeatureExtractor | None = None,
               out_dir=None, feature_cache=None,

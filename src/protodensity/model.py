@@ -383,9 +383,8 @@ def load_checkpoint(ckpt_dir: str) -> CountModel:
     for p in model.named_parameters().values():
         p.data = _load_param(ckpt_dir, p.name, p.shape)
     _restore_frozen(model.extractor, kv, "extractor_", manifest)
-    prov_path = os.path.join(ckpt_dir, "provenance.csv")
-    if os.path.isfile(prov_path):
-        model.provenance = _read_provenance(prov_path, config.k_total)
+    model.provenance = _read_provenance(os.path.join(ckpt_dir, "provenance.csv"),
+                                        config.k_total)
     return model
 
 

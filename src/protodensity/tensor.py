@@ -51,7 +51,7 @@ __all__ = [
     "l2_normalize_rows", "conv1x1", "conv3x3", "maxpool2x2", "distance_map",
     "finite_diff_grad", "gradcheck_rel_error",
     "save_tensor", "load_tensor", "read_text", "parse_key_values", "require",
-    "format_value", "parse_value", "key_value_lines", "write_key_values",
+    "format_value", "parse_value", "write_key_values",
     "write_csv", "read_csv",
 ]
 
@@ -795,20 +795,16 @@ def parse_value(raw: str, like):
     raise ValueError(f"unsupported field type {kind.__name__}")
 
 
-def key_value_lines(fields) -> list[str]:
-    """One ``key = value`` line per ``(key, value)`` pair (or dict item), in
-    order, each value through ``format_value``."""
-    items = fields.items() if isinstance(fields, dict) else fields
-    return [f"{key} = {format_value(value)}" for key, value in items]
-
-
 def write_key_values(path, fields, tail=()) -> None:
-    """Write ``fields`` as ``key = value`` lines and then the ``tail`` lines
+    """Write ``fields`` (``(key, value)`` pairs or a dict) as ``key = value``
+    lines, each value through ``format_value``, and then the ``tail`` lines
     verbatim. The text goes to a temporary file beside ``path`` that is then
     renamed over it, so ``path`` never holds a partial file."""
+    items = fields.items() if isinstance(fields, dict) else fields
+    lines = [*(f"{key} = {format_value(value)}" for key, value in items), *tail]
     tmp = f"{path}.tmp"
     with open(tmp, "w") as f:
-        f.write("".join(f"{line}\n" for line in [*key_value_lines(fields), *tail]))
+        f.write("".join(f"{line}\n" for line in lines))
     os.replace(tmp, path)
 
 

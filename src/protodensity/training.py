@@ -327,10 +327,13 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
     last_good = _snapshot(params)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        # a checkpoint an earlier run left here must not load as this run's
-        for stale_manifest in glob.glob(os.path.join(glob.escape(out_dir), "checkpoint_*",
-                                                     CHECKPOINT_MANIFEST)):
-            os.remove(stale_manifest)
+        # what an earlier run left here must not pass as this run's: its
+        # checkpoints stop loading and its history CSVs go
+        root = glob.escape(out_dir)
+        for stale_file in [*glob.glob(os.path.join(root, "checkpoint_*", CHECKPOINT_MANIFEST)),
+                           *glob.glob(os.path.join(root, "history.csv")),
+                           *glob.glob(os.path.join(root, "projections.csv"))]:
+            os.remove(stale_file)
 
     def run_epoch(update_params: dict, label: str, forward) -> LossReport:
         # the tape records only what leads to the parameters this epoch

@@ -183,6 +183,10 @@ def test_malformed_manifest_and_provenance_exit_usage(tmp_path, cfg_path, capsys
                  "--out", str(tmp_path / "eval.csv")]) == 1
     err = capsys.readouterr().err
     assert provenance in err and "prototype id 9" in err
+    os.remove(provenance)
+    assert main(["eval", "--model", ckpt, "--data", data,
+                 "--out", str(tmp_path / "eval.csv")]) == 1
+    assert provenance in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["", "x,y\r\n1.0\r\n"])
@@ -491,6 +495,21 @@ def test_gradcheck_reports_failure(capsys, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_rerun_leaves_no_stale_history(tmp_path, cfg_path, capsys):
+    data, extractor, run = (str(tmp_path / d) for d in ("data", "ex", "m"))
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "4", "--n-test", "1"]) == 0
+    assert main(["pretrain", "--config", cfg_path, "--data", data, "--out", extractor]) == 0
+    train = ["train", "--config", cfg_path, "--data", data, "--extractor", extractor,
+             "--out", run]
+    assert main(train) == 0
+    assert main([*train, "--set", "train.learning_rate=1e300"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    for name in ("history.csv", "projections.csv"):
+        assert not os.path.exists(os.path.join(run, name)), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_runtime(tmp_path, cfg_path, capsys):
     data = str(tmp_path / "data")
     assert main(["gen-data", "--config", cfg_path, "--out", data,
@@ -503,39 +522,56 @@ def test_divergence_exits_runtime(tmp_path, cfg_path, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("script, flags, layout", [
-    ("run_pipeline.py", ["--gallery-k", "1"],
+@pytest.mark.parametrize("experiment, flags, layout", [
+    ("pipeline", ["--gallery-k", "1"],
      ["data", "extractor", "run/history.csv", "run/checkpoint_final", "eval.csv",
       "gallery/patches.csv"]),
-    ("run_ablation.py", ["--seeds", "0"],
+    ("ablation", ["--seeds", "0"],
      ["data", "extractor", "ablation.csv", "distance_table.txt"]),
-    ("run_sweeps.py", ["--k", "4", "--tau", "0.8"],
+    ("sweeps", ["--k", "4", "--tau", "0.8"],
      ["data", "extractor", "sweep_k.csv", "sweep_tau.csv", "tau_0.8_seed0"]),
 ])
-def test_experiment_scripts_keep_their_layout(tmp_path, cfg_path, script, flags, layout):
+def test_experiment_scripts_keep_their_layout(tmp_path, cfg_path, experiment, flags, layout):
     out = tmp_path / "out"
-    _run_script(script, "--out", str(out), "--config", cfg_path, "--n-train", "8",
-                "--n-test", "4", *flags)
+    _run_script("run_experiment.py", experiment, "--out", str(out), "--config", cfg_path,
+                "--n-train", "8", "--n-test", "4", *flags)
     for entry in layout:
         assert (out / entry).exists(), entry
 
 
-def _run_script(script, *args) -> str:
+def _run_script(script, *args, check=True) -> subprocess.CompletedProcess:
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     # the scripts import the package from src/ whether or not it is installed
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, os.path.join(root, "scripts", script), *args],
-                          check=True, capture_output=True, text=True, env=env).stdout
+                          check=check, capture_output=True, text=True, env=env)
+
+
+def test_failing_step_stops_the_experiment_with_its_exit_code(tmp_path):
+    out = tmp_path / "out"
+    done = _run_script("run_experiment.py", "pipeline", "--out", str(out),
+                       "--set", "scene.image_size=30,30", check=False)
+    assert done.returncode == 1
+    assert "image_size" in done.stderr
+    assert not (out / "extractor").exists()
+
+
+def test_experiment_rejects_another_experiments_flag(tmp_path):
+    done = _run_script("run_experiment.py", "pipeline", "--out", str(tmp_path / "out"),
+                       "--k", "4", check=False)
+    assert done.returncode == 2
+    assert "unrecognized arguments: --k 4" in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_two_runs_of_the_pipeline_digest_alike(tmp_path, cfg_path):
     digests = []
     for name in ("a", "b"):
         out = str(tmp_path / name)
-        _run_script("run_pipeline.py", "--out", out, "--config", cfg_path,
+        _run_script("run_experiment.py", "pipeline", "--out", out, "--config", cfg_path,
                     "--n-train", "8", "--n-test", "4", "--gallery-k", "1")
-        digests.append(_run_script("digest_run.py", out))
+        digests.append(_run_script("digest_run.py", out).stdout)
     assert digests[0] == digests[1]
     paths = [line.split("  ", 1)[1] for line in digests[0].splitlines()]
     assert paths == sorted(paths)

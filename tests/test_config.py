@@ -5,8 +5,7 @@ import pytest
 from protodensity import __version__
 from protodensity.config import (RESOLVED_CONFIG_NAME, ConfigError, RunConfig,
                                  build_run_config, load_config_file,
-                                 parse_config_text, resolved_lines,
-                                 write_resolved_config)
+                                 parse_config_text, write_resolved_config)
 
 
 def test_parse_skips_comments_and_blanks():
@@ -86,8 +85,9 @@ def test_validation_failures_become_config_errors():
         build_run_config(None, ["train.learning_rate = -1"])
 
 
-def test_resolved_lines_cover_every_field():
-    lines = resolved_lines(RunConfig())
+def test_resolved_lines_cover_every_field(tmp_path):
+    with open(write_resolved_config(RunConfig(), str(tmp_path))) as f:
+        lines = [line for line in f.read().splitlines() if "." in line.split(" = ")[0]]
     assert "scene.seed = 0" in lines
     assert "model.k_cell = 4" in lines
     assert "loss.lambda3 = 100.0" in lines

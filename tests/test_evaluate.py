@@ -199,7 +199,7 @@ def test_format_distance_table_averages_over_seeds():
 def test_sweep_k_rejects_odd_or_tiny_k(tiny_dataset, tiny_extractor):
     for bad in (1, 3, 0):
         with pytest.raises(ValueError, match="even"):
-            sweep_k(tiny_dataset, harness_config(), k_values=(bad,),
+            sweep_k(tiny_dataset, harness_config(), k_values=(bad,), seeds=(0,),
                     extractor=tiny_extractor)
 
 
@@ -253,14 +253,16 @@ def test_sweep_tau_rejects_values_that_share_a_gallery(tiny_dataset, tmp_path,
     # 0.4 and 0.4000001 both print as 0.4: one tau_0.4_seed0 gallery for two runs
     with pytest.raises(ValueError, match="share gallery names"):
         sweep_tau(tiny_dataset, harness_config(), tau_values=(0.4, 0.4000001),
-                  out_dir=str(tmp_path / "out"))
+                  seeds=(0,), out_dir=str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("harness, grid", [
-    (run_ablation, dict(variants=())), (run_ablation, dict(seeds=())),
-    (sweep_k, dict(k_values=())), (sweep_tau, dict(seeds=())),
-    (sweep_tau, dict(tau_values=(0.0, 2.0))), (sweep_k, dict(seeds=(0, -1))),
+    (run_ablation, dict(variants=(), seeds=(0,))), (run_ablation, dict(seeds=())),
+    (sweep_k, dict(k_values=(), seeds=(0,))),
+    (sweep_tau, dict(tau_values=(0.0, 0.4, 0.8), seeds=())),
+    (sweep_tau, dict(tau_values=(0.0, 2.0), seeds=(0,))),
+    (sweep_k, dict(k_values=(2, 4, 6, 8), seeds=(0, -1))),
 ])
 def test_grid_is_validated_before_pretraining(tiny_dataset, tmp_path,
                                               no_pretraining, harness, grid):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import TINY_SCENE
 from protodensity.config import (RunConfig, load_config_file, parse_config_text,
-                                 resolved_lines)
+                                 write_resolved_config)
 from protodensity.datagen import generate_dataset, load_dataset, parse_manifest
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
                                 PrototypeProvenance, load_checkpoint,
@@ -98,7 +98,10 @@ def saved(tmp_path_factory):
     model = CountModel(ModelConfig(k_cell=2, k_bg=2, d=4), extractor, seed=0)
     model.provenance[1] = PrototypeProvenance(1, 0, 2, 3, 0.25)
     save_checkpoint(model, str(root / "ckpt"))
-    (root / "run.cfg").write_text("\n".join(resolved_lines(RunConfig())) + "\n")
+    # the resolved config's dotted lines, without its version and seed header
+    with open(write_resolved_config(RunConfig(), str(root))) as f:
+        (root / "run.cfg").write_text(
+            "".join(line for line in f if "." in line.split(" = ")[0]))
     return root
 
 
@@ -171,9 +174,11 @@ def test_parse_config_text_fails_cleanly(text):
 
 
 def test_missing_files_are_named(saved, tmp_path):
-    shutil.copytree(saved / "ckpt", tmp_path / "ckpt")
-    os.remove(tmp_path / "ckpt" / "head.theta.pdt")
-    with pytest.raises(FileNotFoundError, match="head.theta.pdt"):
-        load_checkpoint(str(tmp_path / "ckpt"))
+    for n, name in enumerate(["head.theta.pdt", "provenance.csv"]):
+        ckpt = tmp_path / f"ckpt{n}"
+        shutil.copytree(saved / "ckpt", ckpt)
+        os.remove(ckpt / name)
+        with pytest.raises(FileNotFoundError, match=re.escape(str(ckpt / name))):
+            load_checkpoint(str(ckpt))
     with pytest.raises(FileNotFoundError, match="manifest.txt"):
         parse_manifest(str(tmp_path / "manifest.txt"))
