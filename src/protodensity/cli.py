@@ -92,9 +92,10 @@ def cmd_gen_data(args) -> int:
     from .datagen import generate_dataset
 
     config = _load_run_config(args)
+    # the counts and the scene are checked before the directory is made
+    manifest = generate_dataset(config.scene, args.n_train, args.n_test, args.out)
     _echo(config, args.out, command="gen-data", n_train=args.n_train,
           n_test=args.n_test)
-    manifest = generate_dataset(config.scene, args.n_train, args.n_test, args.out)
     print(f"wrote {args.n_train}+{args.n_test} samples, manifest {manifest}")
     return EXIT_OK
 
@@ -155,14 +156,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    import numpy as np
+
     from .datagen import load_dataset
     from .interp import (explain_location, export_prototype_gallery,
+                         global_top_patches, percentile_threshold,
                          write_explanation_csv)
     from .model import load_checkpoint
 
-    # the arguments and the explanation are checked before anything is written
+    # the arguments and the explanation are checked before anything is written;
+    # the gallery's k and q go through interp's own checks on empty input
     if (args.image is None) != (args.loc is None):
         raise ValueError("--image ID and --loc H,W go together")
+    global_top_patches([], np.zeros((0, 0)), args.global_k)
+    percentile_threshold(np.zeros(1), args.percentile)
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     explanation = None

@@ -266,6 +266,9 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
     written last, so a run cut short leaves a directory that fails to load
     instead of an old manifest over new samples.
     """
+    if n_train < 0 or n_test < 0:
+        raise ValueError(f"generate_dataset: sample counts must be >= 0, got "
+                         f"n_train={n_train}, n_test={n_test}")
     validate_config(config)
     samples_dir = os.path.join(out_dir, "samples")
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)

@@ -17,10 +17,12 @@ so its forward and backward GEMMs run on NCHW data with no transposed copy,
 and neither a padded copy nor a batch-sized im2col matrix exists. Max pooling
 compares the four strided window corners, and its backward routes each
 window's gradient by a compare mask to the first maximum in row-major window
-order. The distance map's forward sums explicit differences one prototype at
-a time and its backward is two GEMMs, so neither direction holds a K-fold
-(B,K,d,H,W) buffer. A central finite-difference oracle (`finite_diff_grad`)
-verifies every analytic gradient.
+order. The distance map's forward runs over the d channels once, squaring
+each channel's explicit differences to all K prototypes into one reused
+(K,B,H,W) buffer, and its backward is two GEMMs, so neither direction holds
+a K-fold (B,K,d,H,W) buffer or a (B,d,H,W) difference. A central
+finite-difference oracle (`finite_diff_grad`) verifies every analytic
+gradient.
 
 The module also holds the package's file formats: PDTF tensors, and the one
 ``key = value`` writer and reader and the one CSV writer and reader behind
@@ -308,11 +310,19 @@ def sigmoid(a) -> Tensor:
     overflows: with ex = exp(-|x|), 1/(1+ex) for x >= 0 and ex/(1+ex) below."""
     a = _coerce(a)
     x = a.data
-    ex = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    ex = np.abs(x)
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    # maximum(1.0, ex) is 1.0 and maximum(0.0, ex) is ex, since 0 <= ex <= 1;
+    # a NaN still propagates
+    out_data = np.maximum(x >= 0, ex)
+    ex += 1.0
+    out_data /= ex
 
     def backward():
-        _accum(a, out.grad * out_data * (1.0 - out_data))
+        gx = out.grad * out_data
+        gx *= 1.0 - out_data
+        _accum_own(a, gx)
 
     out = _make(out_data, (a,), backward)
     return out
@@ -457,7 +467,7 @@ def conv1x1(x, weight, bias=None) -> Tensor:
     xc = np.ascontiguousarray(xd.transpose(1, 0, 2, 3)).reshape(c, b_ * h * w)
     oc = weight.data @ xc
     if bias is not None:
-        oc = oc + bias.data[:, None]
+        oc += bias.data[:, None]
     out_data = oc.reshape(c_out, b_, h, w).transpose(1, 0, 2, 3)
 
     def backward():
@@ -599,11 +609,13 @@ def distance_map(features, prototypes) -> Tensor:
     prototype: out[b,i,h,w] = sum_c (features[b,c,h,w] - prototypes[i,c])^2,
     for B x d x H x W features and K x d prototypes.
 
-    The forward sums the explicit differences one prototype at a time, so a
-    prototype equal to a feature vector gives exactly 0 and no K-fold
-    (B,K,d,H,W) buffer is built. The backward needs no difference buffer
-    either: with g = d(loss)/d(out) it is two GEMMs over (B,K,HW) x (B,HW,d),
-    grad_f = 2 (f * sum_k g_k - P^T g) and
+    The forward adds the squared explicit differences channel by channel, in
+    the order einsum sums over d, into a (K,B,H,W) accumulator, so a
+    prototype equal to a feature vector gives exactly 0 and no (B,d,H,W) or
+    K-fold (B,K,d,H,W) difference is built. The output is C-contiguous: the
+    backward's prototype sums run in memory order. The backward needs no
+    difference buffer either: with g = d(loss)/d(out) it is two GEMMs over
+    (B,K,HW) x (B,HW,d), grad_f = 2 (f * sum_k g_k - P^T g) and
     grad_P = -2 (sum_b g f^T - (sum g_k) P).
     """
     features, prototypes = _coerce(features), _coerce(prototypes)
@@ -616,10 +628,13 @@ def distance_map(features, prototypes) -> Tensor:
         raise ShapeError(f"distance_map: features have {d} channels but prototypes have {d_p}")
 
     pd = prototypes.data
-    out_data = np.empty((b_, k, h, w))
-    for i in range(k):
-        diff = fd - pd[i][None, :, None, None]
-        out_data[:, i] = np.einsum("bdhw,bdhw->bhw", diff, diff)
+    acc = np.zeros((k, b_, h, w))
+    sq = np.empty_like(acc)
+    for c in range(d):
+        np.subtract(fd[:, c], pd[:, c, None, None, None], out=sq)
+        sq *= sq
+        acc += sq
+    out_data = np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
 
     def backward():
         g = out.grad.reshape(b_, k, h * w)
@@ -627,7 +642,8 @@ def distance_map(features, prototypes) -> Tensor:
         if features.requires_grad:
             gf = f2 * g.sum(axis=1)[:, None, :]
             gf -= pd.T @ g
-            _accum(features, (2.0 * gf).reshape(b_, d, h, w))
+            gf *= 2.0
+            _accum_own(features, gf.reshape(b_, d, h, w))
         if prototypes.requires_grad:
             gp = (g @ f2.transpose(0, 2, 1)).sum(axis=0)
             gp -= g.sum(axis=(0, 2))[:, None] * pd

@@ -5,6 +5,7 @@ The pipeline test drives gen-data, pretrain, train, eval, and explain on a
 """
 
 import csv
+import json
 import os
 import struct
 import subprocess
@@ -68,6 +69,15 @@ def test_bad_seed_env_rejected(tmp_path, capsys, monkeypatch):
     assert main(["gen-data", "--out", str(tmp_path / "d"),
                  "--n-train", "1", "--n-test", "1"]) == 1
     assert SEED_ENV in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts", [("-1", "1"), ("1", "-1")])
+def test_gen_data_negative_count_exits_before_any_output(tmp_path, capsys, counts):
+    out = tmp_path / "d"
+    assert main(["gen-data", "--out", str(out), "--n-train", counts[0],
+                 "--n-test", counts[1]]) == 1
+    assert "sample counts must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_paths_exit_usage(tmp_path, capsys):
@@ -138,6 +148,9 @@ def test_full_pipeline(tmp_path, cfg_path, capsys):
     (["--loc", "1,1"], "--image"),
     (["--image", "999", "--loc", "1,1"], "999"),
     (["--image", "1", "--loc", "99,99"], "outside density map"),
+    (["--global-k", "0"], "k must be >= 1"),
+    (["--percentile", "150"], "q must be in (0, 100]"),
+    (["--percentile", "0"], "q must be in (0, 100]"),
 ])
 def test_bad_explain_arguments_exit_before_any_output(tmp_path, cfg_path, capsys,
                                                       flags, named):
@@ -581,3 +594,29 @@ def test_two_runs_of_the_pipeline_digest_alike(tmp_path, cfg_path):
     a, b = ((tmp_path / name / "run" / "config_resolved.txt").read_text()
             for name in ("a", "b"))
     assert a != b
+
+
+def test_bench_table_prints_medians_ratios_and_pairs_won(tmp_path):
+    def run(side, seed, main_per_s, call_ms, extra=None):
+        metrics = {"main_per_s": {"value": main_per_s, "unit": "1/s"},
+                   "call_ms_p50": {"value": call_ms, "unit": "ms"}, **(extra or {})}
+        return {"side": side, "workload": "train", "seed": seed, "batch": "A",
+                "result": {"metrics": metrics}}
+
+    # two pairs, and a change run whose parent is missing: it counts in the
+    # change median but in no pair; "probe" is not in BENCHMARK.json
+    runs = [run("parent", 1, 100.0, 30.0), run("change", 1, 120.0, 28.0),
+            run("change", 2, 105.0, 29.0, {"probe": {"value": 2.0, "unit": "s"}}),
+            run("parent", 2, 110.0, 32.0), run("change", 3, 90.0, 40.0)]
+    path = tmp_path / "BENCH_0.json"
+    path.write_text(json.dumps({"runs": runs}))
+    lines = _run_script("bench_table.py", str(path)).stdout.splitlines()
+    assert lines[0] == str(path)
+    assert lines[1].split() == ["workload", "metric", "parent", "change", "ratio", "won"]
+    assert [line.split() for line in lines[2:]] == [
+        ["train", "call_ms_p50", "31.0000", "29.0000", "0.935", "2/2"],
+        ["train", "main_per_s", "105.0000", "105.0000", "1.000", "1/2"],
+        ["train", "probe", "-", "2.0000", "-", "-"],
+    ]
+    done = _run_script("bench_table.py", str(tmp_path / "none.json"), check=False)
+    assert done.returncode == 1 and "none.json" in done.stderr

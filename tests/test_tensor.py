@@ -141,6 +141,22 @@ def test_sigmoid_equals_two_branch_formula_bitwise(rng):
     expected[~pos] = ex / (1.0 + ex)
     assert np.array_equal(T.sigmoid(x).data, expected)
 
+    # the gradient on a transposed input: (g*s)*(1-s) after the upstream
+    # mul's first accumulation, where -0.0 becomes 0.0; saturated outputs
+    # make -0.0 products that must still arrive as 0.0
+    x2 = np.concatenate([x, rng.normal(size=96)]).reshape(25, 24).T
+    g = rng.normal(size=x2.shape)
+    g[g > 1.2] = -0.0
+    g[::5, ::3] = 0.0
+    xt = Tensor(x2, requires_grad=True)
+    s = T.sigmoid(xt)
+    T.tsum(T.mul(s, Tensor(g))).backward()
+    g_in = np.zeros_like(g) + g
+    want = np.zeros_like(g) + g_in * s.data * (1.0 - s.data)
+    assert np.array_equal(xt.grad.view(np.int64), want.view(np.int64))
+    assert np.signbit(g_in * s.data * (1.0 - s.data)).any()
+    assert not np.signbit(xt.grad[xt.grad == 0.0]).any()
+
 
 # -- shape ops and indexing ----------------------------------------------------
 
@@ -439,12 +455,22 @@ def test_distance_map_grads(rng):
 
 @pytest.mark.parametrize("b", [1, 16, 32])
 def test_distance_map_equals_explicit_difference_bitwise(rng, b):
-    f = rng.uniform(size=(b, 64, 16, 16))
-    p = rng.uniform(size=(8, 64))
-    diff = f[:, None] - p[None, :, :, None, None]
-    expected = np.einsum("bkdhw,bkdhw->bkhw", diff, diff)
-    assert np.array_equal(T.distance_map(f, p).data, expected)
-    assert np.array_equal(T.distance_map(f[:1], p).data, expected[:1])
+    f_batch_major = rng.uniform(size=(b, 64, 16, 16))
+    # a (B,d,H,W) view of (d,B,H,W) memory: the layout that conv1x1 and
+    # sigmoid hand to distance_map in forward_from_features
+    f_channel_major = rng.uniform(size=(64, b, 16, 16)).transpose(1, 0, 2, 3)
+    for f in (f_batch_major, f_channel_major):
+        for k in (1, 8):
+            p = rng.uniform(size=(k, 64))
+            diff = f[:, None] - p[None, :, :, None, None]
+            expected = np.einsum("bkdhw,bkdhw->bkhw", diff, diff)
+            out = T.distance_map(f, p).data
+            assert np.array_equal(out, expected)
+            assert np.array_equal(T.distance_map(f[:1], p).data, expected[:1])
+            # the backward's g.sum(axis=(0, 2)) sums in memory order, so an
+            # output in another layout would move the prototype gradient in
+            # the last bits
+            assert out.flags.c_contiguous
 
 
 def test_distance_map_zero_where_prototype_equals_feature(rng):
@@ -461,15 +487,21 @@ def test_distance_map_keeps_no_kfold_buffer(rng):
     kfold_bytes = 8 * b * k * d * hw * hw   # the (B,K,d,H,W) float64 difference
     f = Tensor(rng.uniform(size=(b, d, hw, hw)), requires_grad=True)
     p = Tensor(rng.uniform(size=(k, d)), requires_grad=True)
+    feature_bytes = 8 * b * d * hw * hw     # one (B,d,H,W) float64 buffer
     g = Tensor(rng.normal(size=(b, k, hw, hw)))
     tracemalloc.start()
     try:
-        T.tsum(T.mul(T.distance_map(f, p), g)).backward()
+        dist = T.distance_map(f, p)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        T.tsum(T.mul(dist, g)).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert f.grad.shape == f.shape and p.grad.shape == p.shape
     assert peak < kfold_bytes, f"peak {peak} B >= K-fold buffer {kfold_bytes} B"
+    # the forward works on (K,B,H,W) buffers, one channel at a time
+    assert forward_peak < feature_bytes, \
+        f"forward peak {forward_peak} B >= one feature buffer {feature_bytes} B"
 
 
 def test_distance_map_shape_errors(rng):
