@@ -10,9 +10,9 @@ records where it came from.
 
 After the final projection only the head's theta moves, so the similarity
 and distance maps of the training split are fixed: calibration computes them
-once, in ``batch_size`` no-tape forwards, and every calibration step and
-validation pass then runs the head alone on them. The losses and theta's
-gradient equal those of a full forward bit for bit.
+once, from the final projection's processed split, and every calibration
+step and validation pass then runs the head alone on them. The losses and
+theta's gradient equal those of a full forward bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from . import tensor as T
 from .tensor import Parameter, Tensor
 from .losses import LossConfig, LossReport, density_loss, total_loss
 from .model import (CHECKPOINT_MANIFEST, CountModel, FeatureExtractor,
-                    PrototypeProvenance, forward_batches, save_checkpoint)
+                    PrototypeProvenance, forward_batches, save_checkpoint,
+                    similarity_from_distance)
 
 HISTORY_CSV_HEADER = ("phase", "epoch", "density", "proto_feature", "diversity",
                       "total", "val_mae")
@@ -234,31 +235,43 @@ def pretrain_extractor(dataset, config: TrainConfig) -> tuple[FeatureExtractor, 
 # -- projection ---------------------------------------------------------------
 
 
-def project_prototypes(model: CountModel, dataset, features) -> list[PrototypeProvenance]:
+def project_prototypes(model: CountModel, dataset,
+                       features) -> tuple[list[PrototypeProvenance], np.ndarray]:
     """Replace every prototype with its nearest processed feature vector over
     the training split (first index on ties), record the source image,
     location, and pre-projection squared distance in ``model.provenance``,
-    and return those records. ``features`` is the split's extractor output."""
+    and return them with the processed split (N, d, Hf, Wf): one array,
+    filled 16 samples at a time and searched 4 at a time, so no other
+    split-sized buffer is built. ``features`` is the split's extractor output."""
     samples = dataset.train
     if not samples:
         raise ValueError("project_prototypes: training split is empty")
-    with T.no_grad():
-        processed = model.process_features(Tensor(features)).data
-    n, d, hf, wf = processed.shape
-    vectors = np.ascontiguousarray(processed.transpose(0, 2, 3, 1)).reshape(-1, d)
+    n = len(samples)
+    if features.shape[0] != n:
+        raise ValueError(f"project_prototypes: features hold {features.shape[0]} maps "
+                         f"for {n} samples")
+    processed = np.empty((n, model.config.d, *features.shape[2:]))
+    rows = (processed[s:s + 16] for s in range(0, n, 16))
+    forward_batches(model.process_features, features, 16,
+                    lambda out: np.copyto(next(rows), out.data))
+    _, d, hf, wf = processed.shape
     proto = model.prototype_layer.prototypes
+    dist = np.empty((proto.shape[0], n * hf * wf))
+    for s in range(0, n, 4):
+        vectors = np.ascontiguousarray(processed[s:s + 4].transpose(0, 2, 3, 1)).reshape(-1, d)
+        diff = np.empty_like(vectors)
+        for i, p in enumerate(proto.data):
+            np.subtract(vectors, p, out=diff)
+            np.einsum("nd,nd->n", diff, diff, out=dist[i, s * hf * wf:(s + 4) * hf * wf])
     records = []
-    for i in range(proto.shape[0]):
-        diff = vectors - proto.data[i]
-        dist = np.einsum("nd,nd->n", diff, diff)
-        j = int(np.argmin(dist))
-        sid, rem = divmod(j, hf * wf)
+    for i, j in enumerate(np.argmin(dist, axis=1)):
+        sid, rem = divmod(int(j), hf * wf)
         h, w = divmod(rem, wf)
-        proto.data[i] = vectors[j]
-        rec = PrototypeProvenance(i, samples[sid].sample_id, h, w, float(dist[j]))
+        proto.data[i] = processed[sid, :, h, w]
+        rec = PrototypeProvenance(i, samples[sid].sample_id, h, w, float(dist[i, j]))
         model.provenance[i] = rec
         records.append(rec)
-    return records
+    return records, processed
 
 
 # -- main loop ----------------------------------------------------------------
@@ -273,14 +286,14 @@ def _restore(params: dict, snap: dict) -> None:
         p.data = snap[name].copy()
 
 
-def _fixed_maps_forward(model: CountModel, features: np.ndarray, batch: int):
+def _fixed_maps_forward(model: CountModel, processed: np.ndarray):
     """``forward(idx)`` giving the density and distance maps of samples
-    ``idx`` from similarity and distance maps computed here once, ``batch``
-    at a time: valid while only the head moves."""
-    sims, dists = (np.concatenate(maps) for maps in zip(*forward_batches(
-        model.forward_from_features, features, batch,
-        lambda out: (out.similarities.data, out.distances.data))))
-    return lambda idx: (model.predict_density(Tensor(sims[idx])), Tensor(dists[idx]))
+    ``idx`` from the split's similarity and distance maps, computed here once
+    from its ``processed`` features: valid while only the head moves."""
+    with T.no_grad():
+        dists = T.distance_map(Tensor(processed), model.prototype_layer.prototypes)
+        sims = similarity_from_distance(dists, model.config.epsilon).data
+    return lambda idx: (model.predict_density(Tensor(sims[idx])), Tensor(dists.data[idx]))
 
 
 def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
@@ -377,10 +390,11 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
 
     epoch = 0
     for epoch in range(1, config.max_epochs + 1):
+        processed = None  # stale once the processing layer moves
         history.reports.append(run_epoch(params, f"epoch {epoch}", fit_forward))
 
         if epoch % config.projection_interval == 0:
-            records = project_prototypes(model, dataset, features)
+            records, processed = project_prototypes(model, dataset, features)
             history.projections.append(ProjectionEvent(epoch, records))
             if out_dir:
                 save_checkpoint(model, os.path.join(out_dir, f"checkpoint_epoch{epoch:04d}"))
@@ -397,8 +411,8 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
             if stale >= config.convergence_patience:
                 break
 
-    if not history.projections or history.projections[-1].epoch != epoch:
-        records = project_prototypes(model, dataset, features)
+    if processed is None:
+        records, processed = project_prototypes(model, dataset, features)
         history.projections.append(ProjectionEvent(epoch, records))
 
     # the projection just snapped prototypes onto real feature vectors, which
@@ -409,7 +423,7 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
     theta = model.head.theta
     theta_params = {theta.name: theta}
     if config.calibration_epochs:
-        calibration_forward = _fixed_maps_forward(model, features, config.batch_size)
+        calibration_forward = _fixed_maps_forward(model, processed)
     for i in range(config.calibration_epochs):
         history.calibration_reports.append(
             run_epoch(theta_params, f"calibration epoch {i + 1}", calibration_forward))

@@ -604,19 +604,26 @@ def test_bench_table_prints_medians_ratios_and_pairs_won(tmp_path):
                 "result": {"metrics": metrics}}
 
     # two pairs, and a change run whose parent is missing: it counts in the
-    # change median but in no pair; "probe" is not in BENCHMARK.json
+    # change median but in no pair; "probe" is not in BENCHMARK.json. The
+    # one traced pair is read like the runs, and one parent run has no spread
     runs = [run("parent", 1, 100.0, 30.0), run("change", 1, 120.0, 28.0),
             run("change", 2, 105.0, 29.0, {"probe": {"value": 2.0, "unit": "s"}}),
             run("parent", 2, 110.0, 32.0), run("change", 3, 90.0, 40.0)]
+    traced = [{"side": side, "workload": "train", "seed": 21, "trace": 1,
+               "result": {"metrics": {"tensor.log.fwd_s": {"value": v, "unit": "s"}}}}
+              for side, v in (("parent", 0.5), ("change", 0.4))]
     path = tmp_path / "BENCH_0.json"
-    path.write_text(json.dumps({"runs": runs}))
+    path.write_text(json.dumps({"runs": runs, "traced": traced}))
     lines = _run_script("bench_table.py", str(path)).stdout.splitlines()
     assert lines[0] == str(path)
-    assert lines[1].split() == ["workload", "metric", "parent", "change", "ratio", "won"]
+    assert lines[1].split() == ["workload", "metric", "parent", "n", "change", "n",
+                                "ratio", "won", "iqr/med"]
+    # parent main_per_s 100 and 110: quartiles 102.5 and 107.5 over median 105
     assert [line.split() for line in lines[2:]] == [
-        ["train", "call_ms_p50", "31.0000", "29.0000", "0.935", "2/2"],
-        ["train", "main_per_s", "105.0000", "105.0000", "1.000", "1/2"],
-        ["train", "probe", "-", "2.0000", "-", "-"],
+        ["train", "call_ms_p50", "31.0000", "2", "29.0000", "3", "0.935", "2/2", "0.032"],
+        ["train", "main_per_s", "105.0000", "2", "105.0000", "3", "1.000", "1/2", "0.048"],
+        ["train", "probe", "-", "0", "2.0000", "1", "-", "-", "-"],
+        ["train", "tensor.log.fwd_s", "0.5000", "1", "0.4000", "1", "0.800", "-", "-"],
     ]
     done = _run_script("bench_table.py", str(tmp_path / "none.json"), check=False)
     assert done.returncode == 1 and "none.json" in done.stderr

@@ -6,12 +6,14 @@ extractor, so each full train() call costs a fraction of a second.
 
 import csv
 import math
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
 from conftest import tiny_train_config
+from protodensity import tensor as T
 from protodensity import training
 from protodensity.model import (FEATURE_DIM, CountModel, FeatureExtractor,
                                 ModelConfig, load_checkpoint)
@@ -206,22 +208,95 @@ def test_projection_records_provenance(tiny_dataset, tiny_extractor,
 def test_projection_returns_the_records_it_stores(tiny_dataset, tiny_extractor,
                                                   tiny_features):
     model = CountModel(SMALL_MODEL, tiny_extractor, seed=2)
-    records = project_prototypes(model, tiny_dataset, tiny_features)
+    records, processed = project_prototypes(model, tiny_dataset, tiny_features)
     assert len(records) == SMALL_MODEL.k_total
     assert all(rec is stored for rec, stored in zip(records, model.provenance))
     # the same model and features give the same records
     again = CountModel(SMALL_MODEL, tiny_extractor, seed=2)
-    assert project_prototypes(again, tiny_dataset, tiny_features) == records
+    assert project_prototypes(again, tiny_dataset, tiny_features)[0] == records
+    # and the processed split the search ran on, as one C-contiguous array
+    with T.no_grad():
+        reference = model.process_features(Tensor(tiny_features)).data
+    assert processed.flags.c_contiguous and np.array_equal(processed, reference)
+
+
+def whole_split_projection(model, features):
+    """The projection as one search over every processed vector of the split
+    at once: (records as tuples, projected prototypes), model untouched."""
+    vectors = processed_vectors(model, features)
+    hf, wf = features.shape[-2:]
+    proto = model.prototype_layer.prototypes.data.copy()
+    records = []
+    for i in range(proto.shape[0]):
+        diff = vectors - proto[i]
+        dist = np.einsum("nd,nd->n", diff, diff)
+        j = int(np.argmin(dist))
+        sid, rem = divmod(j, hf * wf)
+        records.append((i, sid, *divmod(rem, wf), float(dist[j])))
+        proto[i] = vectors[j]
+    return records, proto
+
+
+def random_split(n, seed):
+    rng = np.random.default_rng(seed)
+    samples = [types.SimpleNamespace(sample_id=i) for i in range(n)]
+    return types.SimpleNamespace(train=samples), rng.normal(size=(n, FEATURE_DIM, 4, 4))
+
+
+def two_identical_images(extractor):
+    samples = [types.SimpleNamespace(image=np.full((1, 32, 32), 0.5), sample_id=i)
+               for i in range(2)]
+    return types.SimpleNamespace(train=samples), compute_features(extractor, samples)
+
+
+@pytest.mark.parametrize("case", ["tiny", "ties", "ragged"])
+def test_projection_equals_whole_split_search(case, tiny_dataset, tiny_extractor,
+                                              tiny_features):
+    # the split is processed in batches of 16 and searched 4 samples at a
+    # time; the ragged case (37 samples) ends both loops on a partial batch
+    dataset, features = {"tiny": lambda: (tiny_dataset, tiny_features),
+                         "ties": lambda: two_identical_images(tiny_extractor),
+                         "ragged": lambda: random_split(37, 4)}[case]()
+    model = CountModel(SMALL_MODEL, tiny_extractor, seed=3)
+    expected, expected_proto = whole_split_projection(model, features)
+    records, _ = project_prototypes(model, dataset, features)
+    ids = [s.sample_id for s in dataset.train]
+    assert len(records) == len(expected)
+    for rec, (i, sid, h, w, dist) in zip(records, expected):
+        assert (rec.prototype_id, rec.image_id, rec.h, rec.w) == (i, ids[sid], h, w)
+        assert rec.distance_before == dist
+    assert np.array_equal(model.prototype_layer.prototypes.data, expected_proto)
+
+
+def test_projection_peak_memory(tiny_extractor):
+    # a default-scale split, 100 samples of 64 x 16 x 16 features: the
+    # processed split (13.1 MB) is the only split-sized buffer
+    model = CountModel(ModelConfig(), tiny_extractor, seed=0)
+    dataset, _ = random_split(100, 0)
+    features = np.random.default_rng(1).normal(size=(100, FEATURE_DIM, 16, 16))
+    tracemalloc.start()
+    try:
+        project_prototypes(model, dataset, features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20, f"peak {peak / 2**20:.1f} MB >= 25 MB"
+
+
+@pytest.mark.parametrize("rows", [7, 9])
+def test_projection_rejects_features_of_another_split(rows, tiny_dataset,
+                                                      tiny_extractor, tiny_features):
+    model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
+    features = np.resize(tiny_features, (rows, *tiny_features.shape[1:]))
+    with pytest.raises(ValueError, match=f"{rows} maps for 8 samples"):
+        project_prototypes(model, tiny_dataset, features)
 
 
 def test_projection_ties_resolve_to_first_sample(tiny_extractor):
     # two identical images: every candidate vector repeats in sample 1, so
     # the first-index tie rule must always cite sample 0
-    samples = [types.SimpleNamespace(image=np.full((1, 32, 32), 0.5), sample_id=i)
-               for i in range(2)]
     model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
-    project_prototypes(model, types.SimpleNamespace(train=samples),
-                       compute_features(tiny_extractor, samples))
+    project_prototypes(model, *two_identical_images(tiny_extractor))
     assert all(rec.image_id == 0 for rec in model.provenance)
 
 
@@ -390,23 +465,23 @@ def test_diverged_calibration_restores_requires_grad(tiny_dataset, tiny_extracto
 def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
                                             tiny_features, monkeypatch):
     # after the final projection only theta moves: the split's maps are
-    # computed once, batch_size at a time, and no calibration step or
-    # validation pass runs the processing layer again. Five epochs with
-    # projection every three put the final projection after the main loop.
-    model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
-    config = tiny_train_config(batch_size=3, max_epochs=5)
+    # computed once from the processed split that projection returned, so
+    # neither the cache nor any calibration step or validation pass runs the
+    # processing layer again. With projection every three epochs, five
+    # epochs put the final projection after the main loop and six put it in
+    # the loop's last epoch.
     events = []
-    for name in ("forward_from_features", "process_features"):
-        def counted(*args, _name=name, _real=getattr(model, name)):
-            events.append(_name)
-            return _real(*args)
-        monkeypatch.setattr(model, name, counted)
     real_project = training.project_prototypes
+    real_cache = training._fixed_maps_forward
 
     def project(*args):
-        records = real_project(*args)
+        result = real_project(*args)
         events.append("project")
-        return records
+        return result
+
+    def cache(*args):
+        events.append("cache")
+        return real_cache(*args)
 
     def step(params, grads, state, cfg):
         adam_step(params, grads, state, cfg)
@@ -414,31 +489,46 @@ def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
             events.append("calibration step")
 
     monkeypatch.setattr(training, "project_prototypes", project)
+    monkeypatch.setattr(training, "_fixed_maps_forward", cache)
     monkeypatch.setattr(training, "adam_step", step)
-    _, history = train(model, tiny_dataset, config, feature_cache=tiny_features)
-
     n = len(tiny_dataset.train)
-    batches = math.ceil(n / config.batch_size)
-    after = events[len(events) - events[::-1].index("project"):]
-    first_step = after.index("calibration step")
-    assert 0 < after[:first_step].count("forward_from_features") <= batches
-    assert after[:first_step].count("process_features") <= batches
-    assert set(after[first_step:]) == {"calibration step"}
+    for max_epochs in (5, 6):
+        events.clear()
+        model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
+        config = tiny_train_config(batch_size=3, max_epochs=max_epochs)
+        for name in ("forward_from_features", "process_features"):
+            def counted(*args, _name=name, _real=getattr(model, name)):
+                events.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(model, name, counted)
+        _, history = train(model, tiny_dataset, config, feature_cache=tiny_features)
 
-    order = np.random.default_rng([config.seed, 2]).permutation(n)
-    val_idx = order[:int(round(config.val_fraction * n))]
-    counts = np.array([len(tiny_dataset.train[i].annotation) for i in val_idx], dtype=float)
-    pred, _ = model.predict(None, tiny_features[val_idx], batch=config.batch_size)
-    assert history.calibration_val_mae[-1] == float(np.abs(pred - counts).mean())
+        n_val = int(round(config.val_fraction * n))
+        assert [p.epoch for p in history.projections] == [3, max_epochs]
+        # a projection in the loop's last epoch is followed by that epoch's
+        # validation pass, which the main loop runs on the full forward
+        val_pass = (["forward_from_features", "process_features"]
+                    * math.ceil(n_val / config.batch_size) if max_epochs == 6 else [])
+        steps = config.calibration_epochs * math.ceil((n - n_val) / config.batch_size)
+        after = events[len(events) - events[::-1].index("project"):]
+        assert after == val_pass + ["cache"] + ["calibration step"] * steps
+
+        order = np.random.default_rng([config.seed, 2]).permutation(n)
+        val_idx = order[:n_val]
+        counts = np.array([len(tiny_dataset.train[i].annotation) for i in val_idx],
+                          dtype=float)
+        pred, _ = model.predict(None, tiny_features[val_idx], batch=config.batch_size)
+        assert history.calibration_val_mae[-1] == float(np.abs(pred - counts).mean())
 
 
 def test_calibration_on_cached_maps_equals_full_forward(tiny_dataset, tiny_extractor,
                                                         tiny_features, monkeypatch):
     # reference: every calibration step and validation pass runs the whole
-    # forward from the extractor features, as the main loop does
-    def full_forward(model, features, batch):
+    # forward from the extractor features, as the main loop does, and not
+    # from the processed split the final projection hands over
+    def full_forward(model, processed):
         def forward(idx):
-            out = model.forward_from_features(Tensor(features[idx]))
+            out = model.forward_from_features(Tensor(tiny_features[idx]))
             return out.density, out.distances
         return forward
 
