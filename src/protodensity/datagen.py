@@ -53,7 +53,7 @@ def validate_config(config: SceneConfig) -> None:
     for name in ("cell_count_range", "cell_radius_range", "cell_intensity_range",
                  "artifact_count_range"):
         lo, hi = getattr(config, name)
-        if lo > hi:
+        if not lo <= hi:
             raise ValueError(f"{name}: min {lo} exceeds max {hi}")
     lo, hi = config.cell_intensity_range
     if not (0.0 < lo <= 1.0 and 0.0 < hi <= 1.0):
@@ -61,7 +61,7 @@ def validate_config(config: SceneConfig) -> None:
     for kind in config.artifact_kinds:
         if kind not in _KNOWN_ARTIFACTS:
             raise ValueError(f"unknown artifact kind {kind!r}, expected one of {_KNOWN_ARTIFACTS}")
-    if config.noise_std < 0:
+    if not config.noise_std >= 0:
         raise ValueError("noise_std must be nonnegative")
     if config.seed < 0:
         raise ValueError(f"scene.seed must be >= 0, got {config.seed}")

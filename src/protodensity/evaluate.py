@@ -107,11 +107,12 @@ def write_eval_csv(report: EvalReport, path) -> None:
 
 
 def localization_rates(model: CountModel, dataset: Dataset,
-                       features=None, q: float = 99) -> tuple[float, float]:
+                       features) -> tuple[float, float]:
     """Fraction of (cell, background) prototypes whose top-1 global patch
-    peaks where GT density exceeds the per-image median."""
+    peaks where GT density exceeds the per-image median; ``features`` is the
+    training split's extractor output."""
     _, sims = model.predict(dataset.train, features)
-    patches = global_top_patches(dataset.train, sims, k=1, q=q)
+    patches = global_top_patches(dataset.train, sims, k=1)
     by_id = {s.sample_id: n for n, s in enumerate(dataset.train)}
     k_cell = model.config.k_cell
     hits = []

@@ -10,6 +10,7 @@ dataset stores it.
 
 from __future__ import annotations
 
+import glob
 import math
 import os
 from dataclasses import dataclass
@@ -269,8 +270,12 @@ def export_prototype_gallery(model: CountModel, dataset, out_dir, k: int = 3,
     """Write the top-k patch gallery: patches.csv, per-patch PGM previews, and
     the top-1 similarity map and mask per prototype as binary tensors. The
     training split is forwarded once; every patch and map comes from that
-    one similarity stack."""
+    one similarity stack. The previews (with their scale sidecars) and maps
+    an earlier gallery left in ``out_dir`` are removed first."""
     os.makedirs(out_dir, exist_ok=True)
+    for pattern in ("proto*_rank*_img*.pgm*", "proto*_sim.pdt", "proto*_mask.pdt"):
+        for stale in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            os.remove(stale)
     samples = dataset.train
     _, sims = model.predict(samples, features)
     patches = global_top_patches(samples, sims, k=k, q=q)

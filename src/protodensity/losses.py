@@ -29,7 +29,7 @@ class LossConfig:
 
     def validate(self) -> None:
         for name in ("lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("tau_cell", "tau_bg"):
             tau = getattr(self, name)

@@ -48,7 +48,7 @@ class ModelConfig:
             raise ValueError(f"k_cell and k_bg must each be >= 1, got {self.k_cell}/{self.k_bg}")
         if self.d < 1:
             raise ValueError(f"prototype depth d must be >= 1, got {self.d}")
-        if self.epsilon <= 0 or self.epsilon >= 1:
+        if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
@@ -90,7 +90,7 @@ class FeatureExtractor:
 
     @property
     def frozen(self) -> bool:
-        return all(not p.trainable for p in self.parameters())
+        return not any(p.requires_grad for p in self.parameters())
 
     def checksum(self) -> str:
         digest = hashlib.sha256()
@@ -238,7 +238,7 @@ class CountModel:
         return {p.name: p for p in params}
 
     def trainable_parameters(self) -> dict[str, Parameter]:
-        return {n: p for n, p in self.named_parameters().items() if p.trainable}
+        return {n: p for n, p in self.named_parameters().items() if p.requires_grad}
 
     def zero_grad(self) -> None:
         for p in self.named_parameters().values():

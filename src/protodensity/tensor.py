@@ -161,23 +161,23 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A learnable tensor. ``freeze()`` makes it constant: no gradient is
-    recorded and no optimizer step ever touches it."""
+    """A learnable tensor. ``freeze()`` clears its ``requires_grad`` for good:
+    no gradient reaches it after that, so an optimizer step handed it raises
+    for want of one."""
 
-    __slots__ = ("trainable", "name")
+    __slots__ = ("name",)
 
     def __init__(self, data, name: str = ""):
         super().__init__(data, requires_grad=True)
-        self.trainable = True
         self.name = name
 
     def freeze(self) -> None:
-        self.trainable = False
         self.requires_grad = False
         self.grad = None
 
     def __repr__(self) -> str:
-        return f"Parameter(name={self.name!r}, shape={self.shape}, trainable={self.trainable})"
+        return (f"Parameter(name={self.name!r}, shape={self.shape}, "
+                f"requires_grad={self.requires_grad})")
 
 
 # -- op plumbing --------------------------------------------------------------
@@ -502,7 +502,7 @@ def _im2col(col: np.ndarray, x_n: np.ndarray) -> np.ndarray:
     return col.reshape(c * 9, h * w)
 
 
-def conv3x3(x, weight, bias=None) -> Tensor:
+def conv3x3(x, weight, bias) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 (spatial dims preserved).
 
     One sample at a time, the nine shifted, cropped slices of the input fill
@@ -514,8 +514,7 @@ def conv3x3(x, weight, bias=None) -> Tensor:
     sample-sized buffer and adds its nine cropped slices into that sample's
     zeroed input gradient in tap order; nothing is transposed.
     """
-    x, weight = _coerce(x), _coerce(weight)
-    bias = _coerce(bias) if bias is not None else None
+    x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     xd = _batched(x, "conv3x3")
     if weight.ndim != 4 or weight.shape[2:] != (3, 3):
         raise ShapeError(f"conv3x3: weight must be C_out x C_in x 3 x 3, got shape {weight.shape}")
@@ -523,7 +522,7 @@ def conv3x3(x, weight, bias=None) -> Tensor:
     c_out, c_in = weight.shape[:2]
     if c_in != c:
         raise ShapeError(f"conv3x3: input has {c} channels but weight expects {c_in}")
-    if bias is not None and bias.shape != (c_out,):
+    if bias.shape != (c_out,):
         raise ShapeError(f"conv3x3: bias shape {bias.shape} != ({c_out},)")
 
     w2 = weight.data.reshape(c_out, c * 9)
@@ -531,8 +530,7 @@ def conv3x3(x, weight, bias=None) -> Tensor:
     oc = np.empty((b_, c_out, h * w))
     for n in range(b_):
         np.matmul(w2, _im2col(col, xd[n]), out=oc[n])
-    if bias is not None:
-        oc += bias.data[:, None]
+    oc += bias.data[:, None]
     out_data = oc.reshape(b_, c_out, h, w)
 
     def backward():
@@ -551,13 +549,12 @@ def conv3x3(x, weight, bias=None) -> Tensor:
                         gx[n, :, sy, sx] += gcol[:, 3 * i + j, dy, dx]
         if gw is not None:
             _accum(weight, gw.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2)))
         if gx is not None:
             _accum_own(x, gx)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make(out_data, parents, backward)
+    out = _make(out_data, (x, weight, bias), backward)
     return out
 
 

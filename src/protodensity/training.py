@@ -64,7 +64,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -78,7 +78,7 @@ class TrainConfig:
             raise ValueError(f"calibration_epochs must be >= 0, got {self.calibration_epochs}")
         if self.pretrain_epochs < 1:
             raise ValueError(f"pretrain_epochs must be >= 1, got {self.pretrain_epochs}")
-        if self.pretrain_learning_rate <= 0:
+        if not self.pretrain_learning_rate > 0:
             raise ValueError(f"pretrain_learning_rate must be > 0, "
                              f"got {self.pretrain_learning_rate}")
         if self.pretrain_batch_size < 1:
@@ -141,15 +141,14 @@ class AdamState:
 
 def adam_step(params: dict, grads: dict, state: AdamState,
               config: TrainConfig) -> None:
-    """One bias-corrected Adam update on every trainable parameter. Weight
-    decay is decoupled from the moment estimates and skips the prototypes."""
+    """One bias-corrected Adam update on every parameter of ``params``, each
+    with its gradient in ``grads``. Weight decay is decoupled from the moment
+    estimates and skips the prototypes."""
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
-        if not p.trainable:
-            continue
         g = grads[name]
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
@@ -289,11 +288,14 @@ def _restore(params: dict, snap: dict) -> None:
 def _fixed_maps_forward(model: CountModel, processed: np.ndarray):
     """``forward(idx)`` giving the density and distance maps of samples
     ``idx`` from the split's similarity and distance maps, computed here once
-    from its ``processed`` features: valid while only the head moves."""
+    from its ``processed`` features, and the prototypes as a constant: valid
+    while only the head moves, and a loss over them reaches theta alone."""
+    prototypes = Tensor(model.prototype_layer.prototypes.data)
     with T.no_grad():
-        dists = T.distance_map(Tensor(processed), model.prototype_layer.prototypes)
+        dists = T.distance_map(Tensor(processed), prototypes)
         sims = similarity_from_distance(dists, model.config.epsilon).data
-    return lambda idx: (model.predict_density(Tensor(sims[idx])), Tensor(dists.data[idx]))
+    return lambda idx: (model.predict_density(Tensor(sims[idx])), Tensor(dists.data[idx]),
+                        prototypes)
 
 
 def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
@@ -331,7 +333,6 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
 
     rng = np.random.default_rng([config.seed, 3])
     params = model.trainable_parameters()
-    proto = model.prototype_layer.prototypes
     kc, kb = model.config.k_cell, model.config.k_bg
     state = AdamState()
     history = TrainHistory()
@@ -349,33 +350,27 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
             os.remove(stale_file)
 
     def run_epoch(update_params: dict, label: str, forward) -> LossReport:
-        # the tape records only what leads to the parameters this epoch
-        # updates: a calibration epoch backpropagates to theta alone.
-        # ``forward(idx)`` gives the batch's density and distance maps
-        for name, p in params.items():
-            p.requires_grad = name in update_params
-        try:
-            perm = fit_idx[rng.permutation(fit_idx.size)]
-            sums = np.zeros(4)
-            for b0 in range(0, perm.size, config.batch_size):
-                idx = perm[b0:b0 + config.batch_size]
-                model.zero_grad()
-                density, distances = forward(idx)
-                total, rep = total_loss(density, gts[idx], distances, proto,
-                                        kc, kb, config.loss)
-                if not np.isfinite(rep.total):
-                    _restore(params, last_good)
-                    raise TrainingDiverged(f"loss went non-finite during {label}; "
-                                           "parameters rolled back to last finished epoch")
-                total.backward()
-                adam_step(update_params, {nm: p.grad for nm, p in update_params.items()},
-                          state, config)
-                sums += idx.size * np.array([rep.density, rep.proto_feature,
-                                             rep.diversity, rep.total])
-            return LossReport(*(float(s) for s in sums / perm.size))
-        finally:
-            for p in params.values():
-                p.requires_grad = True
+        # ``forward(idx)`` gives the batch's density, distance maps and
+        # prototypes; the tape reaches exactly the parameters they were
+        # computed from, which are the ones ``update_params`` holds
+        perm = fit_idx[rng.permutation(fit_idx.size)]
+        sums = np.zeros(4)
+        for b0 in range(0, perm.size, config.batch_size):
+            idx = perm[b0:b0 + config.batch_size]
+            model.zero_grad()
+            density, distances, prototypes = forward(idx)
+            total, rep = total_loss(density, gts[idx], distances, prototypes,
+                                    kc, kb, config.loss)
+            if not np.isfinite(rep.total):
+                _restore(params, last_good)
+                raise TrainingDiverged(f"loss went non-finite during {label}; "
+                                       "parameters rolled back to last finished epoch")
+            total.backward()
+            adam_step(update_params, {nm: p.grad for nm, p in update_params.items()},
+                      state, config)
+            sums += idx.size * np.array([rep.density, rep.proto_feature,
+                                         rep.diversity, rep.total])
+        return LossReport(*(float(s) for s in sums / perm.size))
 
     def val_mae_now(forward) -> float:
         with T.no_grad():
@@ -386,7 +381,7 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
 
     def fit_forward(idx):
         out = model.forward_from_features(Tensor(features[idx]))
-        return out.density, out.distances
+        return out.density, out.distances, model.prototype_layer.prototypes
 
     epoch = 0
     for epoch in range(1, config.max_epochs + 1):

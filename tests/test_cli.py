@@ -202,6 +202,25 @@ def test_malformed_manifest_and_provenance_exit_usage(tmp_path, cfg_path, capsys
     assert provenance in capsys.readouterr().err
 
 
+def test_nan_epsilon_in_checkpoint_exits_usage(tmp_path, cfg_path, capsys):
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "ckpt")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                               FeatureExtractor(np.random.default_rng(0))), ckpt)
+    manifest = os.path.join(ckpt, "checkpoint.txt")
+    with open(manifest) as f:
+        lines = ["epsilon = nan\n" if line.startswith("epsilon") else line for line in f]
+    with open(manifest, "w") as f:
+        f.writelines(lines)
+    capsys.readouterr()
+    assert main(["eval", "--model", ckpt, "--data", data,
+                 "--out", str(tmp_path / "eval.csv")]) == 1
+    err = capsys.readouterr().err
+    assert manifest in err and "epsilon must lie in (0, 1), got nan" in err
+    assert not (tmp_path / "eval.csv").exists()
+
+
 @pytest.mark.parametrize("text", ["", "x,y\r\n1.0\r\n"])
 def test_malformed_points_file_exits_usage(tmp_path, cfg_path, capsys, text):
     data = str(tmp_path / "data")
@@ -594,6 +613,27 @@ def test_two_runs_of_the_pipeline_digest_alike(tmp_path, cfg_path):
     a, b = ((tmp_path / name / "run" / "config_resolved.txt").read_text()
             for name in ("a", "b"))
     assert a != b
+    done = _run_script("digest_run.py", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert done.stdout == ""
+
+
+def test_digest_run_compares_two_directories(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "sub").mkdir(parents=True)
+        (root / "x.txt").write_text("x\n")
+        (root / "sub" / "y.bin").write_bytes(bytes(range(16)))
+    assert _run_script("digest_run.py", str(a), str(b)).stdout == ""
+    (b / "sub" / "y.bin").write_bytes(bytes(range(15)) + b"\xff")
+    done = _run_script("digest_run.py", str(a), str(b), check=False)
+    assert done.returncode == 1
+    assert done.stdout == f"differs  {os.path.join('sub', 'y.bin')}\n"
+    (a / "x.txt").unlink()
+    (b / "z").write_text("")
+    done = _run_script("digest_run.py", str(a), str(b), check=False)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == ["differs  " + os.path.join("sub", "y.bin"),
+                                        "only in B  x.txt", "only in B  z"]
 
 
 def test_bench_table_prints_medians_ratios_and_pairs_won(tmp_path):

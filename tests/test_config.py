@@ -70,6 +70,13 @@ def test_loss_keys_land_inside_train():
     ("model.d = not_a_number", "model.d"),
     ("scene.image_size = 64", "image_size"),  # needs both dims
     ("loss.tau_cell = maybe", "loss.tau_cell"),
+    # NaN fails the one-sided range checks too
+    ("model.epsilon = nan", "epsilon"),
+    ("loss.lambda2 = nan", "lambda2"),
+    ("train.learning_rate = nan", "learning_rate"),
+    ("train.pretrain_learning_rate = nan", "pretrain_learning_rate"),
+    ("scene.noise_std = nan", "noise_std"),
+    ("scene.cell_radius_range = nan, 5", "cell_radius_range"),
 ])
 def test_bad_keys_and_values_name_the_culprit(override, fragment):
     with pytest.raises(ConfigError, match=fragment):

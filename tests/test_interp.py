@@ -454,7 +454,8 @@ def test_export_prototype_gallery(interp_model, tiny_dataset, tiny_features,
 
 
 def test_gallery_and_localization_forward_the_split_once(interp_model, tiny_dataset,
-                                                         tmp_path, monkeypatch):
+                                                         tiny_features, tmp_path,
+                                                         monkeypatch):
     calls = {"extract_features": 0, "predict": 0}
     for name in calls:
         def counted(self, *args, _name=name, _method=getattr(CountModel, name), **kwargs):
@@ -466,5 +467,22 @@ def test_gallery_and_localization_forward_the_split_once(interp_model, tiny_data
     assert calls == {"extract_features": math.ceil(len(tiny_dataset.train) / 16),
                      "predict": 1}
     calls.update(extract_features=0, predict=0)
-    localization_rates(interp_model, tiny_dataset)
-    assert calls["predict"] == 1
+    localization_rates(interp_model, tiny_dataset, tiny_features)
+    assert calls == {"extract_features": 0, "predict": 1}
+
+
+def test_gallery_rerun_leaves_only_its_own_files(interp_model, tiny_dataset,
+                                                 tiny_features, tmp_path):
+    # a k=1 gallery over a k=3 one holds exactly a fresh k=1 gallery's files;
+    # an explanation CSV is named by its own arguments and stays
+    def export(out, k):
+        export_prototype_gallery(interp_model, tiny_dataset, str(out), k=k,
+                                 features=tiny_features)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    reused = tmp_path / "reused"
+    first = export(reused, 3)
+    (reused / "explanation_img0001_h1w1.csv").write_text("kept\n")
+    fresh = export(tmp_path / "fresh", 1)
+    assert len(first) > len(fresh)
+    assert export(reused, 1) == {**fresh, "explanation_img0001_h1w1.csv": b"kept\n"}

@@ -52,9 +52,10 @@ def test_backward_requires_scalar():
 
 def test_parameter_freeze():
     p = Parameter(np.ones(3), name="p")
-    assert p.trainable and p.requires_grad
+    p.grad = np.ones(3)
+    assert p.requires_grad
     p.freeze()
-    assert not p.trainable
+    assert not p.requires_grad and p.grad is None
 
 
 # -- elementwise ops -----------------------------------------------------------
@@ -276,7 +277,8 @@ def test_conv3x3_matches_loop_oracle(rng):
                                rtol=1e-10, atol=1e-12)
     x = rng.normal(size=(3, 1, 5, 4))
     w = rng.normal(size=(2, 1, 3, 3))
-    np.testing.assert_allclose(T.conv3x3(x, w).data, conv3x3_oracle(x, w, np.zeros(2)),
+    np.testing.assert_allclose(T.conv3x3(x, w, np.zeros(2)).data,
+                               conv3x3_oracle(x, w, np.zeros(2)),
                                rtol=1e-10, atol=1e-12)
 
 
@@ -401,7 +403,7 @@ def test_unbatched_conv_and_pool_shapes(rng):
     # B x C x H x W, is a ShapeError, as are unbatched maps in the losses
     x = rng.normal(size=(3, 4, 4))
     calls = [lambda: T.conv1x1(x, rng.normal(size=(5, 3))),
-             lambda: T.conv3x3(x, rng.normal(size=(5, 3, 3, 3))),
+             lambda: T.conv3x3(x, rng.normal(size=(5, 3, 3, 3)), np.zeros(5)),
              lambda: T.maxpool2x2(x),
              lambda: T.maxpool2x2(x[None, None]),
              lambda: T.distance_map(x, rng.normal(size=(2, 3))),
