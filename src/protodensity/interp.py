@@ -3,7 +3,8 @@
 Turns similarity maps into human-inspectable evidence: percentile-threshold
 masks, 8-connected component bounding boxes, per-prototype galleries of the
 strongest training patches, additive per-location explanations of the density
-prediction, and intra-group prototype distance statistics. Maps, masks and
+prediction (each forwards only the crop that holds the location's receptive
+field), and intra-group prototype distance statistics. Maps, masks and
 prototypes are plain arrays, and an image is one (1, H, W) array, as the
 dataset stores it.
 """
@@ -188,23 +189,33 @@ def patch_peak(box: PatchBox, similarity_map) -> tuple[int, int]:
 def explain_location(model: CountModel, image, h: int, w: int) -> Explanation:
     """Decompose the predicted density at feature location (h, w) into one
     theta_i * S_i term per prototype, for one (1, H, W) image. A location
-    outside the density map raises ValueError."""
+    outside the density map raises ValueError, before any forward.
+
+    Only the crop of feature cells h-1..h+1 by w-1..w+1, clipped to the
+    image, goes through the model. That is exact: block l = 0..L-1 of the
+    extractor's conv3x3 (padding 1) + aligned 2x2 pool blocks widens a
+    cell's input dependence by 2^l pixels on each side, 2^L - 1 = 7 in
+    total, less than the one-cell halo of ``DOWNSAMPLE`` = 8 pixels, so the
+    crop's own zero padding never reaches cell (h, w); every stage after
+    the extractor works per cell."""
     if image.ndim != 3 or image.shape[0] != 1:
         raise T.ShapeError(f"explain_location: expected one (1, H, W) image, "
                            f"got shape {image.shape}")
+    s = DOWNSAMPLE
+    if image.shape[1] % s or image.shape[2] % s:
+        raise T.ShapeError(f"explain_location: image dims {image.shape[1:]} must be "
+                           f"divisible by {s}")
+    grid = (image.shape[1] // s, image.shape[2] // s)
+    if not (0 <= h < grid[0] and 0 <= w < grid[1]):
+        raise ValueError(f"explain_location: ({h}, {w}) outside density map {grid}")
+    h0, w0 = max(h - 1, 0), max(w - 1, 0)
     with no_grad():
-        out = model.forward(Tensor(image[None]))
-    sims = out.similarities.data[0]
-    density = out.density.data[0]
-    if not (0 <= h < density.shape[0] and 0 <= w < density.shape[1]):
-        raise ValueError(f"explain_location: ({h}, {w}) outside density map "
-                         f"{density.shape}")
+        out = model.forward(Tensor(image[None, :, s * h0:s * (h + 2), s * w0:s * (w + 2)]))
+    sims = out.similarities.data[0, :, h - h0, w - w0]
     theta = model.head.theta.data
-    contributions = []
-    for i in range(theta.shape[0]):
-        s = float(sims[i, h, w])
-        contributions.append((i, float(theta[i]), s, float(theta[i]) * s))
-    return Explanation((h, w), contributions, float(density[h, w]))
+    contributions = [(i, float(theta[i]), float(sims[i]), float(theta[i]) * float(sims[i]))
+                     for i in range(theta.shape[0])]
+    return Explanation((h, w), contributions, float(out.density.data[0, h - h0, w - w0]))
 
 
 # -- prototype spread ----------------------------------------------------------

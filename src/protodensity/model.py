@@ -220,14 +220,14 @@ class CountModel:
     def predict(self, samples, features=None,
                 batch: int = 16) -> tuple[np.ndarray, np.ndarray]:
         """Counts (N,) and similarity maps (N, K, Hf, Wf) for every sample,
-        with no tape, ``batch`` at a time: from ``features`` (N, C, Hf, Wf)
-        when given, else from the sample images."""
+        with no tape: from ``features`` (N, C, Hf, Wf), ``batch`` at a time,
+        when given, else from the sample images, one at a time."""
         if features is None:
             forward, inputs = self.forward, samples
         else:
             forward, inputs = self.forward_from_features, features
         counts, sims = zip(*forward_batches(
-            forward, inputs, batch, lambda out: (out.count, out.similarities.data)))
+            forward, inputs, lambda out: (out.count, out.similarities.data), batch))
         return np.concatenate(counts), np.concatenate(sims)
 
     # -- parameter plumbing ---------------------------------------------------
@@ -245,19 +245,18 @@ class CountModel:
             p.zero_grad()
 
 
-def forward_batches(forward, inputs, batch: int, keep) -> list:
-    """``keep(forward(Tensor(x)))`` for each ``batch``-sized slice ``x`` of
-    ``inputs``, with no tape. ``inputs`` is an array, or a list of samples
-    whose images are stacked one batch at a time, so no copy of the whole
-    split is held; only what ``keep`` returns outlives its batch."""
-    kept = []
+def forward_batches(forward, inputs, keep, batch: int = 1) -> list:
+    """``keep(forward(Tensor(x)))`` with no tape, for each ``batch``-sized
+    slice ``x`` of an array ``inputs``, or for each image of a list of
+    samples as a batch of one. ``conv3x3`` loops over samples anyway, so a
+    batch of one gives the same bits with buffers a sixteenth the size;
+    only what ``keep`` returns outlives its batch."""
     with T.no_grad():
-        for start in range(0, len(inputs), batch):
-            x = inputs[start:start + batch]
-            if not isinstance(x, np.ndarray):
-                x = np.stack([s.image for s in x])
-            kept.append(keep(forward(Tensor(x))))
-    return kept
+        if isinstance(inputs, np.ndarray):
+            xs = (inputs[s:s + batch] for s in range(0, len(inputs), batch))
+        else:
+            xs = (sample.image[None] for sample in inputs)
+        return [keep(forward(Tensor(x))) for x in xs]
 
 
 def count(density: Tensor) -> np.ndarray:

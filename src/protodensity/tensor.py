@@ -563,9 +563,10 @@ def maxpool2x2(x) -> Tensor:
     to its first maximum in row-major window order (top-left, top-right,
     bottom-left, bottom-right).
 
-    The forward is ``np.maximum`` over the four strided corner views, with
-    any zero result taken from the first corner holding a zero (the maximum
-    of -0.0 and 0.0 may be either). The backward routes the gradient by a
+    The forward is ``np.maximum`` of the even and odd rows (contiguous
+    runs), then of that result's even and odd columns, with any zero result
+    taken from the first corner holding a zero (the maximum of -0.0 and 0.0
+    may be either). The backward routes the gradient by a
     compare mask in the same corner order: a corner gets it where it equals
     the maximum and no earlier corner did, and the last corner gets the rest.
     """
@@ -575,8 +576,8 @@ def maxpool2x2(x) -> Tensor:
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {h}x{w}")
     corners = [xd[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-    pooled = np.maximum(np.maximum(corners[0], corners[1]),
-                        np.maximum(corners[2], corners[3]))
+    rows = np.maximum(xd[:, :, 0::2], xd[:, :, 1::2])
+    pooled = np.maximum(rows[..., 0::2], rows[..., 1::2])
     zero = pooled == 0.0
     if zero.any():
         first = corners[3]

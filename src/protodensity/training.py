@@ -169,10 +169,9 @@ def _stack_gt(samples) -> np.ndarray:
     return np.stack([s.density_gt for s in samples])
 
 
-def compute_features(extractor: FeatureExtractor, samples,
-                     batch_size: int = 16) -> np.ndarray:
-    """Run the extractor over every sample image; (N, C, Hf, Wf)."""
-    return np.concatenate(forward_batches(extractor.forward, samples, batch_size,
+def compute_features(extractor: FeatureExtractor, samples) -> np.ndarray:
+    """Run the extractor over every sample image, one at a time; (N, C, Hf, Wf)."""
+    return np.concatenate(forward_batches(extractor.forward, samples,
                                           lambda out: out.data))
 
 
@@ -251,8 +250,8 @@ def project_prototypes(model: CountModel, dataset,
                          f"for {n} samples")
     processed = np.empty((n, model.config.d, *features.shape[2:]))
     rows = (processed[s:s + 16] for s in range(0, n, 16))
-    forward_batches(model.process_features, features, 16,
-                    lambda out: np.copyto(next(rows), out.data))
+    forward_batches(model.process_features, features,
+                    lambda out: np.copyto(next(rows), out.data), 16)
     _, d, hf, wf = processed.shape
     proto = model.prototype_layer.prototypes
     dist = np.empty((proto.shape[0], n * hf * wf))

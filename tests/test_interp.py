@@ -6,6 +6,7 @@ oracles (explicit sorted-list rank selection, BFS flood fill) over a few
 hundred random inputs each; the harness repeats that at larger scale.
 """
 
+import copy
 import csv
 import math
 import types
@@ -17,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from protodensity.datagen import SceneConfig, render_scene
 from protodensity.evaluate import localization_rates
 from protodensity.interp import (EXPLANATION_CSV_HEADER, PATCH_CSV_HEADER,
                                  PatchBox, boxes_from_mask,
@@ -25,8 +27,8 @@ from protodensity.interp import (EXPLANATION_CSV_HEADER, PATCH_CSV_HEADER,
                                  intra_group_distances, patch_peak,
                                  percentile_threshold, render_boxes_pgm,
                                  write_explanation_csv, write_patches_csv)
-from protodensity.model import CountModel, ModelConfig
-from protodensity.tensor import ShapeError, Tensor, load_tensor
+from protodensity.model import CountModel, FeatureExtractor, ModelConfig
+from protodensity.tensor import ShapeError, Tensor, load_tensor, no_grad
 
 
 def percentile_oracle(arr: np.ndarray, q: float) -> np.ndarray:
@@ -317,6 +319,74 @@ def test_explain_rejects_a_2d_image(interp_model, tiny_dataset):
         explain_location(interp_model, x[0], 2, 2)
 
 
+def _record_crops(monkeypatch) -> list:
+    """Patch CountModel.extract_features to record each input's (H, W)."""
+    crops, extract = [], CountModel.extract_features
+
+    def recording(self, x):
+        crops.append(x.shape[-2:])
+        return extract(self, x)
+
+    monkeypatch.setattr(CountModel, "extract_features", recording)
+    return crops
+
+
+@pytest.mark.parametrize("shape, h, w", [
+    ((1, 30, 32), 0, 0),   # the crop of its first 16 rows would be divisible
+    ((1, 32, 36), 0, 0),
+    ((1, 32, 32), -1, 0),  # a negative index would wrap in a slice
+    ((1, 32, 32), 0, -1),
+    ((1, 32, 32), 4, 0),
+    ((1, 32, 48), 0, 6),
+])
+def test_explain_validates_before_forwarding(interp_model, monkeypatch, shape, h, w):
+    crops = _record_crops(monkeypatch)
+    divisible = shape[1] % 8 == 0 and shape[2] % 8 == 0
+    with pytest.raises(ValueError if divisible else ShapeError,
+                       match="outside" if divisible else "divisible"):
+        explain_location(interp_model, np.zeros(shape), h, w)
+    assert crops == []
+
+
+def _assert_explains_full_forward(model, image, crops):
+    with no_grad():
+        out = model.forward(Tensor(image[None]))
+    sims, density = out.similarities.data[0], out.density.data[0]
+    theta = model.head.theta.data
+    crops.clear()
+    for h in range(density.shape[0]):
+        for w in range(density.shape[1]):
+            expl = explain_location(model, image, h, w)
+            assert expl.location == (h, w)
+            assert [c[0] for c in expl.contributions] == list(range(theta.shape[0]))
+            assert [c[1] for c in expl.contributions] == theta.tolist()
+            np.testing.assert_allclose([c[2] for c in expl.contributions],
+                                       sims[:, h, w], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(expl.density, density[h, w], rtol=1e-12, atol=0)
+    assert len(crops) == density.size
+    assert max(max(crop) for crop in crops) <= 3 * 8
+
+
+def test_explain_matches_full_forward_at_default_size(monkeypatch):
+    # the one-cell halo holds the whole receptive field, so every cell of a
+    # default-size image explains as the whole-image forward does, up to the
+    # last bit a GEMM over fewer columns may sum in another order
+    rng = np.random.default_rng(3)
+    model = CountModel(ModelConfig(), FeatureExtractor(np.random.default_rng(4)), seed=2)
+    model.head.theta.data = rng.normal(size=model.config.k_total)
+    crops = _record_crops(monkeypatch)
+    for index in range(3):
+        image, _ = render_scene(SceneConfig(seed=5), index)
+        _assert_explains_full_forward(model, image, crops)
+
+
+def test_explain_matches_full_forward_on_a_non_square_image(interp_model, monkeypatch):
+    model = copy.deepcopy(interp_model)
+    model.head.theta.data = np.array([1.5, 0.5, -0.75, -0.25])
+    image = np.random.default_rng(6).uniform(size=(1, 32, 48))
+    _assert_explains_full_forward(model, image, _record_crops(monkeypatch))
+
+
 # -- prototype spread ---------------------------------------------------------
 
 
@@ -464,8 +534,7 @@ def test_gallery_and_localization_forward_the_split_once(interp_model, tiny_data
         monkeypatch.setattr(CountModel, name, counted)
 
     export_prototype_gallery(interp_model, tiny_dataset, str(tmp_path / "gallery"))
-    assert calls == {"extract_features": math.ceil(len(tiny_dataset.train) / 16),
-                     "predict": 1}
+    assert calls == {"extract_features": len(tiny_dataset.train), "predict": 1}
     calls.update(extract_features=0, predict=0)
     localization_rates(interp_model, tiny_dataset, tiny_features)
     assert calls == {"extract_features": 0, "predict": 1}

@@ -2,6 +2,7 @@
 similarity transform, counting, and checkpoint round trips."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -136,7 +137,8 @@ def test_extractor_peak_memory():
 
 
 def test_extractor_no_grad_peak_memory():
-    # the batch-16 forward of eval and the feature cache, with no tape
+    # a stacked batch-16 forward with no tape; eval, the gallery and the
+    # feature cache forward one image at a time (test_predict_peak_memory)
     extractor = FeatureExtractor(np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).uniform(size=(16, 1, 128, 128)))
     tracemalloc.start()
@@ -148,6 +150,25 @@ def test_extractor_no_grad_peak_memory():
         tracemalloc.stop()
     assert out.shape == (16, FEATURE_DIM, 128 // DOWNSAMPLE, 128 // DOWNSAMPLE)
     assert peak < 80e6, f"peak {peak / 1e6:.1f} MB >= 80 MB"
+
+
+def test_predict_peak_memory(extractor):
+    # eval and the gallery forward sample images one at a time; a stacked
+    # batch of 16 peaks at about 60 MB
+    model = CountModel(ModelConfig(), extractor, seed=0)
+    images = np.random.default_rng(1).uniform(size=(16, 1, 128, 128))
+    samples = [types.SimpleNamespace(image=image) for image in images]
+    tracemalloc.start()
+    try:
+        counts, sims = model.predict(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB >= 12 MB"
+    with no_grad():
+        out = model.forward(Tensor(images))
+    assert np.array_equal(counts, out.count)
+    assert np.array_equal(sims, out.similarities.data)
 
 
 # -- initialization ------------------------------------------------------------

@@ -340,6 +340,43 @@ def test_maxpool_matches_block_oracle(rng):
     np.testing.assert_array_equal(T.maxpool2x2(x).data, ref)
 
 
+def test_maxpool_forward_matches_four_corner_formula(rng):
+    # rows then columns gives the max of the four strided corners, with the
+    # same first-zero sign and NaN wherever a window holds one
+    def four_corner(x):
+        corners = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+        pooled = np.maximum(np.maximum(corners[0], corners[1]),
+                            np.maximum(corners[2], corners[3]))
+        first = corners[3]
+        for corner in corners[2::-1]:
+            first = np.where(corner == 0.0, corner, first)
+        zero = pooled == 0.0
+        pooled[zero] = first[zero]
+        return pooled
+
+    windows = [
+        [5.0, 1.0, 5.0, 0.0],           # tie down a column
+        [1.0, 3.0, 0.0, 3.0],
+        [0.0, -0.0, -0.0, 0.0],         # signed zeros: the first one wins
+        [-0.0, -1.0, 0.0, -2.0],
+        [-3.0, -0.0, 0.0, -0.0],
+        [np.nan, 1.0, 2.0, 3.0],        # NaN in each corner
+        [1.0, np.nan, -0.0, 0.0],
+        [-0.0, 0.0, np.nan, 1.0],
+        [-1.0, -2.0, 0.0, np.nan],
+        [np.inf, -np.inf, np.nan, np.inf],
+    ]
+    x = np.zeros((1, 1, 2, 2 * len(windows)))
+    for k, (a, b, c, d) in enumerate(windows):
+        x[0, 0, :, 2 * k:2 * k + 2] = [[a, b], [c, d]]
+    tied = rng.choice([-1.0, -0.0, 0.0, 1.0, np.nan], size=(2, 3, 8, 10))
+    for data in (x, tied, rng.normal(size=(3, 4, 6, 8))):
+        out, ref = T.maxpool2x2(data).data, four_corner(data)
+        assert np.array_equal(out, ref, equal_nan=True)
+        numbers = ~np.isnan(ref)
+        assert np.array_equal(np.signbit(out[numbers]), np.signbit(ref[numbers]))
+
+
 def test_maxpool_odd_dims_raise():
     with pytest.raises(ShapeError):
         T.maxpool2x2(Tensor(np.zeros((1, 1, 3, 4))))
