@@ -18,9 +18,9 @@ from functools import partial
 import numpy as np
 
 from .model import DOWNSAMPLE
-from .tensor import (load_tensor, parse_key_values, parse_value, read_csv,
-                     read_text, require, save_tensor, write_csv,
-                     write_key_values)
+from .tensor import (bounded, check_bounds, load_tensor, parse_key_values,
+                     parse_value, read_csv, read_text, require, save_tensor,
+                     write_csv, write_key_values)
 
 SIGMA = 1.0  # ground-truth kernel width, in feature-grid cells
 
@@ -32,39 +32,28 @@ MANIFEST_FORMAT = "protodensity-dataset-v1"
 class SceneConfig:
     """Knobs for one synthetic imaging condition. Intensities live in (0, 1]."""
 
-    image_size: tuple[int, int] = (128, 128)          # (H, W)
-    cell_count_range: tuple[int, int] = (5, 80)
-    cell_radius_range: tuple[float, float] = (2.0, 5.0)
-    cell_intensity_range: tuple[float, float] = (0.4, 1.0)
-    artifact_count_range: tuple[int, int] = (2, 6)
+    image_size: tuple[int, int] = bounded((128, 128), "[1, inf)")  # (H, W)
+    cell_count_range: tuple[int, int] = bounded((5, 80), "[0, inf)")
+    cell_radius_range: tuple[float, float] = bounded((2.0, 5.0), "(0, inf)")
+    cell_intensity_range: tuple[float, float] = bounded((0.4, 1.0), "(0, 1]")
+    artifact_count_range: tuple[int, int] = bounded((2, 6), "[0, inf)")
     artifact_kinds: tuple[str, ...] = ("blob", "streak", "gradient")
-    noise_std: float = 0.03
-    min_separation: float = 0.0                        # 0 disables the overlap guard
-    seed: int = 0
+    noise_std: float = bounded(0.03, "[0, inf)")
+    min_separation: float = bounded(0.0, "[0, inf)")  # 0 disables the overlap guard
+    seed: int = bounded(0, "[0, inf)")
 
 
 _KNOWN_ARTIFACTS = ("blob", "streak", "gradient")
 
 
 def validate_config(config: SceneConfig) -> None:
+    check_bounds(config, "scene")
     h, w = config.image_size
     if h % DOWNSAMPLE or w % DOWNSAMPLE:
-        raise ValueError(f"image_size {config.image_size} must be divisible by {DOWNSAMPLE}")
-    for name in ("cell_count_range", "cell_radius_range", "cell_intensity_range",
-                 "artifact_count_range"):
-        lo, hi = getattr(config, name)
-        if not lo <= hi:
-            raise ValueError(f"{name}: min {lo} exceeds max {hi}")
-    lo, hi = config.cell_intensity_range
-    if not (0.0 < lo <= 1.0 and 0.0 < hi <= 1.0):
-        raise ValueError(f"cell_intensity_range {config.cell_intensity_range} must lie in (0, 1]")
+        raise ValueError(f"scene.image_size {config.image_size} not divisible by {DOWNSAMPLE}")
     for kind in config.artifact_kinds:
         if kind not in _KNOWN_ARTIFACTS:
-            raise ValueError(f"unknown artifact kind {kind!r}, expected one of {_KNOWN_ARTIFACTS}")
-    if not config.noise_std >= 0:
-        raise ValueError("noise_std must be nonnegative")
-    if config.seed < 0:
-        raise ValueError(f"scene.seed must be >= 0, got {config.seed}")
+            raise ValueError(f"scene.artifact_kinds: {kind!r} not one of {_KNOWN_ARTIFACTS}")
 
 
 @dataclass
@@ -307,8 +296,9 @@ def parse_manifest(manifest_path: str):
     n_test, sample rows). Rows are (id, split, count, image, annotation,
     density) with paths relative to the manifest directory. A malformed line,
     a split other than train or test, sample paths other than the
-    ``samples/sample_<id>_*`` names ``generate_dataset`` writes, or a missing
-    field raises ValueError naming the manifest (and the line)."""
+    ``samples/sample_<id>_*`` names ``generate_dataset`` writes, a missing
+    field or recorded scene settings that ``validate_config`` rejects raise
+    ValueError naming the manifest (and the line)."""
     lines = read_text(manifest_path).splitlines()
     table = next((i for i, line in enumerate(lines) if line.strip() == "[samples]"),
                  len(lines))
@@ -340,6 +330,10 @@ def parse_manifest(manifest_path: str):
     config = SceneConfig(**{
         name: get(f"config.{name}", partial(parse_value, like=like))
         for name, like in vars(SceneConfig()).items()})
+    try:
+        validate_config(config)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
     return (config, get("downsample", int), get("sigma", float),
             get("n_train", int), get("n_test", int), rows)
 
@@ -369,10 +363,10 @@ def load_dataset(dataset_dir: str) -> Dataset:
     manifest_path = os.path.join(dataset_dir, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"no dataset manifest at {manifest_path}")
-    config, downsample, _sigma, n_train, n_test, rows = parse_manifest(manifest_path)
-    if downsample != DOWNSAMPLE:
-        raise ValueError(f"{manifest_path}: downsample {downsample} != the model's "
-                         f"{DOWNSAMPLE}")
+    config, downsample, sigma, n_train, n_test, rows = parse_manifest(manifest_path)
+    if (downsample, sigma) != (DOWNSAMPLE, SIGMA):
+        raise ValueError(f"{manifest_path}: downsample {downsample} and sigma {sigma} "
+                         f"differ from the model's {DOWNSAMPLE} and {SIGMA}")
     h, w = config.image_size
     image_shape, density_shape = (1, h, w), (h // downsample, w // downsample)
     train: list[Sample] = []

@@ -15,26 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, bounded, check_bounds
 
 @dataclass
 class LossConfig:
     """Term weights and the diversity term's similarity thresholds."""
 
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    lambda3: float = 100.0
-    tau_cell: float = 0.8
-    tau_bg: float = 0.8
+    lambda1: float = bounded(1.0, "[0, inf)")
+    lambda2: float = bounded(1.0, "[0, inf)")
+    lambda3: float = bounded(100.0, "[0, inf)")
+    tau_cell: float = bounded(0.8, "[-1, 1]")
+    tau_bg: float = bounded(0.8, "[-1, 1]")
 
     def validate(self) -> None:
-        for name in ("lambda1", "lambda2", "lambda3"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("tau_cell", "tau_bg"):
-            tau = getattr(self, name)
-            if not -1.0 <= tau <= 1.0:
-                raise ValueError(f"{name} must lie in [-1, 1], got {tau}")
+        check_bounds(self, "loss")
 
 
 @dataclass

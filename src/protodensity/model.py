@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, bounded, check_bounds
 
 EXTRACTOR_WIDTHS = (1, 16, 32, 64)
 EXTRACTOR_BLOCKS = len(EXTRACTOR_WIDTHS) - 1
@@ -34,22 +34,17 @@ class ModelConfig:
     """Architecture dims: prototype counts per group, prototype depth, and
     the epsilon of the distance-to-similarity transform."""
 
-    k_cell: int = 4
-    k_bg: int = 4
-    d: int = 64
-    epsilon: float = 1e-4
+    k_cell: int = bounded(4, "[1, inf)")
+    k_bg: int = bounded(4, "[1, inf)")
+    d: int = bounded(64, "[1, inf)")
+    epsilon: float = bounded(1e-4, "(0, 1)")
 
     @property
     def k_total(self) -> int:
         return self.k_cell + self.k_bg
 
     def validate(self) -> None:
-        if self.k_cell < 1 or self.k_bg < 1:
-            raise ValueError(f"k_cell and k_bg must each be >= 1, got {self.k_cell}/{self.k_bg}")
-        if self.d < 1:
-            raise ValueError(f"prototype depth d must be >= 1, got {self.d}")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        check_bounds(self, "model")
 
 
 class FeatureExtractor:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
+from dataclasses import field, fields, is_dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -53,7 +54,7 @@ __all__ = [
     "l2_normalize_rows", "conv1x1", "conv3x3", "maxpool2x2", "distance_map",
     "finite_diff_grad", "gradcheck_rel_error",
     "save_tensor", "load_tensor", "read_text", "parse_key_values", "require",
-    "format_value", "parse_value", "write_key_values",
+    "format_value", "parse_value", "bounded", "check_bounds", "write_key_values",
     "write_csv", "read_csv",
 ]
 
@@ -807,6 +808,33 @@ def parse_value(raw: str, like):
     if kind in (int, float, str):
         return kind(raw)
     raise ValueError(f"unsupported field type {kind.__name__}")
+
+
+def bounded(default, bound: str):
+    """A dataclass field whose value, or each end of a tuple value, must lie
+    in the interval ``bound``, written like ``"[0, 1)"``; see check_bounds."""
+    return field(default=default, metadata={"bound": bound})
+
+
+def check_bounds(config, section: str) -> None:
+    """Raise ValueError naming ``section.field`` for the first bounded field
+    of the dataclass ``config`` outside its bound, or ``*_range`` pair whose
+    low end exceeds its high end. A nested dataclass field is checked as its
+    own section. Every comparison fails on NaN."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            check_bounds(value, f.name)
+        if "bound" not in f.metadata:
+            continue
+        bound = f.metadata["bound"]
+        lo, hi = (float(end) for end in bound[1:-1].split(","))
+        for v in value if isinstance(value, tuple) else (value,):
+            if not ((lo <= v if bound[0] == "[" else lo < v)
+                    and (v <= hi if bound[-1] == "]" else v < hi)):
+                raise ValueError(f"{section}.{f.name} must lie in {bound}, got {value}")
+        if f.name.endswith("_range") and not value[0] <= value[1]:
+            raise ValueError(f"{section}.{f.name}: low end {value[0]} exceeds high end {value[1]}")
 
 
 def write_key_values(path, fields, tail=()) -> None:

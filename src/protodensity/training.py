@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, bounded, check_bounds
 from .losses import LossConfig, LossReport, density_loss, total_loss
 from .model import (CHECKPOINT_MANIFEST, CountModel, FeatureExtractor,
                     PrototypeProvenance, forward_batches, save_checkpoint,
@@ -45,48 +45,26 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-2
-    beta1: float = 0.95
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    weight_decay: float = 5e-4
-    batch_size: int = 32
-    max_epochs: int = 500
-    projection_interval: int = 100
-    convergence_patience: int = 50
-    min_delta: float = 0.01
-    val_fraction: float = 0.2
-    calibration_epochs: int = 30
-    pretrain_epochs: int = 30
-    pretrain_learning_rate: float = 1e-3
-    pretrain_batch_size: int = 16
-    seed: int = 0
+    learning_rate: float = bounded(1e-2, "(0, inf)")
+    beta1: float = bounded(0.95, "[0, 1)")
+    beta2: float = bounded(0.999, "[0, 1)")
+    adam_epsilon: float = bounded(1e-8, "(0, inf)")
+    weight_decay: float = bounded(5e-4, "[0, inf)")
+    batch_size: int = bounded(32, "[1, inf)")
+    max_epochs: int = bounded(500, "[1, inf)")
+    projection_interval: int = bounded(100, "[1, inf)")
+    convergence_patience: int = bounded(50, "[1, inf)")
+    min_delta: float = bounded(0.01, "[0, inf)")
+    val_fraction: float = bounded(0.2, "[0, 1)")
+    calibration_epochs: int = bounded(30, "[0, inf)")
+    pretrain_epochs: int = bounded(30, "[1, inf)")
+    pretrain_learning_rate: float = bounded(1e-3, "(0, inf)")
+    pretrain_batch_size: int = bounded(16, "[1, inf)")
+    seed: int = bounded(0, "[0, inf)")
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.projection_interval < 1:
-            raise ValueError(f"projection_interval must be >= 1, got {self.projection_interval}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-        if self.calibration_epochs < 0:
-            raise ValueError(f"calibration_epochs must be >= 0, got {self.calibration_epochs}")
-        if self.pretrain_epochs < 1:
-            raise ValueError(f"pretrain_epochs must be >= 1, got {self.pretrain_epochs}")
-        if not self.pretrain_learning_rate > 0:
-            raise ValueError(f"pretrain_learning_rate must be > 0, "
-                             f"got {self.pretrain_learning_rate}")
-        if self.pretrain_batch_size < 1:
-            raise ValueError(f"pretrain_batch_size must be >= 1, "
-                             f"got {self.pretrain_batch_size}")
-        if self.seed < 0:
-            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
-        self.loss.validate()
+        check_bounds(self, "train")
 
 
 @dataclass

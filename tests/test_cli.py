@@ -487,6 +487,34 @@ def test_dataset_of_another_downsample_exits_naming_its_manifest(tmp_path, cfg_p
     assert "manifest.txt" in err and "downsample 4" in err
 
 
+@pytest.mark.parametrize("key, value", [("config.noise_std", "nan"),
+                                        ("config.cell_count_range", "9,3"),
+                                        ("config.artifact_kinds", "vignette"),
+                                        ("sigma", "2.0")])
+def test_manifest_of_bad_scene_settings_exits_naming_it(tmp_path, cfg_path, capsys,
+                                                        key, value):
+    # the scene settings a manifest records are validated on load, and its
+    # sigma checked against the model's, as the downsample is
+    data, extractor = str(tmp_path / "data"), str(tmp_path / "ex")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    manifest = os.path.join(data, "manifest.txt")
+    with open(manifest) as f:
+        lines = f.readlines()
+    edited = [f"{key} = {value}\n" if line.startswith(f"{key} =") else line
+              for line in lines]
+    assert sum(a != b for a, b in zip(lines, edited)) == 1
+    with open(manifest, "w") as f:
+        f.writelines(edited)
+    save_extractor(FeatureExtractor(np.random.default_rng(0)), extractor)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--data", data,
+                 "--extractor", extractor, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert manifest in err and key.removeprefix("config.") in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flags", [["ablate", "--variants", "full"],
                                    ["sweep-k", "--k", "2,4"],
                                    ["sweep-tau", "--tau", "0.5"]])

@@ -1,11 +1,18 @@
 """Config parsing, coercion, precedence, and the resolved-config echo."""
 
+from dataclasses import fields
+
 import pytest
 
 from protodensity import __version__
+from protodensity.cli import main
 from protodensity.config import (RESOLVED_CONFIG_NAME, ConfigError, RunConfig,
                                  build_run_config, load_config_file,
                                  parse_config_text, write_resolved_config)
+from protodensity.datagen import SceneConfig
+from protodensity.losses import LossConfig
+from protodensity.model import ModelConfig
+from protodensity.training import TrainConfig
 
 
 def test_parse_skips_comments_and_blanks():
@@ -77,6 +84,19 @@ def test_loss_keys_land_inside_train():
     ("train.pretrain_learning_rate = nan", "pretrain_learning_rate"),
     ("scene.noise_std = nan", "noise_std"),
     ("scene.cell_radius_range = nan, 5", "cell_radius_range"),
+    # values that passed before every numeric field carried a bound
+    ("train.beta1 = 1.5", "train.beta1"),
+    ("train.beta2 = nan", "train.beta2"),
+    ("train.adam_epsilon = 0", "train.adam_epsilon"),
+    ("train.weight_decay = nan", "train.weight_decay"),
+    ("train.min_delta = -1", "train.min_delta"),
+    ("train.convergence_patience = -5", "train.convergence_patience"),
+    ("train.learning_rate = inf", "train.learning_rate"),
+    ("scene.cell_count_range = -3,2", "scene.cell_count_range"),
+    ("scene.cell_radius_range = 0,0", "scene.cell_radius_range"),
+    ("scene.min_separation = nan", "scene.min_separation"),
+    ("scene.noise_std = inf", "scene.noise_std"),
+    ("scene.image_size = -8,8", "scene.image_size"),
 ])
 def test_bad_keys_and_values_name_the_culprit(override, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -116,3 +136,100 @@ def test_write_resolved_config(tmp_path):
     assert lines[2] == "command = train"
     assert lines[3] == "data = x"
     assert "train.seed = 9" in lines
+
+
+# -- bounds: every numeric field is range-checked --------------------------------
+
+
+_SECTIONS = {"scene": SceneConfig(), "model": ModelConfig(),
+             "train": TrainConfig(), "loss": LossConfig()}
+
+
+def _numeric_fields():
+    """(section, field, default) of every int, float or numeric-tuple field
+    of the four config dataclasses."""
+    for section, config in _SECTIONS.items():
+        for f in fields(config):
+            default = getattr(config, f.name)
+            ends = default if isinstance(default, tuple) else (default,)
+            if all(isinstance(v, (int, float)) for v in ends):
+                yield section, f, default
+
+
+def _bad_values():
+    """For each numeric field, NaN and a value just below its bound's low
+    end, in place of the default's (first) end. A field without a bound gets
+    the NaN row only; the test above names it."""
+    for section, f, default in _numeric_fields():
+        values = ["nan"]
+        if "bound" in f.metadata:
+            kind = type(default[0] if isinstance(default, tuple) else default)
+            bound = f.metadata["bound"]
+            lo = float(bound[1:-1].split(",")[0])
+            values.append(kind(lo if bound[0] == "(" else lo - 1))
+        for value in values:
+            if isinstance(default, tuple):
+                value = ",".join(map(str, (value, *default[1:])))
+            yield f"{section}.{f.name}", str(value)
+
+
+def test_every_numeric_field_is_bounded_and_every_default_passes():
+    numeric = {f"{section}.{f.name}": f for section, f, _ in _numeric_fields()}
+    assert "train.beta2" in numeric and "scene.image_size" in numeric
+    assert "scene.artifact_kinds" not in numeric and "train.loss" not in numeric
+    assert [key for key, f in numeric.items() if "bound" not in f.metadata] == []
+    RunConfig().validate()
+
+
+@pytest.mark.parametrize("key, raw", list(_bad_values()))
+def test_out_of_bound_value_exits_before_writing(tmp_path, capsys, key, raw):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--set", f"{key}={raw}", "--out", str(out),
+                 "--n-train", "1", "--n-test", "1"]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the dotted lines of the default echo: names, order, defaults and formatting
+_DEFAULT_ECHO = [
+    "scene.image_size = 128,128",
+    "scene.cell_count_range = 5,80",
+    "scene.cell_radius_range = 2.0,5.0",
+    "scene.cell_intensity_range = 0.4,1.0",
+    "scene.artifact_count_range = 2,6",
+    "scene.artifact_kinds = blob,streak,gradient",
+    "scene.noise_std = 0.03",
+    "scene.min_separation = 0.0",
+    "scene.seed = 0",
+    "model.k_cell = 4",
+    "model.k_bg = 4",
+    "model.d = 64",
+    "model.epsilon = 0.0001",
+    "train.learning_rate = 0.01",
+    "train.beta1 = 0.95",
+    "train.beta2 = 0.999",
+    "train.adam_epsilon = 1e-08",
+    "train.weight_decay = 0.0005",
+    "train.batch_size = 32",
+    "train.max_epochs = 500",
+    "train.projection_interval = 100",
+    "train.convergence_patience = 50",
+    "train.min_delta = 0.01",
+    "train.val_fraction = 0.2",
+    "train.calibration_epochs = 30",
+    "train.pretrain_epochs = 30",
+    "train.pretrain_learning_rate = 0.001",
+    "train.pretrain_batch_size = 16",
+    "train.seed = 0",
+    "loss.lambda1 = 1.0",
+    "loss.lambda2 = 1.0",
+    "loss.lambda3 = 100.0",
+    "loss.tau_cell = 0.8",
+    "loss.tau_bg = 0.8",
+]
+
+
+def test_default_echo_is_pinned(tmp_path):
+    with open(write_resolved_config(RunConfig(), str(tmp_path))) as f:
+        lines = [line for line in f.read().splitlines() if "." in line.split(" = ")[0]]
+    assert lines == _DEFAULT_ECHO
