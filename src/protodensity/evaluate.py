@@ -75,6 +75,8 @@ def mae(model, samples, features=None, seed: int = 0,
     preds, _ = model.predict(samples, features)
     rows = []
     for sample, pred in zip(samples, preds):
+        if not np.isfinite(pred):
+            raise ValueError(f"mae: predicted count of sample {sample.sample_id} is {pred}")
         true = float(len(sample.annotation))
         rows.append((sample.sample_id, true, float(pred), abs(float(pred) - true)))
     value = float(np.mean([r[3] for r in rows]))

@@ -159,6 +159,10 @@ def global_top_patches(samples, sims, k: int = 3,
     the prototype's own source neighborhood."""
     if k < 1:
         raise ValueError(f"global_top_patches: k must be >= 1, got {k}")
+    if not np.isfinite(sims).all():
+        n, proto = np.argwhere(~np.isfinite(sims))[0, :2]
+        raise ValueError(f"global_top_patches: similarity map of prototype {proto} "
+                         f"on sample {samples[n].sample_id} is not finite")
     result: list[list[PatchBox]] = []
     for proto in range(sims.shape[1]):
         best_per_image = []

@@ -17,10 +17,9 @@ so its forward and backward GEMMs run on NCHW data with no transposed copy,
 and neither a padded copy nor a batch-sized im2col matrix exists. Max pooling
 compares the four strided window corners, and its backward routes each
 window's gradient by a compare mask to the first maximum in row-major window
-order. The distance map's forward runs over the d channels once, squaring
-each channel's explicit differences to all K prototypes into one reused
-(K,B,H,W) buffer, and its backward is two GEMMs, so neither direction holds
-a K-fold (B,K,d,H,W) buffer or a (B,d,H,W) difference. A central
+order. The distance map's forward is one reduce over a (d,K,B,H,W) buffer of
+at most 1 MiB, else (or for one (K,B,H,W) element, which numpy sums pairwise)
+a channel loop, both in channel order; its backward is two GEMMs. A central
 finite-difference oracle (`finite_diff_grad`) verifies every analytic
 gradient.
 
@@ -603,19 +602,24 @@ def maxpool2x2(x) -> Tensor:
     return out
 
 
+# 1 MiB of float64, one image's (d,K,B,H,W) difference at d=64, K=8, 16x16: the one
+# pass took 0.16 ms there against the loop's 0.37; 0.52 vs 0.54 at B=2; 2.26 vs 1.91 at B=8
+_ONE_PASS_MAX = 2 ** 17
+
+
 def distance_map(features, prototypes) -> Tensor:
     """Squared L2 distance between every spatial feature vector and every
     prototype: out[b,i,h,w] = sum_c (features[b,c,h,w] - prototypes[i,c])^2,
     for B x d x H x W features and K x d prototypes.
 
-    The forward adds the squared explicit differences channel by channel, in
-    the order einsum sums over d, into a (K,B,H,W) accumulator, so a
-    prototype equal to a feature vector gives exactly 0 and no (B,d,H,W) or
-    K-fold (B,K,d,H,W) difference is built. The output is C-contiguous: the
-    backward's prototype sums run in memory order. The backward needs no
-    difference buffer either: with g = d(loss)/d(out) it is two GEMMs over
-    (B,K,HW) x (B,HW,d), grad_f = 2 (f * sum_k g_k - P^T g) and
-    grad_P = -2 (sum_b g f^T - (sum g_k) P).
+    The forward adds the squared explicit differences in channel order, so a
+    prototype equal to a feature vector gives exactly 0: up to
+    ``_ONE_PASS_MAX`` elements by one reduce over the outer axis of a
+    C-contiguous (d,K,B,H,W) buffer, else, and when K*B*H*W = 1 (numpy sums a
+    lone slab pairwise), by a channel loop into one (K,B,H,W) buffer; both
+    give the same bits. The output is C-contiguous for the backward: with
+    g = d(loss)/d(out), two GEMMs over (B,K,HW) x (B,HW,d),
+    grad_f = 2 (f * sum_k g_k - P^T g), grad_P = -2 (sum_b g f^T - (sum g_k) P).
     """
     features, prototypes = _coerce(features), _coerce(prototypes)
     fd = _batched(features, "distance_map")
@@ -627,12 +631,17 @@ def distance_map(features, prototypes) -> Tensor:
         raise ShapeError(f"distance_map: features have {d} channels but prototypes have {d_p}")
 
     pd = prototypes.data
-    acc = np.zeros((k, b_, h, w))
-    sq = np.empty_like(acc)
-    for c in range(d):
-        np.subtract(fd[:, c], pd[:, c, None, None, None], out=sq)
-        sq *= sq
-        acc += sq
+    if k * b_ * h * w >= 2 and d * k * b_ * h * w <= _ONE_PASS_MAX:
+        buf = np.empty((d, k, b_, h, w))
+        np.subtract(fd.transpose(1, 0, 2, 3)[:, None], pd.T[:, :, None, None, None], out=buf)
+        acc = np.add.reduce(np.square(buf, out=buf), axis=0)
+    else:
+        acc = np.zeros((k, b_, h, w))
+        sq = np.empty_like(acc)
+        for c in range(d):
+            np.subtract(fd[:, c], pd[:, c, None, None, None], out=sq)
+            sq *= sq
+            acc += sq
     out_data = np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
 
     def backward():
@@ -714,7 +723,7 @@ def save_tensor(path, array) -> None:
 
 def load_tensor(path) -> np.ndarray:
     """Read a PDTF file. Returns an array of the stored dtype; rejects bad
-    magic, unknown dtype codes, non-positive dims, and truncated payloads."""
+    magic, unknown dtype codes, non-positive dims, truncated payloads, NaN and inf."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 6 or blob[:4] != PDTF_MAGIC:
@@ -736,6 +745,8 @@ def load_tensor(path) -> np.ndarray:
     if len(payload) != expected:
         raise ValueError(f"{path}: PDTF payload is {len(payload)} bytes, expected {expected}")
     arr = np.frombuffer(payload, dtype=dt).reshape(dims).copy()
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: PDTF tensor holds NaN or inf")
     return arr
 
 

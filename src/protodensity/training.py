@@ -182,8 +182,6 @@ def pretrain_extractor(dataset, config: TrainConfig) -> tuple[FeatureExtractor, 
     params[head_w.name] = head_w
     params[head_b.name] = head_b
 
-    images = np.stack([s.image for s in samples])
-    gts = _stack_gt(samples)
     n = len(samples)
     state = AdamState()
     history: list[float] = []
@@ -194,9 +192,9 @@ def pretrain_extractor(dataset, config: TrainConfig) -> tuple[FeatureExtractor, 
             idx = perm[b0:b0 + config.batch_size]
             for p in params.values():
                 p.zero_grad()
-            feats = extractor.forward(Tensor(images[idx]))
+            feats = extractor.forward(Tensor(np.stack([samples[i].image for i in idx])))
             dens = T.conv1x1(feats, head_w, head_b)[:, 0]
-            loss = density_loss(dens, gts[idx])
+            loss = density_loss(dens, _stack_gt([samples[i] for i in idx]))
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingDiverged(f"pretraining loss went non-finite at epoch {epoch + 1}")

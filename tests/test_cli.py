@@ -221,6 +221,72 @@ def test_nan_epsilon_in_checkpoint_exits_usage(tmp_path, cfg_path, capsys):
     assert not (tmp_path / "eval.csv").exists()
 
 
+def _poke_first_value(path, value):
+    # overwrite the first float64 of a PDTF payload
+    with open(path, "r+b") as f:
+        f.seek(6 + 4 * f.read(6)[5])
+        f.write(struct.pack("<d", value))
+
+
+@pytest.mark.parametrize("poked, value, commands", [
+    (["ckpt/prototypes.pdt"], np.nan, ("eval", "explain")),
+    (["ckpt/prototypes.pdt"], np.inf, ("eval", "explain")),
+    (["ckpt/extractor.block1.weight.pdt", "ex/extractor.block1.weight.pdt"], np.nan,
+     ("eval", "explain", "train")),
+    (["data/samples/sample_00001_image.pdt"], np.nan,
+     ("eval", "explain", "train", "pretrain")),
+], ids=["nan-prototypes", "inf-prototypes", "nan-extractor-weight", "nan-image"])
+def test_non_finite_tensor_file_exits_naming_it(tmp_path, cfg_path, capsys,
+                                                poked, value, commands):
+    data, ckpt, ex = (str(tmp_path / name) for name in ("data", "ckpt", "ex"))
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    model = CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                       FeatureExtractor(np.random.default_rng(0)))
+    save_checkpoint(model, ckpt)
+    save_extractor(model.extractor, ex)
+    for name in poked:
+        _poke_first_value(tmp_path / name, value)
+    capsys.readouterr()
+    argvs = {"eval": ["eval", "--model", ckpt, "--data", data,
+                      "--out", str(tmp_path / "eval.csv")],
+             "explain": ["explain", "--model", ckpt, "--data", data,
+                         "--out", str(tmp_path / "gallery")],
+             "train": ["train", "--config", cfg_path, "--data", data,
+                       "--extractor", ex, "--out", str(tmp_path / "run")],
+             "pretrain": ["pretrain", "--config", cfg_path, "--data", data,
+                          "--out", str(tmp_path / "ex2")]}
+    for command in commands:
+        assert main(argvs[command]) == 1
+        err = capsys.readouterr().err
+        assert "NaN or inf" in err and any(str(tmp_path / n) in err for n in poked), err
+    assert not (tmp_path / "eval.csv").exists() and not (tmp_path / "run").exists()
+
+
+def test_overflowing_prototypes_exit_naming_the_map(tmp_path, cfg_path, capsys):
+    # finite prototypes at 1e200 overflow every distance to inf, and every
+    # similarity log((inf + 1) / (inf + eps)) is NaN
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "ckpt")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    model = CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                       FeatureExtractor(np.random.default_rng(0)))
+    model.prototype_layer.prototypes.data[:] = 1e200
+    save_checkpoint(model, ckpt)
+    capsys.readouterr()
+    for argv, named in (
+            (["eval", "--model", ckpt, "--data", data, "--out", str(tmp_path / "eval.csv")],
+             "predicted count of sample 2 is nan"),
+            (["explain", "--model", ckpt, "--data", data, "--out", str(tmp_path / "gallery"),
+              "--image", "0", "--loc", "1,1"],
+             "similarity map of prototype 0 on sample 0 is not finite")):
+        with pytest.warns(RuntimeWarning):
+            assert main(argv) == 1
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+    assert not list((tmp_path / "gallery").glob("*"))
+
+
 @pytest.mark.parametrize("text", ["", "x,y\r\n1.0\r\n"])
 def test_malformed_points_file_exits_usage(tmp_path, cfg_path, capsys, text):
     data = str(tmp_path / "data")

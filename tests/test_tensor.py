@@ -492,24 +492,60 @@ def test_distance_map_grads(rng):
         check_grad(lambda t: T.tsum(T.mul(T.distance_map(Tensor(f), t), Tensor(w))), p)
 
 
-@pytest.mark.parametrize("b", [1, 16, 32])
-def test_distance_map_equals_explicit_difference_bitwise(rng, b):
-    f_batch_major = rng.uniform(size=(b, 64, 16, 16))
+def channel_loop_distance(f, p):
+    """The distance map as d explicit channel steps, summed in channel order."""
+    out = np.zeros((f.shape[0], p.shape[0]) + f.shape[2:])
+    for c in range(f.shape[1]):
+        diff = f[:, None, c] - p[None, :, c, None, None]
+        out += diff * diff
+    return out
+
+
+# (B, d, H, W); at K = 8 the (d,K,B,H,W) difference is 2^17 elements for one
+# default image, 2^18 for two and 17 * 2^13 for a 16 x 17 map, so with
+# K in (1, 2, 8) the cases sit below, at and above the one-pass limit. The
+# 1x1 maps include K*B*H*W = 1, the single (K,B,H,W) element that numpy
+# would sum pairwise, and 2, the smallest one-pass input.
+@pytest.mark.parametrize("b, d, h, w", [
+    pytest.param(1, 64, 16, 16, id="1"), pytest.param(16, 64, 16, 16, id="16"),
+    pytest.param(32, 64, 16, 16, id="32"), (2, 64, 16, 16), (1, 64, 16, 17),
+    (1, 128, 16, 8), (1, 64, 3, 3), (1, 8, 1, 1), (2, 8, 1, 1), (1, 64, 1, 1),
+    (2, 64, 1, 1)])
+def test_distance_map_equals_explicit_difference_bitwise(rng, b, d, h, w):
+    f_batch_major = rng.uniform(size=(b, d, h, w))
     # a (B,d,H,W) view of (d,B,H,W) memory: the layout that conv1x1 and
     # sigmoid hand to distance_map in forward_from_features
-    f_channel_major = rng.uniform(size=(64, b, 16, 16)).transpose(1, 0, 2, 3)
+    f_channel_major = rng.uniform(size=(d, b, h, w)).transpose(1, 0, 2, 3)
     for f in (f_batch_major, f_channel_major):
-        for k in (1, 8):
-            p = rng.uniform(size=(k, 64))
-            diff = f[:, None] - p[None, :, :, None, None]
-            expected = np.einsum("bkdhw,bkdhw->bkhw", diff, diff)
+        for k in (1, 2, 8):
+            p = rng.uniform(size=(k, d))
+            expected = channel_loop_distance(f, p)
             out = T.distance_map(f, p).data
             assert np.array_equal(out, expected)
+            if h * w > 1:   # einsum sums a 1x1 map's channels pairwise
+                diff = f[:, None] - p[None, :, :, None, None]
+                assert np.array_equal(out, np.einsum("bkdhw,bkdhw->bkhw", diff, diff))
             assert np.array_equal(T.distance_map(f[:1], p).data, expected[:1])
             # the backward's g.sum(axis=(0, 2)) sums in memory order, so an
             # output in another layout would move the prototype gradient in
             # the last bits
             assert out.flags.c_contiguous
+
+
+def test_distance_map_of_one_image_peaks_at_its_one_pass_buffer(rng):
+    # the one-pass (d,K,B,H,W) difference of one default image is 1 MiB;
+    # numpy's ufunc buffers (getbufsize() elements per broadcast operand)
+    # come on top
+    f, p = rng.uniform(size=(1, 64, 16, 16)), rng.uniform(size=(8, 64))
+    limit = 2 ** 20 + 8 * 8 * 16 * 16 + 2 * 8 * np.getbufsize()
+    tracemalloc.start()
+    try:
+        with no_grad():
+            T.distance_map(f, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit, f"peak {peak} B > {limit} B"
 
 
 def test_distance_map_zero_where_prototype_equals_feature(rng):
@@ -701,3 +737,7 @@ def test_pdtf_rejects_bad_files(tmp_path):
     (tmp_path / "trunc.pdt").write_bytes(blob[:-8])
     with pytest.raises(ValueError):
         T.load_tensor(tmp_path / "trunc.pdt")
+    for value in (np.nan, np.inf, -np.inf):
+        T.save_tensor(tmp_path / "nonfinite.pdt", [1.0, value])
+        with pytest.raises(ValueError, match="nonfinite.pdt: PDTF tensor holds NaN or inf"):
+            T.load_tensor(tmp_path / "nonfinite.pdt")

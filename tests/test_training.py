@@ -159,6 +159,26 @@ def test_pretrain_rejects_bad_settings(tiny_dataset):
         pretrain_extractor(tiny_dataset, tiny_train_config(pretrain_batch_size=0))
 
 
+def test_pretrain_peak_memory_does_not_grow_with_the_split():
+    # each batch is gathered from the samples, so no split-sized image stack
+    # exists: 48 more 64x64 images would add 1.5 MB to a stacked split
+    def pretrain_peak(n):
+        rng = np.random.default_rng(n)
+        samples = [types.SimpleNamespace(image=rng.uniform(size=(1, 64, 64)),
+                                         density_gt=rng.uniform(size=(8, 8)))
+                   for _ in range(n)]
+        config = tiny_train_config(pretrain_epochs=1, pretrain_batch_size=8)
+        tracemalloc.start()
+        try:
+            pretrain_extractor(types.SimpleNamespace(train=samples), config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = pretrain_peak(16), pretrain_peak(64)
+    assert large <= small + 2 ** 16, f"peak {small} B at 16 samples, {large} B at 64"
+
+
 def test_pretrain_rejects_empty_split():
     with pytest.raises(ValueError, match="empty"):
         pretrain_extractor(types.SimpleNamespace(train=[]), tiny_train_config())
