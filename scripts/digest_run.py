@@ -19,7 +19,9 @@ import hashlib
 import os
 import sys
 
-from protodensity.config import RESOLVED_CONFIG_NAME
+# this checkout's package, never an installed one
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+from protodensity.config import RESOLVED_CONFIG_NAME  # noqa: E402
 
 
 def masked_config(text: str, root: str) -> str:

@@ -136,12 +136,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _model_snapshot(model) -> dict[str, object]:
-    c = model.config
-    return {"model.k_cell": c.k_cell, "model.k_bg": c.k_bg,
-            "model.d": c.d, "model.epsilon": c.epsilon}
-
-
 def cmd_eval(args) -> int:
     from .datagen import load_dataset
     from .evaluate import mae, write_eval_csv
@@ -149,7 +143,8 @@ def cmd_eval(args) -> int:
 
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
-    report = mae(model, dataset.test, config=_model_snapshot(model))
+    report = mae(model, dataset.test,
+                 config={f"model.{key}": value for key, value in vars(model.config).items()})
     write_eval_csv(report, args.out)
     print(f"test MAE {report.mae:.4f} over {len(report.rows)} images -> {args.out}")
     return EXIT_OK
@@ -178,7 +173,6 @@ def cmd_explain(args) -> int:
         if args.image not in by_id:
             raise ValueError(f"no sample with id {args.image} in {args.data}")
         explanation = explain_location(model, by_id[args.image].image, *args.loc)
-    os.makedirs(args.out, exist_ok=True)
     patches = export_prototype_gallery(model, dataset, args.out,
                                        k=args.global_k, q=args.percentile)
     print(f"wrote {sum(len(p) for p in patches)} patches for "

@@ -42,7 +42,6 @@ class EvalReport:
 
     rows: list[tuple[int, float, float, float]]  # (id, true, predicted, abs err)
     mae: float
-    seed: int
     config: dict[str, object] = field(default_factory=dict)
 
 
@@ -67,7 +66,7 @@ class AblationReport:
 # -- MAE -----------------------------------------------------------------------
 
 
-def mae(model, samples, features=None, seed: int = 0,
+def mae(model, samples, features=None,
         config: dict[str, object] | None = None) -> EvalReport:
     """Mean absolute counting error over ``samples``, one row per image."""
     if not samples:
@@ -80,7 +79,7 @@ def mae(model, samples, features=None, seed: int = 0,
         true = float(len(sample.annotation))
         rows.append((sample.sample_id, true, float(pred), abs(float(pred) - true)))
     value = float(np.mean([r[3] for r in rows]))
-    return EvalReport(rows, value, seed, dict(config or {}))
+    return EvalReport(rows, value, dict(config or {}))
 
 
 def constant_predictor_mae(value: float, counts) -> float:
@@ -101,7 +100,7 @@ def constant_baseline_mae(dataset: Dataset) -> float:
 def write_eval_csv(report: EvalReport, path) -> None:
     write_csv(path, EVAL_CSV_HEADER, [[sid, repr(true), repr(pred), repr(err)]
                                       for sid, true, pred, err in report.rows])
-    write_key_values(f"{path}.config.txt", [("mae", report.mae), ("seed", report.seed),
+    write_key_values(f"{path}.config.txt", [("mae", report.mae),
                                             *sorted(report.config.items())])
 
 
@@ -167,8 +166,7 @@ def _train_grid(dataset: Dataset, config: TrainConfig, runs,
     for label, model_config, run_config in runs:
         model = CountModel(model_config, extractor, seed=run_config.seed)
         model, _ = train(model, dataset, run_config, feature_cache=feature_cache)
-        yield label, model, mae(model, dataset.test, features=test_features,
-                                seed=run_config.seed).mae, feature_cache
+        yield label, model, mae(model, dataset.test, features=test_features).mae, feature_cache
 
 
 def _ablation_runs(config, model_config, variants, seeds):
@@ -230,7 +228,7 @@ def run_ablation(dataset: Dataset, config: TrainConfig, seeds,
     for (variant, seed), model, test_mae, features in _train_grid(
             dataset, config, runs, extractor, feature_cache):
         cell_rate, bg_rate = localization_rates(model, dataset, features=features)
-        stats = intra_group_distances(model.prototype_layer.prototypes.data,
+        stats = intra_group_distances(model.prototypes.data,
                                       model.config.k_cell, model.config.k_bg)
         reports.append(AblationReport(variant, seed, test_mae, stats, cell_rate,
                                       bg_rate, dataset.manifest_hash))

@@ -216,7 +216,7 @@ def explain_location(model: CountModel, image, h: int, w: int) -> Explanation:
     with no_grad():
         out = model.forward(Tensor(image[None, :, s * h0:s * (h + 2), s * w0:s * (w + 2)]))
     sims = out.similarities.data[0, :, h - h0, w - w0]
-    theta = model.head.theta.data
+    theta = model.theta.data
     contributions = [(i, float(theta[i]), float(sims[i]), float(theta[i]) * float(sims[i]))
                      for i in range(theta.shape[0])]
     return Explanation((h, w), contributions, float(out.density.data[0, h - h0, w - w0]))
@@ -285,15 +285,16 @@ def export_prototype_gallery(model: CountModel, dataset, out_dir, k: int = 3,
     """Write the top-k patch gallery: patches.csv, per-patch PGM previews, and
     the top-1 similarity map and mask per prototype as binary tensors. The
     training split is forwarded once; every patch and map comes from that
-    one similarity stack. The previews (with their scale sidecars) and maps
-    an earlier gallery left in ``out_dir`` are removed first."""
+    one similarity stack. Once its patches are found, the previews (with
+    their scale sidecars) and maps an earlier gallery left in ``out_dir`` are
+    removed, so a gallery that fails leaves the earlier one whole."""
+    samples = dataset.train
+    _, sims = model.predict(samples, features)
+    patches = global_top_patches(samples, sims, k=k, q=q)
     os.makedirs(out_dir, exist_ok=True)
     for pattern in ("proto*_rank*_img*.pgm*", "proto*_sim.pdt", "proto*_mask.pdt"):
         for stale in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
             os.remove(stale)
-    samples = dataset.train
-    _, sims = model.predict(samples, features)
-    patches = global_top_patches(samples, sims, k=k, q=q)
     write_patches_csv(patches, os.path.join(out_dir, "patches.csv"))
     index = {s.sample_id: n for n, s in enumerate(samples)}
     for proto, boxes in enumerate(patches):

@@ -94,58 +94,12 @@ class FeatureExtractor:
         return digest.hexdigest()
 
 
-class ProcessingLayer:
-    """1x1 convolution plus sigmoid mapping extractor features into (0,1)^d."""
-
-    def __init__(self, d: int, rng: np.random.Generator):
-        limit = 1.0 / np.sqrt(FEATURE_DIM)
-        self.weight = Parameter(rng.uniform(-limit, limit, size=(d, FEATURE_DIM)),
-                                name="processing.weight")
-        self.bias = Parameter(np.zeros(d), name="processing.bias")
-
-    def forward(self, features) -> Tensor:
-        return T.sigmoid(T.conv1x1(features, self.weight, self.bias))
-
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
-
-class PrototypeLayer:
-    """K learnable d-dim prototypes: the first k_cell are cell prototypes,
-    the remaining k_bg are background prototypes."""
-
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        self.prototypes = Parameter(rng.uniform(0.0, 1.0, size=(config.k_total, config.d)),
-                                    name="prototypes")
-
-    def parameters(self) -> list[Parameter]:
-        return [self.prototypes]
-
-
 def similarity_from_distance(dist: Tensor, epsilon: float) -> Tensor:
     """log((dist + 1) / (dist + epsilon)): strictly decreasing in distance,
     maxing out at log(1/epsilon) for a zero distance."""
     if np.any(dist.data < 0):
         raise ValueError("similarity_from_distance: distances must be nonnegative")
     return T.sub(T.log(T.add(dist, 1.0)), T.log(T.add(dist, epsilon)))
-
-
-class DensityHead:
-    """Per-prototype weights theta; the density map is sum_i theta_i * S_i.
-
-    No bias and no sign constraint: background similarities may contribute
-    negatively or not at all.
-    """
-
-    def __init__(self, k_total: int):
-        self.theta = Parameter(np.zeros(k_total), name="head.theta")
-
-    def forward(self, similarities) -> Tensor:
-        """(B, K, Hf, Wf) similarities -> (B, Hf, Wf) density."""
-        return T.conv1x1(similarities, T.reshape(self.theta, (1, -1)))[:, 0]
-
-    def parameters(self) -> list[Parameter]:
-        return [self.theta]
 
 
 @dataclass
@@ -173,7 +127,15 @@ class ModelOutputs:
 
 
 class CountModel:
-    """Extractor + processing + prototypes + density head, with provenance."""
+    """Extractor, then a 1x1 convolution plus sigmoid mapping its features
+    into (0,1)^d, then K learnable d-dim prototypes, then per-prototype
+    weights theta: the density map is sum_i theta_i * S_i. With provenance.
+
+    The first ``k_cell`` prototypes are cell prototypes, the remaining
+    ``k_bg`` background prototypes. theta has no bias and no sign
+    constraint: background similarities may contribute negatively or not
+    at all.
+    """
 
     def __init__(self, config: ModelConfig, extractor: FeatureExtractor,
                  seed: int = 0):
@@ -181,9 +143,13 @@ class CountModel:
         self.config = config
         self.extractor = extractor
         rng = np.random.default_rng([seed, 1])
-        self.processing = ProcessingLayer(config.d, rng)
-        self.prototype_layer = PrototypeLayer(config, rng)
-        self.head = DensityHead(config.k_total)
+        limit = 1.0 / np.sqrt(FEATURE_DIM)
+        self.processing_weight = Parameter(
+            rng.uniform(-limit, limit, size=(config.d, FEATURE_DIM)), name="processing.weight")
+        self.processing_bias = Parameter(np.zeros(config.d), name="processing.bias")
+        self.prototypes = Parameter(rng.uniform(0.0, 1.0, size=(config.k_total, config.d)),
+                                    name="prototypes")
+        self.theta = Parameter(np.zeros(config.k_total), name="head.theta")
         self.provenance: list[PrototypeProvenance | None] = [None] * config.k_total
 
     # -- stages ---------------------------------------------------------------
@@ -195,15 +161,16 @@ class CountModel:
         return self.extractor.forward(x)
 
     def process_features(self, features) -> Tensor:
-        return self.processing.forward(features)
+        return T.sigmoid(T.conv1x1(features, self.processing_weight, self.processing_bias))
 
     def predict_density(self, similarities) -> Tensor:
-        return self.head.forward(similarities)
+        """(B, K, Hf, Wf) similarities -> (B, Hf, Wf) density."""
+        return T.conv1x1(similarities, T.reshape(self.theta, (1, -1)))[:, 0]
 
     def forward_from_features(self, features) -> ModelOutputs:
         feats = features if isinstance(features, Tensor) else Tensor(features)
         processed = self.process_features(feats)
-        distances = T.distance_map(processed, self.prototype_layer.prototypes)
+        distances = T.distance_map(processed, self.prototypes)
         similarities = similarity_from_distance(distances, self.config.epsilon)
         density = self.predict_density(similarities)
         return ModelOutputs(feats, processed, distances, similarities, density,
@@ -228,8 +195,8 @@ class CountModel:
     # -- parameter plumbing ---------------------------------------------------
 
     def named_parameters(self) -> dict[str, Parameter]:
-        params = (self.extractor.parameters() + self.processing.parameters()
-                  + self.prototype_layer.parameters() + self.head.parameters())
+        params = self.extractor.parameters() + [
+            self.processing_weight, self.processing_bias, self.prototypes, self.theta]
         return {p.name: p for p in params}
 
     def trainable_parameters(self) -> dict[str, Parameter]:

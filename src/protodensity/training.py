@@ -229,7 +229,7 @@ def project_prototypes(model: CountModel, dataset,
     forward_batches(model.process_features, features,
                     lambda out: np.copyto(next(rows), out.data), 16)
     _, d, hf, wf = processed.shape
-    proto = model.prototype_layer.prototypes
+    proto = model.prototypes
     dist = np.empty((proto.shape[0], n * hf * wf))
     for s in range(0, n, 4):
         vectors = np.ascontiguousarray(processed[s:s + 4].transpose(0, 2, 3, 1)).reshape(-1, d)
@@ -265,7 +265,7 @@ def _fixed_maps_forward(model: CountModel, processed: np.ndarray):
     ``idx`` from the split's similarity and distance maps, computed here once
     from its ``processed`` features, and the prototypes as a constant: valid
     while only the head moves, and a loss over them reaches theta alone."""
-    prototypes = Tensor(model.prototype_layer.prototypes.data)
+    prototypes = Tensor(model.prototypes.data)
     with T.no_grad():
         dists = T.distance_map(Tensor(processed), prototypes)
         sims = similarity_from_distance(dists, model.config.epsilon).data
@@ -356,7 +356,7 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
 
     def fit_forward(idx):
         out = model.forward_from_features(Tensor(features[idx]))
-        return out.density, out.distances, model.prototype_layer.prototypes
+        return out.density, out.distances, model.prototypes
 
     epoch = 0
     for epoch in range(1, config.max_epochs + 1):
@@ -390,7 +390,7 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
     # projected prototypes. Only theta moves, so the prototypes stay exactly
     # projected in the shipped model, and the distance and similarity maps
     # are fixed: compute them once and run every calibration step on theta * S
-    theta = model.head.theta
+    theta = model.theta
     theta_params = {theta.name: theta}
     if config.calibration_epochs:
         calibration_forward = _fixed_maps_forward(model, processed)

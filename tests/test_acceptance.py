@@ -211,7 +211,7 @@ def test_criterion_07_projection_exact_and_idempotent(default_dataset,
         processed = model.process_features(Tensor(train_features)).data
     vectors = np.ascontiguousarray(
         processed.transpose(0, 2, 3, 1)).reshape(-1, processed.shape[1])
-    proto = model.prototype_layer.prototypes.data
+    proto = model.prototypes.data
     worst = 0.0
     for i in range(proto.shape[0]):
         diff = vectors - proto[i]
@@ -221,7 +221,7 @@ def test_criterion_07_projection_exact_and_idempotent(default_dataset,
 
     before = proto.copy()
     project_prototypes(model, default_dataset, train_features)
-    assert np.array_equal(model.prototype_layer.prototypes.data, before)
+    assert np.array_equal(model.prototypes.data, before)
     assert all(rec.distance_before == 0.0 for rec in model.provenance)
     print("criterion 7: PASS")
 

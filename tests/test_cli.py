@@ -271,7 +271,7 @@ def test_overflowing_prototypes_exit_naming_the_map(tmp_path, cfg_path, capsys):
                  "--n-train", "2", "--n-test", "1"]) == 0
     model = CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
                        FeatureExtractor(np.random.default_rng(0)))
-    model.prototype_layer.prototypes.data[:] = 1e200
+    model.prototypes.data[:] = 1e200
     save_checkpoint(model, ckpt)
     capsys.readouterr()
     for argv, named in (
@@ -285,6 +285,27 @@ def test_overflowing_prototypes_exit_naming_the_map(tmp_path, cfg_path, capsys):
         assert named in capsys.readouterr().err
     assert not (tmp_path / "eval.csv").exists()
     assert not list((tmp_path / "gallery").glob("*"))
+
+
+def test_failed_explain_leaves_the_earlier_gallery_whole(tmp_path, cfg_path, capsys):
+    data, good, bad = (str(tmp_path / name) for name in ("data", "good", "bad"))
+    gallery = tmp_path / "gal"
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "3", "--n-test", "1"]) == 0
+    model = CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                       FeatureExtractor(np.random.default_rng(0)))
+    save_checkpoint(model, good)
+    model.prototypes.data[:] = 1e200
+    save_checkpoint(model, bad)
+    assert main(["explain", "--model", good, "--data", data, "--out", str(gallery),
+                 "--global-k", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in gallery.iterdir()}
+    assert len(before) > 1
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning):
+        assert main(["explain", "--model", bad, "--data", data, "--out", str(gallery)]) == 1
+    assert "is not finite" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in gallery.iterdir()} == before
 
 
 @pytest.mark.parametrize("text", ["", "x,y\r\n1.0\r\n"])
@@ -668,8 +689,7 @@ def test_experiment_scripts_keep_their_layout(tmp_path, cfg_path, experiment, fl
 def _run_script(script, *args, check=True) -> subprocess.CompletedProcess:
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     # the scripts import the package from src/ whether or not it is installed
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run([sys.executable, os.path.join(root, "scripts", script), *args],
                           check=check, capture_output=True, text=True, env=env)
 

@@ -63,12 +63,11 @@ def test_mae_zero_for_oracle_predictor(tiny_dataset):
 def test_mae_rows_cover_every_sample_once(tiny_dataset):
     samples = tiny_dataset.test
     preds = np.full((len(samples), 1, 1), 10.0)
-    report = mae(_FeatureEchoStub(), samples, features=preds, seed=3,
-                 config={"note": "stub"})
+    report = mae(_FeatureEchoStub(), samples, features=preds, config={"note": "stub"})
     assert [r[0] for r in report.rows] == [s.sample_id for s in samples]
     truths = np.array([len(s.annotation) for s in samples], dtype=np.float64)
     assert report.mae == np.abs(truths - 10.0).mean()
-    assert report.seed == 3 and report.config == {"note": "stub"}
+    assert report.config == {"note": "stub"}
 
 
 def test_mae_rejects_empty_split():
@@ -96,7 +95,7 @@ def test_constant_baseline_mae_hand_values():
 def test_write_eval_csv_with_config_sidecar(tiny_dataset, tmp_path):
     samples = tiny_dataset.test
     preds = np.full((len(samples), 1, 1), 2.5)
-    report = mae(_FeatureEchoStub(), samples, features=preds, seed=7,
+    report = mae(_FeatureEchoStub(), samples, features=preds,
                  config={"b_key": "2", "a_key": "1"})
     path = tmp_path / "eval.csv"
     write_eval_csv(report, str(path))
@@ -111,8 +110,7 @@ def test_write_eval_csv_with_config_sidecar(tiny_dataset, tmp_path):
 
     sidecar = (tmp_path / "eval.csv.config.txt").read_text().splitlines()
     assert sidecar[0] == f"mae = {report.mae!r}"
-    assert sidecar[1] == "seed = 7"
-    assert sidecar[2:] == ["a_key = 1", "b_key = 2"]
+    assert sidecar[1:] == ["a_key = 1", "b_key = 2"]
 
 
 # -- localization ---------------------------------------------------------------

@@ -263,14 +263,13 @@ class _StubModel:
     real model it takes a batch and returns batched outputs."""
 
     def __init__(self, theta, sims):
-        self.head = types.SimpleNamespace(theta=types.SimpleNamespace(
-            data=np.asarray(theta, dtype=np.float64)))
+        self.theta = types.SimpleNamespace(data=np.asarray(theta, dtype=np.float64))
         self._sims = np.asarray(sims, dtype=np.float64)
 
     def forward(self, x):
         assert x.ndim == 4 and x.shape[0] == 1, x.shape
         sims = self._sims[None]
-        density = np.einsum("k,bkhw->bhw", self.head.theta.data, sims)
+        density = np.einsum("k,bkhw->bhw", self.theta.data, sims)
         return types.SimpleNamespace(similarities=Tensor(sims),
                                      density=Tensor(density))
 
@@ -300,7 +299,7 @@ def test_explain_completeness_on_real_model(interp_model, tiny_dataset):
         assert abs(total - expl.density) <= 1e-9
         for i, (proto, theta, sim, product) in enumerate(expl.contributions):
             assert proto == i
-            assert theta == interp_model.head.theta.data[i]
+            assert theta == interp_model.theta.data[i]
             assert product == theta * sim
 
 
@@ -352,7 +351,7 @@ def _assert_explains_full_forward(model, image, crops):
     with no_grad():
         out = model.forward(Tensor(image[None]))
     sims, density = out.similarities.data[0], out.density.data[0]
-    theta = model.head.theta.data
+    theta = model.theta.data
     crops.clear()
     for h in range(density.shape[0]):
         for w in range(density.shape[1]):
@@ -373,7 +372,7 @@ def test_explain_matches_full_forward_at_default_size(monkeypatch):
     # last bit a GEMM over fewer columns may sum in another order
     rng = np.random.default_rng(3)
     model = CountModel(ModelConfig(), FeatureExtractor(np.random.default_rng(4)), seed=2)
-    model.head.theta.data = rng.normal(size=model.config.k_total)
+    model.theta.data = rng.normal(size=model.config.k_total)
     crops = _record_crops(monkeypatch)
     for index in range(3):
         image, _ = render_scene(SceneConfig(seed=5), index)
@@ -382,7 +381,7 @@ def test_explain_matches_full_forward_at_default_size(monkeypatch):
 
 def test_explain_matches_full_forward_on_a_non_square_image(interp_model, monkeypatch):
     model = copy.deepcopy(interp_model)
-    model.head.theta.data = np.array([1.5, 0.5, -0.75, -0.25])
+    model.theta.data = np.array([1.5, 0.5, -0.75, -0.25])
     image = np.random.default_rng(6).uniform(size=(1, 32, 48))
     _assert_explains_full_forward(model, image, _record_crops(monkeypatch))
 

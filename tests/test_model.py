@@ -176,7 +176,7 @@ def test_predict_peak_memory(extractor):
 
 def test_prototype_init_uniform_unit_cube(extractor):
     m = CountModel(ModelConfig(k_cell=16, k_bg=16), extractor, seed=5)
-    p = m.prototype_layer.prototypes.data
+    p = m.prototypes.data
     assert p.shape == (32, 64)
     assert np.all(p >= 0.0) and np.all(p < 1.0)
     assert p.std() > 0.2  # spread out, not collapsed
@@ -184,14 +184,14 @@ def test_prototype_init_uniform_unit_cube(extractor):
 
 def test_processing_init_bounds(model):
     limit = 1.0 / np.sqrt(FEATURE_DIM)
-    w = model.processing.weight.data
+    w = model.processing_weight.data
     assert np.all(np.abs(w) <= limit)
-    np.testing.assert_array_equal(model.processing.bias.data, 0.0)
+    np.testing.assert_array_equal(model.processing_bias.data, 0.0)
 
 
 def test_head_starts_at_zero_without_bias(model):
-    np.testing.assert_array_equal(model.head.theta.data, np.zeros(5))
-    names = {p.name for p in model.head.parameters()}
+    np.testing.assert_array_equal(model.theta.data, np.zeros(5))
+    names = {n for n in model.named_parameters() if n.startswith("head.")}
     assert names == {"head.theta"}
 
 
@@ -206,11 +206,10 @@ def test_extractor_init_he_bounds():
 def test_same_seed_same_init(extractor):
     a = CountModel(ModelConfig(), extractor, seed=11)
     b = CountModel(ModelConfig(), extractor, seed=11)
-    np.testing.assert_array_equal(a.prototype_layer.prototypes.data,
-                                  b.prototype_layer.prototypes.data)
-    np.testing.assert_array_equal(a.processing.weight.data, b.processing.weight.data)
+    np.testing.assert_array_equal(a.prototypes.data, b.prototypes.data)
+    np.testing.assert_array_equal(a.processing_weight.data, b.processing_weight.data)
     c = CountModel(ModelConfig(), extractor, seed=12)
-    assert not np.array_equal(a.processing.weight.data, c.processing.weight.data)
+    assert not np.array_equal(a.processing_weight.data, c.processing_weight.data)
 
 
 # -- similarity transform ------------------------------------------------------
@@ -261,6 +260,41 @@ def test_named_parameters_cover_all_stages(model):
     assert any(n.startswith("extractor.block") for n in names)
 
 
+_DEFAULT_PARAMETERS = [
+    ("extractor.block0.weight", (16, 1, 3, 3)), ("extractor.block0.bias", (16,)),
+    ("extractor.block1.weight", (32, 16, 3, 3)), ("extractor.block1.bias", (32,)),
+    ("extractor.block2.weight", (64, 32, 3, 3)), ("extractor.block2.bias", (64,)),
+    ("processing.weight", (64, 64)), ("processing.bias", (64,)),
+    ("prototypes", (8, 64)), ("head.theta", (8,)),
+]
+
+
+def test_named_parameters_order_and_shapes_at_default_config():
+    m = CountModel(ModelConfig(), FeatureExtractor(np.random.default_rng(0)))
+    assert [(n, p.shape) for n, p in m.named_parameters().items()] == _DEFAULT_PARAMETERS
+    assert all(p.name == n for n, p in m.named_parameters().items())
+
+
+def test_checkpoint_writes_exactly_its_files(tmp_path):
+    m = CountModel(ModelConfig(), FeatureExtractor(np.random.default_rng(0)))
+    save_checkpoint(m, str(tmp_path))
+    assert {p.name for p in tmp_path.iterdir()} == (
+        {f"{n}.pdt" for n, _ in _DEFAULT_PARAMETERS} | {"checkpoint.txt", "provenance.csv"})
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_init_draws_processing_then_prototypes_from_one_stream(extractor, seed):
+    config = ModelConfig(k_cell=3, k_bg=2, d=6)
+    m = CountModel(config, extractor, seed=seed)
+    rng = np.random.default_rng([seed, 1])
+    limit = 1.0 / np.sqrt(FEATURE_DIM)
+    assert np.array_equal(m.processing_weight.data,
+                          rng.uniform(-limit, limit, size=(6, FEATURE_DIM)))
+    assert np.array_equal(m.prototypes.data, rng.uniform(0.0, 1.0, size=(5, 6)))
+    assert np.array_equal(m.processing_bias.data, np.zeros(6))
+    assert np.array_equal(m.theta.data, np.zeros(5))
+
+
 def test_trainable_excludes_frozen_extractor(extractor):
     m = CountModel(ModelConfig(), extractor, seed=0)
     extractor.freeze()
@@ -281,7 +315,7 @@ def test_zero_grad_clears(model):
 
 def test_checkpoint_roundtrip(tmp_path, extractor):
     m = CountModel(ModelConfig(k_cell=2, k_bg=3), extractor, seed=4)
-    m.head.theta.data[:] = np.arange(5.0)
+    m.theta.data[:] = np.arange(5.0)
     from protodensity.model import PrototypeProvenance
     m.provenance[0] = PrototypeProvenance(0, 7, 2, 3, 0.125)
     extractor.freeze()

@@ -46,7 +46,7 @@ def min_projection_gap(model, features) -> float:
     """Largest over prototypes of the smallest squared distance to any
     processed training vector; zero iff the model is exactly projected."""
     vectors = processed_vectors(model, features)
-    proto = model.prototype_layer.prototypes.data
+    proto = model.prototypes.data
     worst = 0.0
     for i in range(proto.shape[0]):
         diff = vectors - proto[i]
@@ -195,13 +195,13 @@ def test_projection_is_exact_and_idempotent(tiny_dataset, tiny_extractor,
     assert min_projection_gap(model, tiny_features) <= 1e-12
 
     vectors = processed_vectors(model, tiny_features)
-    proto = model.prototype_layer.prototypes.data
+    proto = model.prototypes.data
     for i in range(proto.shape[0]):
         assert any(np.array_equal(proto[i], v) for v in vectors)
 
     before = proto.copy()
     project_prototypes(model, tiny_dataset, tiny_features)
-    assert np.array_equal(model.prototype_layer.prototypes.data, before)
+    assert np.array_equal(model.prototypes.data, before)
     assert all(rec.distance_before == 0.0 for rec in model.provenance)
 
 
@@ -238,7 +238,7 @@ def whole_split_projection(model, features):
     at once: (records as tuples, projected prototypes), model untouched."""
     vectors = processed_vectors(model, features)
     hf, wf = features.shape[-2:]
-    proto = model.prototype_layer.prototypes.data.copy()
+    proto = model.prototypes.data.copy()
     records = []
     for i in range(proto.shape[0]):
         diff = vectors - proto[i]
@@ -278,7 +278,7 @@ def test_projection_equals_whole_split_search(case, tiny_dataset, tiny_extractor
     for rec, (i, sid, h, w, dist) in zip(records, expected):
         assert (rec.prototype_id, rec.image_id, rec.h, rec.w) == (i, ids[sid], h, w)
         assert rec.distance_before == dist
-    assert np.array_equal(model.prototype_layer.prototypes.data, expected_proto)
+    assert np.array_equal(model.prototypes.data, expected_proto)
 
 
 def test_projection_peak_memory(tiny_extractor):
@@ -423,11 +423,11 @@ def test_train_calibration_moves_only_theta(tiny_dataset, tiny_extractor,
         train(model, tiny_dataset, config, feature_cache=tiny_features)
         trained[epochs] = model
     a, b = trained[0], trained[2]
-    assert np.array_equal(a.prototype_layer.prototypes.data,
-                          b.prototype_layer.prototypes.data)
-    for pa, pb in zip(a.processing.parameters(), b.processing.parameters()):
+    assert np.array_equal(a.prototypes.data, b.prototypes.data)
+    for pa, pb in ((a.processing_weight, b.processing_weight),
+                   (a.processing_bias, b.processing_bias)):
         assert np.array_equal(pa.data, pb.data)
-    assert not np.array_equal(a.head.theta.data, b.head.theta.data)
+    assert not np.array_equal(a.theta.data, b.theta.data)
 
 
 def watch_calibration(monkeypatch, model, on_step=None) -> list:
@@ -458,8 +458,8 @@ def test_calibration_backpropagates_to_theta_only(tiny_dataset, tiny_extractor,
     seen = watch_calibration(monkeypatch, model)
     train(model, tiny_dataset, tiny_train_config(), feature_cache=tiny_features)
     assert seen and all(s == ({"head.theta"}, trainable) for s in seen)
-    assert model.processing.weight.grad is None
-    assert model.prototype_layer.prototypes.grad is None
+    assert model.processing_weight.grad is None
+    assert model.prototypes.grad is None
     assert all(p.requires_grad for p in model.trainable_parameters().values())
 
 
@@ -469,7 +469,7 @@ def test_diverged_calibration_restores_requires_grad(tiny_dataset, tiny_extracto
     model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
 
     def blow_up_theta():
-        model.head.theta.data = np.full_like(model.head.theta.data, np.inf)
+        model.theta.data = np.full_like(model.theta.data, np.inf)
 
     watch_calibration(monkeypatch, model, on_step=blow_up_theta)
     with pytest.raises(TrainingDiverged, match="calibration epoch 2"):
@@ -545,7 +545,7 @@ def test_calibration_on_cached_maps_equals_full_forward(tiny_dataset, tiny_extra
     def full_forward(model, processed):
         def forward(idx):
             out = model.forward_from_features(Tensor(tiny_features[idx]))
-            return out.density, out.distances, model.prototype_layer.prototypes
+            return out.density, out.distances, model.prototypes
         return forward
 
     runs = []
@@ -555,7 +555,7 @@ def test_calibration_on_cached_maps_equals_full_forward(tiny_dataset, tiny_extra
         model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
         config = tiny_train_config(batch_size=3, calibration_epochs=3)
         _, history = train(model, tiny_dataset, config, feature_cache=tiny_features)
-        runs.append((history, model.head.theta.data))
+        runs.append((history, model.theta.data))
     (cached, theta), (full, theta_full) = runs
     assert cached.calibration_reports == full.calibration_reports
     assert cached.calibration_val_mae == full.calibration_val_mae
