@@ -112,7 +112,7 @@ def cmd_pretrain(args) -> int:
     save_extractor(extractor, args.out)
     _echo(config, args.out, command="pretrain", data=args.data)
     write_csv(os.path.join(args.out, "pretrain_history.csv"), ("epoch", "mse"),
-              [[epoch, repr(mse)] for epoch, mse in enumerate(history)])
+              enumerate(history))
     print(f"pretrained extractor: mse {history[0]:.6f} -> {history[-1]:.6f}, "
           f"saved to {args.out}")
     return EXIT_OK
@@ -130,7 +130,7 @@ def cmd_train(args) -> int:
           extractor=args.extractor)
     model = CountModel(config.model, extractor, seed=config.train.seed)
     model, history = train(model, dataset, config.train, out_dir=args.out)
-    last = history.val_mae[-1] if history.val_mae else float("nan")
+    last = (history.calibration_val_mae or history.val_mae)[-1]
     print(f"trained {history.epochs} epochs, "
           f"{len(history.projections)} projections, final val MAE {last:.3f}")
     return EXIT_OK

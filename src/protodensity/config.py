@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
-from .datagen import SceneConfig, validate_config
+from .datagen import SceneConfig
 from .losses import LossConfig
 from .model import ModelConfig
 from .tensor import parse_key_values, parse_value, read_text, write_key_values
@@ -24,18 +24,14 @@ class ConfigError(ValueError):
     """A config file or override that names a bad key or value."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: data generation, model dims, training."""
+    """Everything a run needs: data generation, model dims, training. Each
+    section checks its own bounds when built, so a RunConfig is valid."""
 
     scene: SceneConfig = field(default_factory=SceneConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-
-    def validate(self) -> None:
-        validate_config(self.scene)
-        self.model.validate()
-        self.train.validate()
 
 
 # -- parsing -------------------------------------------------------------------
@@ -60,8 +56,9 @@ def _section_fields(obj) -> dict[str, object]:
 
 
 def apply_values(config: RunConfig, values: dict[str, str]) -> RunConfig:
-    """A new RunConfig with every dotted key applied. Keys live under the
-    scene., model., train., and loss. namespaces."""
+    """A new RunConfig with every dotted key applied, in order. Keys live
+    under the scene., model., train., and loss. namespaces. The first key
+    whose value its section rejects raises ConfigError naming that key."""
     sections = {"scene": config.scene, "model": config.model,
                 "train": config.train, "loss": config.train.loss}
     for key, raw in values.items():
@@ -77,7 +74,10 @@ def apply_values(config: RunConfig, values: dict[str, str]) -> RunConfig:
             value = parse_value(raw, current[name])
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse {raw!r}: {exc}") from None
-        sections[section] = replace(sections[section], **{name: value})
+        try:
+            sections[section] = replace(sections[section], **{name: value})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return RunConfig(sections["scene"], sections["model"],
                      replace(sections["train"], loss=sections["loss"]))
 
@@ -90,12 +90,7 @@ def build_run_config(config_path: str | None = None,
         values.update(load_config_file(config_path))
     for item in overrides:
         values.update(parse_config_text(item, source="<override>"))
-    config = apply_values(RunConfig(), values)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+    return apply_values(RunConfig(), values)
 
 
 # -- echoing -------------------------------------------------------------------

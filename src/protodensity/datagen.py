@@ -27,33 +27,32 @@ SIGMA = 1.0  # ground-truth kernel width, in feature-grid cells
 MANIFEST_NAME = "manifest.txt"
 MANIFEST_FORMAT = "protodensity-dataset-v1"
 
+_KNOWN_ARTIFACTS = ("blob", "streak", "gradient")
 
-@dataclass
+
+@dataclass(frozen=True)
 class SceneConfig:
-    """Knobs for one synthetic imaging condition. Intensities live in (0, 1]."""
+    """Knobs for one synthetic imaging condition. Intensities live in (0, 1].
+    Checked when built, ``replace`` included: ValueError names the field."""
 
     image_size: tuple[int, int] = bounded((128, 128), "[1, inf)")  # (H, W)
     cell_count_range: tuple[int, int] = bounded((5, 80), "[0, inf)")
     cell_radius_range: tuple[float, float] = bounded((2.0, 5.0), "(0, inf)")
     cell_intensity_range: tuple[float, float] = bounded((0.4, 1.0), "(0, 1]")
     artifact_count_range: tuple[int, int] = bounded((2, 6), "[0, inf)")
-    artifact_kinds: tuple[str, ...] = ("blob", "streak", "gradient")
+    artifact_kinds: tuple[str, ...] = _KNOWN_ARTIFACTS
     noise_std: float = bounded(0.03, "[0, inf)")
     min_separation: float = bounded(0.0, "[0, inf)")  # 0 disables the overlap guard
     seed: int = bounded(0, "[0, inf)")
 
-
-_KNOWN_ARTIFACTS = ("blob", "streak", "gradient")
-
-
-def validate_config(config: SceneConfig) -> None:
-    check_bounds(config, "scene")
-    h, w = config.image_size
-    if h % DOWNSAMPLE or w % DOWNSAMPLE:
-        raise ValueError(f"scene.image_size {config.image_size} not divisible by {DOWNSAMPLE}")
-    for kind in config.artifact_kinds:
-        if kind not in _KNOWN_ARTIFACTS:
-            raise ValueError(f"scene.artifact_kinds: {kind!r} not one of {_KNOWN_ARTIFACTS}")
+    def __post_init__(self):
+        check_bounds(self, "scene")
+        h, w = self.image_size
+        if h % DOWNSAMPLE or w % DOWNSAMPLE:
+            raise ValueError(f"scene.image_size {self.image_size} not divisible by {DOWNSAMPLE}")
+        for kind in self.artifact_kinds:
+            if kind not in _KNOWN_ARTIFACTS:
+                raise ValueError(f"scene.artifact_kinds: {kind!r} not one of {_KNOWN_ARTIFACTS}")
 
 
 @dataclass
@@ -150,7 +149,6 @@ def render_scene(config: SceneConfig, index: int) -> tuple[np.ndarray, DotAnnota
     Returns the (1, H, W) image clipped to [0, 1] and the cell annotation.
     Artifacts contribute pixels but never annotation points.
     """
-    validate_config(config)
     h, w = config.image_size
     rng = np.random.default_rng([config.seed, index])
     img = np.zeros((h, w), dtype=np.float64)
@@ -231,7 +229,7 @@ def save_sample(samples_dir: str, sample: Sample) -> None:
     save_tensor(os.path.join(samples_dir, img_p), sample.image)
     save_tensor(os.path.join(samples_dir, den_p), sample.density_gt)
     write_csv(os.path.join(samples_dir, pts_p), ["x", "y"],
-              [[repr(float(x)), repr(float(y))] for x, y in sample.annotation.points])
+              [[float(x), float(y)] for x, y in sample.annotation.points])
 
 
 def load_sample(samples_dir: str, sample_id: int) -> Sample:
@@ -258,7 +256,6 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
     if n_train < 0 or n_test < 0:
         raise ValueError(f"generate_dataset: sample counts must be >= 0, got "
                          f"n_train={n_train}, n_test={n_test}")
-    validate_config(config)
     samples_dir = os.path.join(out_dir, "samples")
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     try:
@@ -297,7 +294,7 @@ def parse_manifest(manifest_path: str):
     density) with paths relative to the manifest directory. A malformed line,
     a split other than train or test, sample paths other than the
     ``samples/sample_<id>_*`` names ``generate_dataset`` writes, a missing
-    field or recorded scene settings that ``validate_config`` rejects raise
+    field or recorded scene settings that ``SceneConfig`` rejects raise
     ValueError naming the manifest (and the line)."""
     lines = read_text(manifest_path).splitlines()
     table = next((i for i, line in enumerate(lines) if line.strip() == "[samples]"),
@@ -327,11 +324,10 @@ def parse_manifest(manifest_path: str):
     def get(key, parse=str):
         return require(kv, key, manifest_path, parse)
 
-    config = SceneConfig(**{
-        name: get(f"config.{name}", partial(parse_value, like=like))
-        for name, like in vars(SceneConfig()).items()})
+    recorded = {name: get(f"config.{name}", partial(parse_value, like=like))
+                for name, like in vars(SceneConfig()).items()}
     try:
-        validate_config(config)
+        config = SceneConfig(**recorded)
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
     return (config, get("downsample", int), get("sigma", float),

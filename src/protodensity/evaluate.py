@@ -2,7 +2,7 @@
 
 Counting MAE over a split, loss-term ablations (diversity off, prototype-to-
 feature off) with distance tables and localization rates, and the K and tau
-sweeps. All three harnesses are one grid: ``plan_grid`` lists and validates
+sweeps. All three harnesses are one grid: ``plan_grid`` lists and checks
 every run first (the CLI calls it too, before it writes anything), then
 ``_train_grid`` trains them in order on one dataset and one frozen
 extractor. The ablation records the dataset's manifest hash in every row.
@@ -11,7 +11,7 @@ extractor. The ablation records the dataset's manifest hash in every row.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -98,8 +98,7 @@ def constant_baseline_mae(dataset: Dataset) -> float:
 
 
 def write_eval_csv(report: EvalReport, path) -> None:
-    write_csv(path, EVAL_CSV_HEADER, [[sid, repr(true), repr(pred), repr(err)]
-                                      for sid, true, pred, err in report.rows])
+    write_csv(path, EVAL_CSV_HEADER, report.rows)
     write_key_values(f"{path}.config.txt", [("mae", report.mae),
                                             *sorted(report.config.items())])
 
@@ -200,15 +199,13 @@ _GRID_RUNS = {"run_ablation": _ablation_runs, "sweep_k": _sweep_k_runs,
 def plan_grid(harness: str, config: TrainConfig, values, seeds,
               model_config: ModelConfig | None = None) -> list:
     """Every run of ``harness``'s grid over ``values`` and ``seeds``, as
-    (label, model_config, run_config). Each value is checked and each run
-    validated, and an empty grid rejected, so a bad grid raises ValueError
-    before anything is pretrained or written."""
+    (label, model_config, run_config). Each value is checked, each run's
+    configs are checked as ``replace`` builds them, and an empty grid is
+    rejected, so a bad grid raises ValueError before anything is pretrained
+    or written."""
     runs = _GRID_RUNS[harness](config, model_config or ModelConfig(), values, seeds)
     if not runs:
         raise ValueError("experiment grid is empty: no values or no seeds")
-    for _, run_model_config, run_config in runs:
-        run_model_config.validate()
-        run_config.validate()
     return runs
 
 
@@ -242,9 +239,7 @@ def run_ablation(dataset: Dataset, config: TrainConfig, seeds,
 
 def write_ablation_csv(reports, path) -> None:
     write_csv(path, ABLATION_CSV_HEADER, [
-        [r.variant, r.seed, repr(r.mae), repr(r.distances.cell_min),
-         repr(r.distances.cell_avg), repr(r.distances.bg_min),
-         repr(r.distances.bg_avg), repr(r.cell_rate), repr(r.bg_rate),
+        [r.variant, r.seed, r.mae, *astuple(r.distances), r.cell_rate, r.bg_rate,
          r.manifest_hash] for r in reports])
 
 
@@ -307,5 +302,4 @@ def _write_sweep_csv(out_dir, name: str, header, rows) -> None:
     """One (value, seed, MAE) row per sweep run, if ``out_dir`` is given."""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, name), header,
-                  [[value, seed, repr(m)] for value, seed, m in rows])
+        write_csv(os.path.join(out_dir, name), header, rows)

@@ -251,15 +251,14 @@ def intra_group_distances(prototypes, k_cell: int, k_bg: int) -> GroupDistanceSt
 def write_patches_csv(patches, path) -> None:
     """Write per-prototype lists of PatchBoxes as one CSV table."""
     T.write_csv(path, PATCH_CSV_HEADER, [[b.prototype_id, b.image_id, b.x0, b.y0,
-                                          b.x1, b.y1, repr(b.score)]
+                                          b.x1, b.y1, b.score]
                                          for boxes in patches for b in boxes])
 
 
 def write_explanation_csv(explanation: Explanation, path) -> None:
     h, w = explanation.location
     T.write_csv(path, EXPLANATION_CSV_HEADER,
-                [[h, w, proto, repr(theta), repr(sim), repr(product)]
-                 for proto, theta, sim, product in explanation.contributions])
+                [[h, w, *row] for row in explanation.contributions])
 
 
 def render_boxes_pgm(image, boxes, path) -> None:

@@ -17,9 +17,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import ShapeError, Tensor, bounded, check_bounds
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
-    """Term weights and the diversity term's similarity thresholds."""
+    """Term weights and the diversity term's similarity thresholds. Checked when built."""
 
     lambda1: float = bounded(1.0, "[0, inf)")
     lambda2: float = bounded(1.0, "[0, inf)")
@@ -27,7 +27,7 @@ class LossConfig:
     tau_cell: float = bounded(0.8, "[-1, 1]")
     tau_bg: float = bounded(0.8, "[-1, 1]")
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_bounds(self, "loss")
 
 
@@ -116,7 +116,6 @@ def total_loss(pred_density, gt_density, distances, prototypes, k_cell: int,
                k_bg: int, config: LossConfig) -> tuple[Tensor, LossReport]:
     """All three terms plus their weighted sum. Returns the differentiable
     total and a plain-float report of every component."""
-    config.validate()
     dterm = density_loss(pred_density, gt_density)
     pterm = proto_feature_loss(distances, gt_density, k_cell, k_bg)
     vterm = diversity_loss(prototypes, k_cell, k_bg, config.tau_cell, config.tau_bg)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 
 import numpy as np
@@ -29,22 +29,22 @@ CHECKPOINT_MANIFEST = "checkpoint.txt"
 CHECKPOINT_FORMAT = "protodensity-checkpoint-v1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Architecture dims: prototype counts per group, prototype depth, and
-    the epsilon of the distance-to-similarity transform."""
+    the epsilon of the distance-to-similarity transform. Checked when built."""
 
     k_cell: int = bounded(4, "[1, inf)")
     k_bg: int = bounded(4, "[1, inf)")
     d: int = bounded(64, "[1, inf)")
     epsilon: float = bounded(1e-4, "(0, 1)")
 
+    def __post_init__(self):
+        check_bounds(self, "model")
+
     @property
     def k_total(self) -> int:
         return self.k_cell + self.k_bg
-
-    def validate(self) -> None:
-        check_bounds(self, "model")
 
 
 class FeatureExtractor:
@@ -116,10 +116,8 @@ class PrototypeProvenance:
 
 @dataclass
 class ModelOutputs:
-    """Every intermediate of one forward pass."""
+    """The prototype-stage intermediates of one forward pass."""
 
-    features: Tensor       # extractor output
-    processed: Tensor      # post 1x1+sigmoid
     distances: Tensor      # per-prototype squared L2
     similarities: Tensor   # log-transformed distances
     density: Tensor        # (B, Hf, Wf)
@@ -139,7 +137,6 @@ class CountModel:
 
     def __init__(self, config: ModelConfig, extractor: FeatureExtractor,
                  seed: int = 0):
-        config.validate()
         self.config = config
         self.extractor = extractor
         rng = np.random.default_rng([seed, 1])
@@ -169,12 +166,10 @@ class CountModel:
 
     def forward_from_features(self, features) -> ModelOutputs:
         feats = features if isinstance(features, Tensor) else Tensor(features)
-        processed = self.process_features(feats)
-        distances = T.distance_map(processed, self.prototypes)
+        distances = T.distance_map(self.process_features(feats), self.prototypes)
         similarities = similarity_from_distance(distances, self.config.epsilon)
         density = self.predict_density(similarities)
-        return ModelOutputs(feats, processed, distances, similarities, density,
-                            count(density))
+        return ModelOutputs(distances, similarities, density, count(density))
 
     def forward(self, x: Tensor) -> ModelOutputs:
         return self.forward_from_features(self.extract_features(x))
@@ -291,8 +286,7 @@ def save_checkpoint(model: CountModel, ckpt_dir: str) -> None:
     """Write every parameter as a PDTF tensor, the prototype provenance table
     and the architecture manifest into ``ckpt_dir``."""
     cfg = model.config
-    provenance = [[i, "", "", "", ""] if rec is None else
-                  [rec.prototype_id, rec.image_id, rec.h, rec.w, repr(rec.distance_before)]
+    provenance = [[i, "", "", "", ""] if rec is None else astuple(rec)
                   for i, rec in enumerate(model.provenance)]
     _save_dir(ckpt_dir, CHECKPOINT_MANIFEST, {
         "format": CHECKPOINT_FORMAT,
@@ -328,14 +322,10 @@ def load_checkpoint(ckpt_dir: str) -> CountModel:
     """Rebuild a model from ``ckpt_dir``, validating every tensor dimension
     against the manifest."""
     manifest, kv = _read_manifest(ckpt_dir, CHECKPOINT_MANIFEST, CHECKPOINT_FORMAT)
-    config = ModelConfig(
-        k_cell=T.require(kv, "k_cell", manifest, int),
-        k_bg=T.require(kv, "k_bg", manifest, int),
-        d=T.require(kv, "d", manifest, int),
-        epsilon=T.require(kv, "epsilon", manifest, float),
-    )
+    dims = {name: T.require(kv, name, manifest, type(default))
+            for name, default in vars(ModelConfig()).items()}
     try:
-        config.validate()
+        config = ModelConfig(**dims)
     except ValueError as exc:
         raise ValueError(f"{manifest}: {exc}") from None
     # the stored prototypes bound k and d before the model allocates for them

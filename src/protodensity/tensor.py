@@ -37,7 +37,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import field, fields, is_dataclass
+from dataclasses import field, fields
 from typing import Callable, Iterable
 
 import numpy as np
@@ -798,11 +798,11 @@ def require(kv: dict, key: str, source: str, parse=str):
 
 
 def format_value(value) -> str:
-    """A manifest or config value as text: tuples comma-joined, floats by
-    ``repr`` so they read back exactly."""
+    """A manifest, config or CSV value as text: tuples comma-joined, floats
+    (numpy's too) by ``repr`` of the Python float so they read back exactly."""
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def parse_value(raw: str, like):
@@ -830,12 +830,9 @@ def bounded(default, bound: str):
 def check_bounds(config, section: str) -> None:
     """Raise ValueError naming ``section.field`` for the first bounded field
     of the dataclass ``config`` outside its bound, or ``*_range`` pair whose
-    low end exceeds its high end. A nested dataclass field is checked as its
-    own section. Every comparison fails on NaN."""
+    low end exceeds its high end. Every comparison fails on NaN."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if is_dataclass(value):
-            check_bounds(value, f.name)
         if "bound" not in f.metadata:
             continue
         bound = f.metadata["bound"]
@@ -862,11 +859,11 @@ def write_key_values(path, fields, tail=()) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write ``header`` and then every row of already formatted cells."""
+    """Write ``header`` and then every row, each cell through ``format_value``."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([format_value(v) for v in row] for row in rows)
 
 
 def read_csv(path, header) -> list[list[str]]:

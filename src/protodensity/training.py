@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import glob
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class TrainingDiverged(RuntimeError):
     last finished epoch before raising."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = bounded(1e-2, "(0, inf)")
     beta1: float = bounded(0.95, "[0, 1)")
@@ -63,7 +63,7 @@ class TrainConfig:
     seed: int = bounded(0, "[0, inf)")
     loss: LossConfig = field(default_factory=LossConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_bounds(self, "train")
 
 
@@ -92,8 +92,7 @@ class TrainHistory:
 
 def write_history_csv(history: TrainHistory, path) -> None:
     T.write_csv(path, HISTORY_CSV_HEADER, [
-        [phase, i + 1, repr(rep.density), repr(rep.proto_feature),
-         repr(rep.diversity), repr(rep.total), repr(mae)]
+        [phase, i + 1, *astuple(rep), mae]
         for phase, reports, maes in (
             ("train", history.reports, history.val_mae),
             ("calibrate", history.calibration_reports, history.calibration_val_mae))
@@ -102,8 +101,7 @@ def write_history_csv(history: TrainHistory, path) -> None:
 
 def write_projections_csv(history: TrainHistory, path) -> None:
     T.write_csv(path, PROJECTION_CSV_HEADER, [
-        [event.epoch, rec.prototype_id, rec.image_id, rec.h, rec.w,
-         repr(rec.distance_before)]
+        [event.epoch, *astuple(rec)]
         for event in history.projections for rec in event.records])
 
 
@@ -166,7 +164,6 @@ def pretrain_extractor(dataset, config: TrainConfig) -> tuple[FeatureExtractor, 
     over cached features, while this stage trains convolutions from scratch
     and needs smaller steps to land on usable features.
     """
-    config.validate()
     config = replace(config, learning_rate=config.pretrain_learning_rate,
                      batch_size=config.pretrain_batch_size)
     samples = dataset.train
@@ -281,7 +278,6 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
     improving. Pass ``out_dir`` to write checkpoints and history CSVs,
     ``feature_cache`` to reuse precomputed extractor features.
     """
-    config.validate()
     if not model.extractor.frozen:
         raise ValueError("train: the extractor must be pretrained and frozen first")
     checksum_before = model.extractor.checksum()

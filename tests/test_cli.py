@@ -469,6 +469,22 @@ def test_rerun_into_same_out_leaves_no_loadable_stale_checkpoint(tmp_path, cfg_p
             capsys.readouterr().err
 
 
+def test_train_prints_the_shipped_models_val_mae(tmp_path, cfg_path, capsys):
+    data, extractor, run = (str(tmp_path / d) for d in ("data", "ex", "run"))
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "12", "--n-test", "1"]) == 0
+    assert main(["pretrain", "--config", cfg_path, "--data", data, "--out", extractor]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--data", data, "--extractor", extractor,
+                 "--out", run, "--set", "train.max_epochs=6",
+                 "--set", "train.calibration_epochs=3"]) == 0
+    printed = capsys.readouterr().out.split("final val MAE ")[1].strip()
+    with open(os.path.join(run, "history.csv"), newline="") as f:
+        last = list(csv.reader(f))[-1]
+    assert last[0] == "calibrate"
+    assert printed == f"{float(last[-1]):.3f}"
+
+
 def test_seed_env_overrides_config(tmp_path, cfg_path, monkeypatch):
     monkeypatch.setenv(SEED_ENV, "7")
     data = str(tmp_path / "data7")

@@ -1,6 +1,7 @@
 """Config parsing, coercion, precedence, and the resolved-config echo."""
 
-from dataclasses import fields
+import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -103,6 +104,11 @@ def test_bad_keys_and_values_name_the_culprit(override, fragment):
         build_run_config(None, [override])
 
 
+def test_first_bad_key_in_input_order_is_named():
+    with pytest.raises(ConfigError, match=r"^train\.beta1 "):
+        build_run_config(None, ["train.beta1 = 2", "model.d = 0"])
+
+
 def test_validation_failures_become_config_errors():
     with pytest.raises(ConfigError, match="d"):
         build_run_config(None, ["model.d = 0"])
@@ -178,7 +184,32 @@ def test_every_numeric_field_is_bounded_and_every_default_passes():
     assert "train.beta2" in numeric and "scene.image_size" in numeric
     assert "scene.artifact_kinds" not in numeric and "train.loss" not in numeric
     assert [key for key, f in numeric.items() if "bound" not in f.metadata] == []
-    RunConfig().validate()
+    RunConfig()
+
+
+def _number(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+@pytest.mark.parametrize("key, raw", list(_bad_values()))
+def test_out_of_bound_config_cannot_be_built(key, raw):
+    section, name = key.split(".")
+    default = _SECTIONS[section]
+    value = (tuple(map(_number, raw.split(","))) if isinstance(getattr(default, name), tuple)
+             else _number(raw))
+    with pytest.raises(ValueError, match=re.escape(key)):
+        replace(default, **{name: value})
+
+
+@pytest.mark.parametrize("config", [*_SECTIONS.values(), RunConfig()],
+                         ids=[*_SECTIONS, "run"])
+def test_configs_are_frozen(config):
+    name = fields(config)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, name, getattr(config, name))
 
 
 @pytest.mark.parametrize("key, raw", list(_bad_values()))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from protodensity.datagen import (DotAnnotation, SceneConfig, generate_dataset,
                                   load_dataset, load_sample, make_density_map,
                                   manifest_hash, parse_manifest, render_scene,
-                                  save_sample, validate_config, write_pgm)
+                                  save_sample, write_pgm)
 
 SMALL = SceneConfig(image_size=(32, 32), cell_count_range=(3, 12), seed=7)
 
@@ -18,7 +18,7 @@ SMALL = SceneConfig(image_size=(32, 32), cell_count_range=(3, 12), seed=7)
 
 
 def test_validate_accepts_default():
-    validate_config(SceneConfig())
+    SceneConfig()
 
 
 @pytest.mark.parametrize("bad", [
@@ -32,7 +32,7 @@ def test_validate_accepts_default():
 def test_validate_rejects(bad):
     from dataclasses import replace
     with pytest.raises(ValueError):
-        validate_config(replace(SceneConfig(), **bad))
+        replace(SceneConfig(), **bad)
 
 
 # -- scene rendering -----------------------------------------------------------

@@ -41,7 +41,7 @@ class _FeatureEchoStub:
     predict = CountModel.predict
 
     def forward_from_features(self, part):
-        return ModelOutputs(part, part, part, part, part, count(part))
+        return ModelOutputs(part, part, part, count(part))
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,6 @@ def test_loss_config_defaults():
     config = LossConfig()
     assert (config.lambda1, config.lambda2, config.lambda3) == (1.0, 1.0, 100.0)
     assert config.tau_cell == config.tau_bg == 0.8
-    config.validate()
 
 
 @pytest.mark.parametrize("bad", [
@@ -42,7 +41,7 @@ def test_loss_config_defaults():
 def test_loss_config_rejects(bad):
     from dataclasses import replace
     with pytest.raises(ValueError):
-        replace(LossConfig(), **bad).validate()
+        replace(LossConfig(), **bad)
 
 
 # -- density loss --------------------------------------------------------------

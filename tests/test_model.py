@@ -44,7 +44,7 @@ def test_config_defaults_and_total():
 def test_config_rejects(bad):
     from dataclasses import replace
     with pytest.raises(ValueError):
-        replace(ModelConfig(), **bad).validate()
+        replace(ModelConfig(), **bad)
 
 
 # -- shape chain ---------------------------------------------------------------
@@ -54,10 +54,12 @@ def test_config_rejects(bad):
 def test_shape_chain(model, hw):
     x = np.random.default_rng(1).uniform(0, 1, size=(1, 1, hw, hw))
     with no_grad():
-        out = model.forward(Tensor(x))
+        features = model.extract_features(Tensor(x))
+        processed = model.process_features(features)
+        out = model.forward_from_features(features)
     f = hw // DOWNSAMPLE
-    assert out.features.shape == (1, FEATURE_DIM, f, f)
-    assert out.processed.shape == (1, model.config.d, f, f)
+    assert features.shape == (1, FEATURE_DIM, f, f)
+    assert processed.shape == (1, model.config.d, f, f)
     assert out.distances.shape == (1, 5, f, f)
     assert out.similarities.shape == (1, 5, f, f)
     assert out.density.shape == (1, f, f)
@@ -80,8 +82,10 @@ def test_indivisible_input_raises(model):
 def test_processed_lives_in_unit_interval(model):
     x = np.random.default_rng(3).uniform(0, 1, size=(1, 1, 64, 64))
     with no_grad():
-        out = model.forward(Tensor(x))
-    assert np.all(out.processed.data > 0.0) and np.all(out.processed.data < 1.0)
+        features = model.extract_features(Tensor(x))
+        processed = model.process_features(features)
+        out = model.forward_from_features(features)
+    assert np.all(processed.data > 0.0) and np.all(processed.data < 1.0)
     assert np.all(out.distances.data >= 0.0)
 
 
