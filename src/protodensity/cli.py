@@ -2,8 +2,7 @@
 
 Subcommands: gen-data, pretrain, train, eval, explain, ablate, sweep-k,
 sweep-tau, gradcheck. Exit code 0 on success, 1 on usage or validation
-errors, 2 on runtime failures. Heavy imports happen after flag parsing so
-``--threads`` can cap the BLAS pool before numpy loads.
+errors, 2 on runtime failures.
 """
 
 from __future__ import annotations
@@ -15,11 +14,6 @@ import sys
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
-
-SEED_ENV = "PROTODENSITY_SEED"
-
-_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
 
 
 class UsageError(Exception):
@@ -62,21 +56,7 @@ def _loc(raw: str) -> tuple[int, int]:
 def _load_run_config(args) -> "RunConfig":
     from .config import build_run_config
 
-    config = build_run_config(getattr(args, "config", None),
-                              getattr(args, "set", None) or ())
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        from dataclasses import replace
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            seed = -1
-        if seed < 0:
-            raise UsageError(f"{SEED_ENV} must be a non-negative integer, "
-                             f"got {env_seed!r}")
-        config = type(config)(replace(config.scene, seed=seed), config.model,
-                              replace(config.train, seed=seed))
-    return config
+    return build_run_config(args.config, args.set or ())
 
 
 def _echo(config, out_dir, **extra) -> None:
@@ -215,12 +195,12 @@ def cmd_grid(args) -> int:
     config = _load_run_config(args)
     evaluate.plan_grid(harness, config.train, values, seeds, config.model)
     dataset = load_dataset(args.data)
+    extractor = load_extractor(args.extractor)
     _echo(config, args.out, command=args.command, data=args.data,
           seeds=args.seeds, **{flag: getattr(args, flag)})
     rows = getattr(evaluate, harness)(
-        dataset, config.train, seeds=seeds, model_config=config.model,
-        extractor=load_extractor(args.extractor) if args.extractor else None,
-        out_dir=args.out, **{keyword: values})
+        dataset, config.train, seeds=seeds, extractor=extractor,
+        model_config=config.model, out_dir=args.out, **{keyword: values})
     for row in rows:
         print(line.format(row))
     return EXIT_OK
@@ -306,8 +286,6 @@ def _add_config_flags(parser) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="protodensity",
                      description="Prototype-based density-map cell counting.")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="cap BLAS/worker threads")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
@@ -351,7 +329,7 @@ def build_parser() -> _Parser:
         _add_config_flags(p)
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--extractor", help="pretrained extractor (else pretrain)")
+        p.add_argument("--extractor", required=True)
         p.add_argument(f"--{flag}", default=default)
         p.add_argument("--seeds", default=seeds)
         p.set_defaults(func=cmd_grid)
@@ -367,18 +345,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise UsageError("--threads must be >= 1")
-            for name in _THREAD_ENV:
-                os.environ[name] = str(args.threads)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage() + "a subcommand is required")
         return args.func(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, OSError) as exc:

@@ -21,7 +21,7 @@ from .interp import (GroupDistanceStats, global_top_patches,
                      export_prototype_gallery)
 from .model import CountModel, FeatureExtractor, ModelConfig
 from .tensor import write_csv, write_key_values
-from .training import TrainConfig, compute_features, pretrain_extractor, train
+from .training import TrainConfig, compute_features, train
 
 EVAL_CSV_HEADER = ("sample_id", "true_count", "predicted_count", "abs_error")
 ABLATION_CSV_HEADER = ("variant", "seed", "mae", "cell_min", "cell_avg",
@@ -142,26 +142,15 @@ def variant_loss_config(base, variant: str):
     raise ValueError(f"unknown ablation variant {variant!r}")
 
 
-def _harness_inputs(dataset: Dataset, config: TrainConfig,
-                    extractor: FeatureExtractor | None, feature_cache):
-    """The frozen extractor every run shares (pretrained here if not given)
-    and its train and test feature caches."""
-    if extractor is None:
-        extractor, _ = pretrain_extractor(dataset, config)
+def _train_grid(dataset: Dataset, runs, extractor: FeatureExtractor, feature_cache):
+    """Train every ``(label, model_config, run_config)`` of ``runs``, from
+    ``plan_grid``, in order on one frozen extractor, yielding (label, model,
+    test MAE, train features) per run."""
     if not extractor.frozen:
         raise ValueError("harness extractor must be frozen")
     if feature_cache is None:
         feature_cache = compute_features(extractor, dataset.train)
-    return extractor, feature_cache, compute_features(extractor, dataset.test)
-
-
-def _train_grid(dataset: Dataset, config: TrainConfig, runs,
-                extractor: FeatureExtractor | None, feature_cache):
-    """Train every ``(label, model_config, run_config)`` of ``runs``, from
-    ``plan_grid``, in order on one frozen extractor, yielding (label, model,
-    test MAE, train features) per run."""
-    extractor, feature_cache, test_features = _harness_inputs(
-        dataset, config, extractor, feature_cache)
+    test_features = compute_features(extractor, dataset.test)
     for label, model_config, run_config in runs:
         model = CountModel(model_config, extractor, seed=run_config.seed)
         model, _ = train(model, dataset, run_config, feature_cache=feature_cache)
@@ -201,8 +190,8 @@ def plan_grid(harness: str, config: TrainConfig, values, seeds,
     """Every run of ``harness``'s grid over ``values`` and ``seeds``, as
     (label, model_config, run_config). Each value is checked, each run's
     configs are checked as ``replace`` builds them, and an empty grid is
-    rejected, so a bad grid raises ValueError before anything is pretrained
-    or written."""
+    rejected, so a bad grid raises ValueError before anything is trained or
+    written."""
     runs = _GRID_RUNS[harness](config, model_config or ModelConfig(), values, seeds)
     if not runs:
         raise ValueError("experiment grid is empty: no values or no seeds")
@@ -210,10 +199,9 @@ def plan_grid(harness: str, config: TrainConfig, values, seeds,
 
 
 def run_ablation(dataset: Dataset, config: TrainConfig, seeds,
+                 extractor: FeatureExtractor,
                  model_config: ModelConfig | None = None,
-                 extractor: FeatureExtractor | None = None,
-                 variants=VARIANTS, out_dir=None,
-                 feature_cache=None) -> list[AblationReport]:
+                 variants=VARIANTS, out_dir=None, feature_cache=None) -> list[AblationReport]:
     """Train every variant at every seed on the same dataset and extractor.
 
     Variants differ only in the lambdas zeroed out of the base loss config.
@@ -223,7 +211,7 @@ def run_ablation(dataset: Dataset, config: TrainConfig, seeds,
     runs = plan_grid("run_ablation", config, variants, seeds, model_config)
     reports = []
     for (variant, seed), model, test_mae, features in _train_grid(
-            dataset, config, runs, extractor, feature_cache):
+            dataset, runs, extractor, feature_cache):
         cell_rate, bg_rate = localization_rates(model, dataset, features=features)
         stats = intra_group_distances(model.prototypes.data,
                                       model.config.k_cell, model.config.k_bg)
@@ -266,21 +254,21 @@ def format_distance_table(reports) -> str:
 
 
 def sweep_k(dataset: Dataset, config: TrainConfig, k_values, seeds,
+            extractor: FeatureExtractor,
             model_config: ModelConfig | None = None,
-            extractor: FeatureExtractor | None = None,
             out_dir=None, feature_cache=None) -> list[tuple[int, int, float]]:
     """Train one model per total prototype count K per seed, ``model_config``
     with K split equally, and report test MAE rows (K, seed, MAE)."""
     runs = plan_grid("sweep_k", config, k_values, seeds, model_config)
     rows = [(k, seed, test_mae) for (k, seed), _, test_mae, _ in _train_grid(
-        dataset, config, runs, extractor, feature_cache)]
+        dataset, runs, extractor, feature_cache)]
     _write_sweep_csv(out_dir, "sweep_k.csv", SWEEP_K_CSV_HEADER, rows)
     return rows
 
 
 def sweep_tau(dataset: Dataset, config: TrainConfig, tau_values, seeds,
+              extractor: FeatureExtractor,
               model_config: ModelConfig | None = None,
-              extractor: FeatureExtractor | None = None,
               out_dir=None, feature_cache=None,
               gallery_k: int = 3) -> list[tuple[float, int, float]]:
     """Retrain per diversity threshold tau and emit a patch gallery per run
@@ -288,7 +276,7 @@ def sweep_tau(dataset: Dataset, config: TrainConfig, tau_values, seeds,
     runs = plan_grid("sweep_tau", config, tau_values, seeds, model_config)
     rows = []
     for (tau, seed), model, test_mae, features in _train_grid(
-            dataset, config, runs, extractor, feature_cache):
+            dataset, runs, extractor, feature_cache):
         rows.append((tau, seed, test_mae))
         if out_dir:
             gallery = os.path.join(out_dir, f"tau_{tau:g}_seed{seed}")

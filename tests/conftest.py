@@ -60,16 +60,5 @@ def trained_configs(monkeypatch):
 
 
 @pytest.fixture
-def no_pretraining(monkeypatch):
-    """Fail the test if a harness in evaluate.py pretrains an extractor."""
-    import protodensity.evaluate as evaluate
-
-    def pretrain(*args, **kwargs):
-        raise AssertionError("pretrained for a grid that cannot run")
-
-    monkeypatch.setattr(evaluate, "pretrain_extractor", pretrain)
-
-
-@pytest.fixture
 def rng():
     return np.random.default_rng(1234)

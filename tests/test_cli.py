@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from protodensity import datagen, tensor
-from protodensity.cli import SEED_ENV, _THREAD_ENV, main
+from protodensity.cli import main
 from protodensity.datagen import load_dataset
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
                                 load_checkpoint, save_checkpoint, save_extractor)
@@ -53,22 +53,16 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_bad_threads_value(capsys):
-    assert main(["--threads", "0", "gradcheck"]) == 1
-    assert "--threads" in capsys.readouterr().err
+def test_threads_flag_is_a_usage_error(capsys):
+    # BLAS threads are set in the environment: OPENBLAS_NUM_THREADS=1 protodensity ...
+    assert main(["--threads", "2", "gradcheck"]) == 1
+    assert "error" in capsys.readouterr().err
 
 
 def test_unknown_config_key_names_it(tmp_path, capsys):
     assert main(["gen-data", "--out", str(tmp_path / "d"),
                  "--set", "train.bogus_knob=1"]) == 1
     assert "bogus_knob" in capsys.readouterr().err
-
-
-def test_bad_seed_env_rejected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "not-a-seed")
-    assert main(["gen-data", "--out", str(tmp_path / "d"),
-                 "--n-train", "1", "--n-test", "1"]) == 1
-    assert SEED_ENV in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("counts", [("-1", "1"), ("1", "-1")])
@@ -321,6 +315,24 @@ def test_malformed_points_file_exits_usage(tmp_path, cfg_path, capsys, text):
     assert points in capsys.readouterr().err
 
 
+def test_directory_in_place_of_a_file_exits_usage(tmp_path, cfg_path, capsys):
+    data, ckpt, report = (str(tmp_path / name) for name in ("data", "ckpt", "report"))
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                               FeatureExtractor(np.random.default_rng(0))), ckpt)
+    os.mkdir(report)
+    capsys.readouterr()
+    assert main(["eval", "--model", ckpt, "--data", data, "--out", report]) == 1
+    assert report in capsys.readouterr().err
+    image = os.path.join(data, "samples", "sample_00000_image.pdt")
+    os.remove(image)
+    os.mkdir(image)
+    assert main(["pretrain", "--config", cfg_path, "--data", data,
+                 "--out", str(tmp_path / "ex")]) == 1
+    assert image in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name,dims", [("sample_00001_image.pdt", (1, 16, 64)),
                                        ("sample_00002_density.pdt", (2, 8))])
 def test_sample_of_another_shape_exits_usage(tmp_path, cfg_path, capsys, name, dims):
@@ -485,16 +497,17 @@ def test_train_prints_the_shipped_models_val_mae(tmp_path, cfg_path, capsys):
     assert printed == f"{float(last[-1]):.3f}"
 
 
-def test_seed_env_overrides_config(tmp_path, cfg_path, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "7")
-    data = str(tmp_path / "data7")
+def test_seeds_come_from_the_config_not_the_environment(tmp_path, cfg_path,
+                                                        monkeypatch):
+    monkeypatch.setenv("PROTODENSITY_SEED", "7")
+    data = str(tmp_path / "data")
     assert main(["gen-data", "--config", cfg_path, "--out", data,
-                 "--n-train", "2", "--n-test", "1"]) == 0
+                 "--n-train", "2", "--n-test", "1",
+                 "--set", "scene.seed=3", "--set", "train.seed=5"]) == 0
     with open(os.path.join(data, "config_resolved.txt")) as f:
         lines = f.read().splitlines()
-    assert "seed = 7" in lines
-    assert "scene.seed = 7" in lines
-    assert "train.seed = 7" in lines
+    assert "scene.seed = 3" in lines
+    assert "train.seed = 5" in lines
 
 
 def _files(root):
@@ -512,9 +525,8 @@ def _data_and_extractor(tmp_path, cfg_path):
 
 @pytest.mark.parametrize("command, named", [
     ("gen-data", "scene.seed"), ("pretrain", "train.seed"),
-    ("train", "train.seed"), ("gen-data", SEED_ENV)])
-def test_negative_seed_exits_before_writing(tmp_path, cfg_path, capsys, monkeypatch,
-                                            command, named):
+    ("train", "train.seed")])
+def test_negative_seed_exits_before_writing(tmp_path, cfg_path, capsys, command, named):
     data, extractor = _data_and_extractor(tmp_path, cfg_path)
     before = _files(tmp_path)
     capsys.readouterr()
@@ -522,11 +534,7 @@ def test_negative_seed_exits_before_writing(tmp_path, cfg_path, capsys, monkeypa
             "pretrain": ["--data", data, "--out", str(tmp_path / "ex2")],
             "train": ["--data", data, "--extractor", extractor,
                       "--out", str(tmp_path / "run")]}[command]
-    if named == SEED_ENV:
-        monkeypatch.setenv(SEED_ENV, "-1")
-    else:
-        argv += ["--set", f"{named}=-1"]
-    assert main([command, "--config", cfg_path, *argv]) == 1
+    assert main([command, "--config", cfg_path, *argv, "--set", f"{named}=-1"]) == 1
     assert named in capsys.readouterr().err
     assert _files(tmp_path) == before
     load_dataset(data)
@@ -542,15 +550,34 @@ def test_negative_seed_exits_before_writing(tmp_path, cfg_path, capsys, monkeypa
     (["sweep-tau", "--tau", "0,2"], "tau_cell"),
 ])
 def test_bad_grid_list_exits_before_any_output(tmp_path, cfg_path, capsys,
-                                               no_pretraining, flags, named):
+                                               trained_configs, flags, named):
     data, out = str(tmp_path / "data"), tmp_path / "out"
     assert main(["gen-data", "--config", cfg_path, "--out", data,
                  "--n-train", "2", "--n-test", "1"]) == 0
     capsys.readouterr()
+    # the grid is checked before the extractor is loaded, so none need exist
     assert main([flags[0], "--config", cfg_path, "--data", data, "--out", str(out),
-                 *flags[1:]]) == 1
+                 "--extractor", str(tmp_path / "ex"), *flags[1:]]) == 1
     assert named in capsys.readouterr().err
+    assert not trained_configs
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "sweep-k", "sweep-tau"])
+@pytest.mark.parametrize("extractor, named", [([], "--extractor"),
+                                              (["--extractor", "nope"], "extractor.txt")],
+                         ids=["missing", "nonexistent"])
+def test_grid_without_an_extractor_writes_nothing(tmp_path, cfg_path, capsys,
+                                                  command, extractor, named):
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--data", data,
+                 "--out", str(tmp_path / "out"), "--seeds", "0", *extractor]) == 1
+    assert named in capsys.readouterr().err
+    assert _files(tmp_path) == before
 
 
 def test_sweep_tau_out_of_range_trains_nothing(tmp_path, cfg_path, capsys):
@@ -633,16 +660,7 @@ def test_grid_commands_train_the_configured_model(tmp_path, cfg_path,
 
 
 def test_gradcheck_passes_and_sets_threads(capsys):
-    saved = {name: os.environ.get(name) for name in _THREAD_ENV}
-    try:
-        assert main(["--threads", "2", "gradcheck", "--trials", "1"]) == 0
-        assert all(os.environ[name] == "2" for name in _THREAD_ENV)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    assert main(["gradcheck", "--trials", "1"]) == 0
     out = capsys.readouterr().out
     assert "all gradients within" in out
     for component in ("density_loss", "proto_feature_loss", "diversity_loss",

@@ -1,10 +1,13 @@
 """Config parsing, coercion, precedence, and the resolved-config echo."""
 
+import ast
 import re
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import pytest
 
+import protodensity
 from protodensity import __version__
 from protodensity.cli import main
 from protodensity.config import (RESOLVED_CONFIG_NAME, ConfigError, RunConfig,
@@ -264,3 +267,20 @@ def test_default_echo_is_pinned(tmp_path):
     with open(write_resolved_config(RunConfig(), str(tmp_path))) as f:
         lines = [line for line in f.read().splitlines() if "." in line.split(" = ")[0]]
     assert lines == _DEFAULT_ECHO
+
+
+def test_package_never_touches_the_process_environment():
+    # settings enter through argv and config files only; BLAS threads are the
+    # caller's to set (OPENBLAS_NUM_THREADS=1 protodensity ...)
+    banned = {"environ", "getenv", "putenv"}
+    found = []
+    for path in sorted(Path(protodensity.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
+    assert not found

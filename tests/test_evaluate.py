@@ -246,12 +246,13 @@ def test_sweep_k_trains_the_given_model_config(tiny_dataset, tiny_extractor,
     assert all(c.d == 8 and c.epsilon == 1e-3 for c in trained_configs)
 
 
-def test_sweep_tau_rejects_values_that_share_a_gallery(tiny_dataset, tmp_path,
-                                                       no_pretraining):
+def test_sweep_tau_rejects_values_that_share_a_gallery(tiny_dataset, tiny_extractor,
+                                                       tmp_path, trained_configs):
     # 0.4 and 0.4000001 both print as 0.4: one tau_0.4_seed0 gallery for two runs
     with pytest.raises(ValueError, match="share gallery names"):
         sweep_tau(tiny_dataset, harness_config(), tau_values=(0.4, 0.4000001),
-                  seeds=(0,), out_dir=str(tmp_path / "out"))
+                  seeds=(0,), extractor=tiny_extractor, out_dir=str(tmp_path / "out"))
+    assert not trained_configs
     assert not (tmp_path / "out").exists()
 
 
@@ -262,9 +263,10 @@ def test_sweep_tau_rejects_values_that_share_a_gallery(tiny_dataset, tmp_path,
     (sweep_tau, dict(tau_values=(0.0, 2.0), seeds=(0,))),
     (sweep_k, dict(k_values=(2, 4, 6, 8), seeds=(0, -1))),
 ])
-def test_grid_is_validated_before_pretraining(tiny_dataset, tmp_path,
-                                              no_pretraining, harness, grid):
+def test_grid_is_validated_before_pretraining(tiny_dataset, tiny_extractor, tmp_path,
+                                              trained_configs, harness, grid):
     with pytest.raises(ValueError, match="empty|tau_cell|train.seed"):
-        harness(tiny_dataset, harness_config(), out_dir=str(tmp_path / "out"),
-                **grid)
+        harness(tiny_dataset, harness_config(), extractor=tiny_extractor,
+                out_dir=str(tmp_path / "out"), **grid)
+    assert not trained_configs
     assert not (tmp_path / "out").exists()
