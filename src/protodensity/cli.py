@@ -11,6 +11,22 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
+from .config import build_run_config, write_resolved_config
+from .datagen import generate_dataset, load_dataset
+from .evaluate import mae, plan_grid, run_ablation, sweep_k, sweep_tau, write_eval_csv
+from .interp import (explain_location, export_prototype_gallery,
+                     global_top_patches, percentile_threshold,
+                     write_explanation_csv)
+from .losses import (LossConfig, density_loss, diversity_loss,
+                     proto_feature_loss, total_loss)
+from .model import (CountModel, load_checkpoint, load_extractor, save_extractor,
+                    similarity_from_distance)
+from .tensor import (Tensor, conv1x1, distance_map, gradcheck_rel_error,
+                     sigmoid, tsum, write_csv)
+from .training import pretrain_extractor, train
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
@@ -38,14 +54,6 @@ def _number_list(raw: str, kind=int) -> list:
     return values
 
 
-def _variant(name: str) -> str:
-    from .evaluate import VARIANTS
-
-    if name not in VARIANTS:
-        raise UsageError(f"unknown ablation variant {name!r}")
-    return name
-
-
 def _loc(raw: str) -> tuple[int, int]:
     parts = _number_list(raw)
     if len(parts) != 2:
@@ -53,44 +61,25 @@ def _loc(raw: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
-def _load_run_config(args) -> "RunConfig":
-    from .config import build_run_config
-
-    return build_run_config(args.config, args.set or ())
-
-
-def _echo(config, out_dir, **extra) -> None:
-    from .config import write_resolved_config
-
-    write_resolved_config(config, out_dir, extra)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_gen_data(args) -> int:
-    from .datagen import generate_dataset
-
-    config = _load_run_config(args)
+    config = build_run_config(args.config, args.set or ())
     # the counts and the scene are checked before the directory is made
     manifest = generate_dataset(config.scene, args.n_train, args.n_test, args.out)
-    _echo(config, args.out, command="gen-data", n_train=args.n_train,
-          n_test=args.n_test)
+    write_resolved_config(config, args.out, dict(command="gen-data", n_train=args.n_train,
+                                                 n_test=args.n_test))
     print(f"wrote {args.n_train}+{args.n_test} samples, manifest {manifest}")
     return EXIT_OK
 
 
 def cmd_pretrain(args) -> int:
-    from .datagen import load_dataset
-    from .model import save_extractor
-    from .tensor import write_csv
-    from .training import pretrain_extractor
-
-    config = _load_run_config(args)
+    config = build_run_config(args.config, args.set or ())
     dataset = load_dataset(args.data)
+    write_resolved_config(config, args.out, dict(command="pretrain", data=args.data))
     extractor, history = pretrain_extractor(dataset, config.train)
     save_extractor(extractor, args.out)
-    _echo(config, args.out, command="pretrain", data=args.data)
     write_csv(os.path.join(args.out, "pretrain_history.csv"), ("epoch", "mse"),
               enumerate(history))
     print(f"pretrained extractor: mse {history[0]:.6f} -> {history[-1]:.6f}, "
@@ -99,15 +88,11 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .datagen import load_dataset
-    from .model import CountModel, load_extractor
-    from .training import train
-
-    config = _load_run_config(args)
+    config = build_run_config(args.config, args.set or ())
     dataset = load_dataset(args.data)
     extractor = load_extractor(args.extractor)
-    _echo(config, args.out, command="train", data=args.data,
-          extractor=args.extractor)
+    write_resolved_config(config, args.out, dict(command="train", data=args.data,
+                                                 extractor=args.extractor))
     model = CountModel(config.model, extractor, seed=config.train.seed)
     model, history = train(model, dataset, config.train, out_dir=args.out)
     last = (history.calibration_val_mae or history.val_mae)[-1]
@@ -117,10 +102,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .datagen import load_dataset
-    from .evaluate import mae, write_eval_csv
-    from .model import load_checkpoint
-
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     report = mae(model, dataset.test,
@@ -131,14 +112,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    import numpy as np
-
-    from .datagen import load_dataset
-    from .interp import (explain_location, export_prototype_gallery,
-                         global_top_patches, percentile_threshold,
-                         write_explanation_csv)
-    from .model import load_checkpoint
-
     # the arguments and the explanation are checked before anything is written;
     # the gallery's k and q go through interp's own checks on empty input
     if (args.image is None) != (args.loc is None):
@@ -167,40 +140,33 @@ def cmd_explain(args) -> int:
 
 
 # command: (help, grid flag, its default, default seeds, entry parser,
-#           harness in evaluate.py and its grid keyword, printed line format)
+#           harness in evaluate.py, printed line format)
 _GRIDS = {
     "ablate": ("loss-term ablation runs", "variants",
-               "full,no_diversity,no_proto_feature", "0,1,2", _variant,
-               "run_ablation", "variants",
+               "full,no_diversity,no_proto_feature", "0,1,2", str, run_ablation,
                "{0.variant:<17} seed {0.seed}: MAE {0.mae:.3f} min dist cell "
                "{0.distances.cell_min:.4f} bg {0.distances.bg_min:.4f}"),
     "sweep-k": ("prototype-count sweep", "k", "2,4,6,8", "0,1,2,3,4", int,
-                "sweep_k", "k_values", "K={0[0]} seed {0[1]}: MAE {0[2]:.3f}"),
+                sweep_k, "K={0[0]} seed {0[1]}: MAE {0[2]:.3f}"),
     "sweep-tau": ("diversity-threshold sweep", "tau", "0,0.4,0.8", "0", float,
-                  "sweep_tau", "tau_values",
-                  "tau={0[0]:g} seed {0[1]}: MAE {0[2]:.3f}"),
+                  sweep_tau, "tau={0[0]:g} seed {0[1]}: MAE {0[2]:.3f}"),
 }
 
 
 def cmd_grid(args) -> int:
     """ablate, sweep-k and sweep-tau: train a grid of runs on one dataset and
     one frozen extractor, every run from the resolved config's model."""
-    from . import evaluate
-    from .datagen import load_dataset
-    from .model import load_extractor
-
-    _, flag, _, _, kind, harness, keyword, line = _GRIDS[args.command]
+    _, flag, _, _, kind, harness, line = _GRIDS[args.command]
     values = _number_list(getattr(args, flag), kind)
     seeds = _number_list(args.seeds)
-    config = _load_run_config(args)
-    evaluate.plan_grid(harness, config.train, values, seeds, config.model)
+    config = build_run_config(args.config, args.set or ())
+    plan_grid(harness, config.train, values, seeds, config.model)
     dataset = load_dataset(args.data)
     extractor = load_extractor(args.extractor)
-    _echo(config, args.out, command=args.command, data=args.data,
-          seeds=args.seeds, **{flag: getattr(args, flag)})
-    rows = getattr(evaluate, harness)(
-        dataset, config.train, seeds=seeds, extractor=extractor,
-        model_config=config.model, out_dir=args.out, **{keyword: values})
+    write_resolved_config(config, args.out, {"command": args.command, "data": args.data,
+                                             "seeds": args.seeds, flag: getattr(args, flag)})
+    rows = harness(dataset, config.train, values, seeds=seeds, extractor=extractor,
+                   model_config=config.model, out_dir=args.out)
     for row in rows:
         print(line.format(row))
     return EXIT_OK
@@ -212,14 +178,6 @@ GRADCHECK_TOLERANCE = 1e-5
 def run_gradcheck_suite(trials: int = 20, seed: int = 0) -> dict[str, float]:
     """Max finite-difference relative error per component over random small
     instances (B=2, K=4, d=8, 6x6 maps)."""
-    import numpy as np
-
-    from . import tensor as T
-    from .losses import (LossConfig, density_loss, diversity_loss,
-                         proto_feature_loss, total_loss)
-    from .model import similarity_from_distance
-    from .tensor import Tensor, conv1x1, gradcheck_rel_error, sigmoid, tsum
-
     rng = np.random.default_rng([seed, 17])
     b, k, d, hw = 2, 4, 8, 6
     worst: dict[str, float] = {}
@@ -253,7 +211,7 @@ def run_gradcheck_suite(trials: int = 20, seed: int = 0) -> dict[str, float]:
 
         def end_to_end(t):
             processed = sigmoid(conv1x1(t, Tensor(weight)))
-            distances = T.distance_map(processed, Tensor(protos))
+            distances = distance_map(processed, Tensor(protos))
             sims = similarity_from_distance(distances, 1e-4)
             return tsum(conv1x1(sims, Tensor(theta)))
 
@@ -343,7 +301,12 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        # argparse would set an option before the subcommand aside and take
+        # its value for the COMMAND
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            parser.error(f"{argv[0].split('=')[0]}: options go after the subcommand")
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage() + "a subcommand is required")
@@ -351,7 +314,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, OSError) as exc:

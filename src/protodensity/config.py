@@ -20,10 +20,6 @@ from .training import TrainConfig
 RESOLVED_CONFIG_NAME = "config_resolved.txt"
 
 
-class ConfigError(ValueError):
-    """A config file or override that names a bad key or value."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs: data generation, model dims, training. Each
@@ -37,20 +33,6 @@ class RunConfig:
 # -- parsing -------------------------------------------------------------------
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
-    try:
-        return parse_key_values(text.splitlines(), source)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def load_config_file(path: str) -> dict[str, str]:
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(read_text(path), source=path)
-
-
 def _section_fields(obj) -> dict[str, object]:
     return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != "loss"}
 
@@ -58,26 +40,23 @@ def _section_fields(obj) -> dict[str, object]:
 def apply_values(config: RunConfig, values: dict[str, str]) -> RunConfig:
     """A new RunConfig with every dotted key applied, in order. Keys live
     under the scene., model., train., and loss. namespaces. The first key
-    whose value its section rejects raises ConfigError naming that key."""
+    whose value its section rejects raises ValueError naming that key."""
     sections = {"scene": config.scene, "model": config.model,
                 "train": config.train, "loss": config.train.loss}
     for key, raw in values.items():
         if "." not in key:
-            raise ConfigError(f"unknown config key {key!r} (expected section.field)")
+            raise ValueError(f"unknown config key {key!r} (expected section.field)")
         section, name = key.split(".", 1)
         if section not in sections:
-            raise ConfigError(f"unknown config section {section!r} in key {key!r}")
+            raise ValueError(f"unknown config section {section!r} in key {key!r}")
         current = _section_fields(sections[section])
         if name not in current:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         try:
             value = parse_value(raw, current[name])
         except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse {raw!r}: {exc}") from None
-        try:
-            sections[section] = replace(sections[section], **{name: value})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ValueError(f"{key}: cannot parse {raw!r}: {exc}") from None
+        sections[section] = replace(sections[section], **{name: value})
     return RunConfig(sections["scene"], sections["model"],
                      replace(sections["train"], loss=sections["loss"]))
 
@@ -87,9 +66,9 @@ def build_run_config(config_path: str | None = None,
     """Defaults, then the config file, then ``key=value`` override strings."""
     values: dict[str, str] = {}
     if config_path:
-        values.update(load_config_file(config_path))
+        values.update(parse_key_values(read_text(config_path).splitlines(), config_path))
     for item in overrides:
-        values.update(parse_config_text(item, source="<override>"))
+        values.update(parse_key_values(item.splitlines(), "<override>"))
     return apply_values(RunConfig(), values)
 
 

@@ -258,10 +258,7 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
                          f"n_train={n_train}, n_test={n_test}")
     samples_dir = os.path.join(out_dir, "samples")
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    try:
-        os.makedirs(samples_dir, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create dataset directory {out_dir}: {exc}") from exc
+    os.makedirs(samples_dir, exist_ok=True)
     if os.path.lexists(manifest_path):
         os.remove(manifest_path)
 

@@ -181,11 +181,7 @@ def _sweep_tau_runs(config, model_config, tau_values, seeds):
         config.loss, tau_cell=tau, tau_bg=tau))) for tau in tau_values for seed in seeds]
 
 
-_GRID_RUNS = {"run_ablation": _ablation_runs, "sweep_k": _sweep_k_runs,
-              "sweep_tau": _sweep_tau_runs}
-
-
-def plan_grid(harness: str, config: TrainConfig, values, seeds,
+def plan_grid(harness, config: TrainConfig, values, seeds,
               model_config: ModelConfig | None = None) -> list:
     """Every run of ``harness``'s grid over ``values`` and ``seeds``, as
     (label, model_config, run_config). Each value is checked, each run's
@@ -198,17 +194,17 @@ def plan_grid(harness: str, config: TrainConfig, values, seeds,
     return runs
 
 
-def run_ablation(dataset: Dataset, config: TrainConfig, seeds,
-                 extractor: FeatureExtractor,
+def run_ablation(dataset: Dataset, config: TrainConfig, variants=VARIANTS, *,
+                 seeds, extractor: FeatureExtractor,
                  model_config: ModelConfig | None = None,
-                 variants=VARIANTS, out_dir=None, feature_cache=None) -> list[AblationReport]:
+                 out_dir=None, feature_cache=None) -> list[AblationReport]:
     """Train every variant at every seed on the same dataset and extractor.
 
     Variants differ only in the lambdas zeroed out of the base loss config.
     Emits per-run reports plus a distance table averaging both prototype
     groups' min and mean pairwise distances over seeds.
     """
-    runs = plan_grid("run_ablation", config, variants, seeds, model_config)
+    runs = plan_grid(run_ablation, config, variants, seeds, model_config)
     reports = []
     for (variant, seed), model, test_mae, features in _train_grid(
             dataset, runs, extractor, feature_cache):
@@ -253,27 +249,27 @@ def format_distance_table(reports) -> str:
 # -- sweeps --------------------------------------------------------------------
 
 
-def sweep_k(dataset: Dataset, config: TrainConfig, k_values, seeds,
-            extractor: FeatureExtractor,
+def sweep_k(dataset: Dataset, config: TrainConfig, k_values, *,
+            seeds, extractor: FeatureExtractor,
             model_config: ModelConfig | None = None,
             out_dir=None, feature_cache=None) -> list[tuple[int, int, float]]:
     """Train one model per total prototype count K per seed, ``model_config``
     with K split equally, and report test MAE rows (K, seed, MAE)."""
-    runs = plan_grid("sweep_k", config, k_values, seeds, model_config)
+    runs = plan_grid(sweep_k, config, k_values, seeds, model_config)
     rows = [(k, seed, test_mae) for (k, seed), _, test_mae, _ in _train_grid(
         dataset, runs, extractor, feature_cache)]
     _write_sweep_csv(out_dir, "sweep_k.csv", SWEEP_K_CSV_HEADER, rows)
     return rows
 
 
-def sweep_tau(dataset: Dataset, config: TrainConfig, tau_values, seeds,
-              extractor: FeatureExtractor,
+def sweep_tau(dataset: Dataset, config: TrainConfig, tau_values, *,
+              seeds, extractor: FeatureExtractor,
               model_config: ModelConfig | None = None,
               out_dir=None, feature_cache=None,
               gallery_k: int = 3) -> list[tuple[float, int, float]]:
     """Retrain per diversity threshold tau and emit a patch gallery per run
     for qualitative comparison, plus MAE rows (tau, seed, MAE)."""
-    runs = plan_grid("sweep_tau", config, tau_values, seeds, model_config)
+    runs = plan_grid(sweep_tau, config, tau_values, seeds, model_config)
     rows = []
     for (tau, seed), model, test_mae, features in _train_grid(
             dataset, runs, extractor, feature_cache):
@@ -284,6 +280,10 @@ def sweep_tau(dataset: Dataset, config: TrainConfig, tau_values, seeds,
                                      features=features)
     _write_sweep_csv(out_dir, "sweep_tau.csv", SWEEP_TAU_CSV_HEADER, rows)
     return rows
+
+
+_GRID_RUNS = {run_ablation: _ablation_runs, sweep_k: _sweep_k_runs,
+              sweep_tau: _sweep_tau_runs}
 
 
 def _write_sweep_csv(out_dir, name: str, header, rows) -> None:

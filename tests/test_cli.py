@@ -56,7 +56,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_threads_flag_is_a_usage_error(capsys):
     # BLAS threads are set in the environment: OPENBLAS_NUM_THREADS=1 protodensity ...
     assert main(["--threads", "2", "gradcheck"]) == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--threads" in err and "after the subcommand" in err
 
 
 def test_unknown_config_key_names_it(tmp_path, capsys):
@@ -331,6 +332,30 @@ def test_directory_in_place_of_a_file_exits_usage(tmp_path, cfg_path, capsys):
     assert main(["pretrain", "--config", cfg_path, "--data", data,
                  "--out", str(tmp_path / "ex")]) == 1
     assert image in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "pretrain", "train", "explain"])
+@pytest.mark.parametrize("sub", [[], ["sub"]], ids=["file", "below-file"])
+def test_file_in_place_of_an_output_directory_exits_usage(tmp_path, cfg_path, capsys,
+                                                          command, sub):
+    data, extractor, ckpt = (str(tmp_path / name) for name in ("data", "ex", "ckpt"))
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    model = CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                       FeatureExtractor(np.random.default_rng(0)))
+    save_extractor(model.extractor, extractor)
+    save_checkpoint(model, ckpt)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = os.path.join(afile, *sub)
+    argv = {"gen-data": ["--config", cfg_path, "--n-train", "2", "--n-test", "1"],
+            "pretrain": ["--config", cfg_path, "--data", data],
+            "train": ["--config", cfg_path, "--data", data, "--extractor", extractor],
+            "explain": ["--model", ckpt, "--data", data]}[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--out", out]) == 1
+    assert str(afile) in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("name,dims", [("sample_00001_image.pdt", (1, 16, 64)),
@@ -659,7 +684,7 @@ def test_grid_commands_train_the_configured_model(tmp_path, cfg_path,
     assert all(c.d == 8 and c.epsilon == 0.001 for c in trained_configs)
 
 
-def test_gradcheck_passes_and_sets_threads(capsys):
+def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--trials", "1"]) == 0
     out = capsys.readouterr().out
     assert "all gradients within" in out
@@ -701,6 +726,9 @@ def test_divergence_exits_runtime(tmp_path, cfg_path, capsys):
                  "--set", "train.pretrain_epochs=4"])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err
+    # the echo is written before the work, so a failed run still says what it ran
+    assert "train.pretrain_learning_rate = 1e+200" in \
+        (tmp_path / "ex" / "config_resolved.txt").read_text().splitlines()
 
 
 @pytest.mark.parametrize("experiment, flags, layout", [

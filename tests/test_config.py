@@ -10,12 +10,12 @@ import pytest
 import protodensity
 from protodensity import __version__
 from protodensity.cli import main
-from protodensity.config import (RESOLVED_CONFIG_NAME, ConfigError, RunConfig,
-                                 build_run_config, load_config_file,
-                                 parse_config_text, write_resolved_config)
+from protodensity.config import (RESOLVED_CONFIG_NAME, RunConfig, build_run_config,
+                                 write_resolved_config)
 from protodensity.datagen import SceneConfig
 from protodensity.losses import LossConfig
 from protodensity.model import ModelConfig
+from protodensity.tensor import parse_key_values
 from protodensity.training import TrainConfig
 
 
@@ -26,19 +26,20 @@ def test_parse_skips_comments_and_blanks():
 
     loss.lambda3 = 10
     """
-    assert parse_config_text(text) == {"scene.seed": "3", "loss.lambda3": "10"}
+    assert parse_key_values(text.splitlines(), "<config>") == \
+        {"scene.seed": "3", "loss.lambda3": "10"}
 
 
 def test_parse_rejects_malformed_lines():
-    with pytest.raises(ConfigError, match=r"<config>:1"):
-        parse_config_text("no equals sign")
-    with pytest.raises(ConfigError, match="empty key"):
-        parse_config_text("= 3")
+    with pytest.raises(ValueError, match=r"<config>:1"):
+        parse_key_values(["no equals sign"], "<config>")
+    with pytest.raises(ValueError, match="empty key"):
+        parse_key_values(["= 3"], "<config>")
 
 
 def test_load_config_file_missing(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
-        load_config_file(str(tmp_path / "nope.txt"))
+    with pytest.raises(FileNotFoundError, match="nope.txt"):
+        build_run_config(str(tmp_path / "nope.txt"))
 
 
 def test_defaults_without_file():
@@ -103,21 +104,21 @@ def test_loss_keys_land_inside_train():
     ("scene.image_size = -8,8", "scene.image_size"),
 ])
 def test_bad_keys_and_values_name_the_culprit(override, fragment):
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ValueError, match=fragment):
         build_run_config(None, [override])
 
 
 def test_first_bad_key_in_input_order_is_named():
-    with pytest.raises(ConfigError, match=r"^train\.beta1 "):
+    with pytest.raises(ValueError, match=r"^train\.beta1 "):
         build_run_config(None, ["train.beta1 = 2", "model.d = 0"])
 
 
 def test_validation_failures_become_config_errors():
-    with pytest.raises(ConfigError, match="d"):
+    with pytest.raises(ValueError, match="d"):
         build_run_config(None, ["model.d = 0"])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         build_run_config(None, ["scene.image_size = 30,30"])
-    with pytest.raises(ConfigError, match="learning_rate"):
+    with pytest.raises(ValueError, match="learning_rate"):
         build_run_config(None, ["train.learning_rate = -1"])
 
 
@@ -283,4 +284,16 @@ def test_package_never_touches_the_process_environment():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
+    assert not found
+
+
+def test_package_imports_only_at_module_level():
+    # each module imports what it calls once, as a top-level statement, so a
+    # missing or circular import fails on `import protodensity.cli`, not mid-run
+    found = []
+    for path in sorted(Path(protodensity.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and node not in tree.body]
     assert not found

@@ -263,8 +263,8 @@ def test_sweep_tau_rejects_values_that_share_a_gallery(tiny_dataset, tiny_extrac
     (sweep_tau, dict(tau_values=(0.0, 2.0), seeds=(0,))),
     (sweep_k, dict(k_values=(2, 4, 6, 8), seeds=(0, -1))),
 ])
-def test_grid_is_validated_before_pretraining(tiny_dataset, tiny_extractor, tmp_path,
-                                              trained_configs, harness, grid):
+def test_grid_is_validated_before_training(tiny_dataset, tiny_extractor, tmp_path,
+                                           trained_configs, harness, grid):
     with pytest.raises(ValueError, match="empty|tau_cell|train.seed"):
         harness(tiny_dataset, harness_config(), extractor=tiny_extractor,
                 out_dir=str(tmp_path / "out"), **grid)

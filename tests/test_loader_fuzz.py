@@ -16,12 +16,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import TINY_SCENE
-from protodensity.config import (RunConfig, load_config_file, parse_config_text,
-                                 write_resolved_config)
+from protodensity.config import RunConfig, write_resolved_config
 from protodensity.datagen import generate_dataset, load_dataset, parse_manifest
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
                                 PrototypeProvenance, load_checkpoint,
                                 load_extractor, save_checkpoint, save_extractor)
+from protodensity.tensor import parse_key_values, read_text
 
 _text = st.text(max_size=40)
 # one edit of a file's lines: drop one, replace one, insert one, or replace
@@ -164,12 +164,13 @@ def test_load_config_file_fails_cleanly(saved, damage):
         path = os.path.join(tmp, "run.cfg")
         with open(path, "wb") as f:
             f.write(_damaged((saved / "run.cfg").read_bytes(), damage))
-        _expect_clean_failure(load_config_file, path, path)
+        _expect_clean_failure(lambda p: parse_key_values(read_text(p).splitlines(), p),
+                              path, path)
 
 
 @given(text=st.text(max_size=200))
 def test_parse_config_text_fails_cleanly(text):
-    _expect_clean_failure(lambda t: parse_config_text(t, source="fuzz.cfg"), text,
+    _expect_clean_failure(lambda t: parse_key_values(t.splitlines(), "fuzz.cfg"), text,
                           "fuzz.cfg")
 
 
