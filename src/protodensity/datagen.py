@@ -191,29 +191,29 @@ def make_density_map(annotation: DotAnnotation, input_size: tuple[int, int]) -> 
 
     Each kernel is centered at the point's coordinates divided by
     ``DOWNSAMPLE`` and scaled to sum exactly 1 over the output grid, so the
-    map total equals the point count regardless of boundary truncation.
+    map total equals the point count regardless of boundary truncation. An
+    in-bounds point lies within one grid step of a grid point on each axis,
+    so no kernel total falls below exp(-1 / SIGMA^2).
     """
     h, w = input_size
     if h % DOWNSAMPLE or w % DOWNSAMPLE:
         raise ValueError(f"input size {input_size} not divisible by downsample {DOWNSAMPLE}")
     hf, wf = h // DOWNSAMPLE, w // DOWNSAMPLE
-    out = np.zeros((hf, wf), dtype=np.float64)
-    cols = np.arange(wf, dtype=np.float64)[None, :]
-    rows = np.arange(hf, dtype=np.float64)[:, None]
-    for x, y in annotation.points:
-        if not (0 <= x < w and 0 <= y < h):
-            raise ValueError(f"annotation point ({x}, {y}) outside image bounds {w}x{h}")
-        cx, cy = x / DOWNSAMPLE, y / DOWNSAMPLE
-        kernel = np.exp(-((cols - cx) ** 2 + (rows - cy) ** 2) / (2.0 * SIGMA * SIGMA))
-        total = kernel.sum()
-        if total == 0.0:
-            # kernel underflowed everywhere; assign all mass to the nearest cell
-            r = min(hf - 1, max(0, int(round(cy))))
-            c = min(wf - 1, max(0, int(round(cx))))
-            out[r, c] += 1.0
-        else:
-            out += kernel / total
-    return out
+    points = np.array(annotation.points, dtype=np.float64).reshape(-1, 2)
+    x, y = points[:, 0], points[:, 1]
+    outside = ~((0 <= x) & (x < w) & (0 <= y) & (y < h))
+    if outside.any():
+        bad = annotation.points[int(np.argmax(outside))]
+        raise ValueError(f"annotation point ({bad[0]}, {bad[1]}) outside image bounds {w}x{h}")
+    # one (P, Hf, Wf) kernel stack, each kernel summed alone and then added
+    # into the map in point order
+    cx = (x / DOWNSAMPLE)[:, None, None]
+    cy = (y / DOWNSAMPLE)[:, None, None]
+    cols = np.arange(wf, dtype=np.float64)[None, None, :]
+    rows = np.arange(hf, dtype=np.float64)[None, :, None]
+    kernels = np.exp(-((cols - cx) ** 2 + (rows - cy) ** 2) / (2.0 * SIGMA * SIGMA))
+    kernels /= kernels.reshape(len(points), hf * wf).sum(axis=1)[:, None, None]
+    return np.add.reduce(kernels, axis=0, initial=0.0)
 
 
 # -- sample and dataset I/O ---------------------------------------------------

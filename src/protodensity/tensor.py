@@ -1,9 +1,14 @@
 """Dense float64 tensor kernel with reverse-mode autodiff.
 
-Every differentiable operation records its inputs and a backward closure on
-the output node; calling ``backward()`` on a scalar result replays the tape
-in reverse topological order and frees each interior node's closure, edges
-and gradient as soon as its closure has run. The op set is exactly what the
+Every differentiable operation records the inputs that need a gradient and a
+backward closure on the output node; calling ``backward()`` on a scalar
+result replays the tape in reverse topological order and frees each interior
+node's closure, edges and gradient as soon as its closure has run. Two rules
+keep the tape to what backward reads. A node's edges lead only to the inputs
+a gradient reaches, and its closure holds any other input only where the
+backward reads that input's values. Every interior ``.grad`` is a private
+buffer, so a backward may reuse the ``out.grad`` it owns and hand it on as
+its input's gradient. The op set is exactly what the
 counting model and its losses need: elementwise arithmetic, sigmoid/relu/log,
 2-D matmul, reductions, indexing, row normalization, 1x1 and 3x3
 convolutions, 2x2 max pooling, and prototype distance maps. Every op is a
@@ -19,7 +24,8 @@ compares the four strided window corners, and its backward routes each
 window's gradient by a compare mask to the first maximum in row-major window
 order. The distance map's forward is one reduce over a (d,K,B,H,W) buffer of
 at most 1 MiB, else (or for one (K,B,H,W) element, which numpy sums pairwise)
-a channel loop, both in channel order; its backward is two GEMMs. A central
+a channel loop, both in channel order; its backward is two GEMMs, the
+feature one run a sample at a time into the feature gradient. A central
 finite-difference oracle (`finite_diff_grad`) verifies every analytic
 gradient.
 
@@ -131,7 +137,10 @@ class Tensor:
         consumed as it runs: right after an interior node's closure has run,
         the node drops its closure, its edges and its ``.grad``, so each
         activation and gradient is freed once no remaining closure needs it.
-        Leaves keep their ``.grad``."""
+        Edges lead only to inputs that get a gradient, and an interior
+        ``.grad`` is read by its own closure alone, which may therefore
+        overwrite it and pass it on as its input's gradient. Leaves keep
+        their ``.grad``."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -194,12 +203,14 @@ def _coerce(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: Iterable[Tensor], backward: Callable[[], None]) -> Tensor:
-    parents = tuple(parents)
+    # edges lead only to the inputs a gradient reaches
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    if _grad_enabled:
+        parents = tuple(p for p in parents if p.requires_grad)
+        if parents:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
     return out
 
 
@@ -215,8 +226,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _accum_own(t: Tensor, g: np.ndarray) -> None:
-    # g is the calling closure's own buffer, so it becomes the gradient with
-    # no copy; adding 0.0 in place turns -0.0 into 0.0, as _accum does
+    """Accumulate ``g`` into ``t.grad`` where ``g`` is the calling closure's
+    own buffer: one it allocated, or the ``out.grad`` of its node, which
+    ``Tensor.backward`` drops right after the closure. It becomes the
+    gradient with no copy; adding 0.0 in place turns -0.0 into 0.0, as
+    ``_accum`` does."""
     if t.grad is None:
         g += 0.0
         t.grad = g
@@ -320,9 +334,11 @@ def sigmoid(a) -> Tensor:
     out_data /= ex
 
     def backward():
-        gx = out.grad * out_data
-        gx *= 1.0 - out_data
-        _accum_own(a, gx)
+        # (g * s) * (1 - s) inside the out.grad this node owns
+        g = out.grad
+        g *= out_data
+        g *= 1.0 - out_data
+        _accum_own(a, g)
 
     out = _make(out_data, (a,), backward)
     return out
@@ -469,11 +485,13 @@ def conv1x1(x, weight, bias=None) -> Tensor:
     if bias is not None:
         oc += bias.data[:, None]
     out_data = oc.reshape(c_out, b_, h, w).transpose(1, 0, 2, 3)
+    # the backward reads xc, so it holds x only if x gets a gradient
+    x_grad = x if x.requires_grad else None
 
     def backward():
         gc = np.ascontiguousarray(out.grad.transpose(1, 0, 2, 3)).reshape(c_out, b_ * h * w)
-        if x.requires_grad:
-            _accum(x, (weight.data.T @ gc).reshape(c, b_, h, w).transpose(1, 0, 2, 3))
+        if x_grad is not None:
+            _accum(x_grad, (weight.data.T @ gc).reshape(c, b_, h, w).transpose(1, 0, 2, 3))
         if weight.requires_grad:
             _accum(weight, gc @ xc.T)
         if bias is not None and bias.requires_grad:
@@ -619,7 +637,9 @@ def distance_map(features, prototypes) -> Tensor:
     lone slab pairwise), by a channel loop into one (K,B,H,W) buffer; both
     give the same bits. The output is C-contiguous for the backward: with
     g = d(loss)/d(out), two GEMMs over (B,K,HW) x (B,HW,d),
-    grad_f = 2 (f * sum_k g_k - P^T g), grad_P = -2 (sum_b g f^T - (sum g_k) P).
+    grad_f = 2 (f * sum_k g_k - P^T g), grad_P = -2 (sum_b g f^T - (sum g_k) P);
+    P^T g is subtracted one (d, HW) sample at a time, so no (B, d, HW)
+    product exists beside grad_f.
     """
     features, prototypes = _coerce(features), _coerce(prototypes)
     fd = _batched(features, "distance_map")
@@ -649,7 +669,9 @@ def distance_map(features, prototypes) -> Tensor:
         f2 = fd.reshape(b_, d, h * w)
         if features.requires_grad:
             gf = f2 * g.sum(axis=1)[:, None, :]
-            gf -= pd.T @ g
+            pg = np.empty((d, h * w))
+            for n in range(b_):
+                gf[n] -= np.matmul(pd.T, g[n], out=pg)
             gf *= 2.0
             _accum_own(features, gf.reshape(b_, d, h, w))
         if prototypes.requires_grad:

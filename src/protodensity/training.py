@@ -9,10 +9,12 @@ with the nearest processed feature vector across the training split and
 records where it came from.
 
 After the final projection only the head's theta moves, so the similarity
-and distance maps of the training split are fixed: calibration computes them
-once, from the final projection's processed split, and every calibration
-step and validation pass then runs the head alone on them. The losses and
-theta's gradient equal those of a full forward bit for bit.
+and distance maps of the training split are fixed. They are built right after
+each projection (when calibration is on) from the processed split it
+returned, which is then dropped before that epoch's validation pass; a later
+epoch makes them stale, so only the final projection's maps survive, and
+every calibration step and validation pass runs the head alone on them. The
+losses and theta's gradient equal those of a full forward bit for bit.
 """
 
 from __future__ import annotations
@@ -354,14 +356,22 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
         out = model.forward_from_features(Tensor(features[idx]))
         return out.density, out.distances, model.prototypes
 
+    def project(epoch):
+        # the calibration maps are built from the processed split right
+        # here, so that the split is freed before the epoch's validation pass
+        records, processed = project_prototypes(model, dataset, features)
+        history.projections.append(ProjectionEvent(epoch, records))
+        return _fixed_maps_forward(model, processed) if config.calibration_epochs else None
+
     epoch = 0
+    projected = False
     for epoch in range(1, config.max_epochs + 1):
-        processed = None  # stale once the processing layer moves
+        calibration_forward = None  # stale once the processing layer moves
         history.reports.append(run_epoch(params, f"epoch {epoch}", fit_forward))
 
-        if epoch % config.projection_interval == 0:
-            records, processed = project_prototypes(model, dataset, features)
-            history.projections.append(ProjectionEvent(epoch, records))
+        projected = epoch % config.projection_interval == 0
+        if projected:
+            calibration_forward = project(epoch)
             if out_dir:
                 save_checkpoint(model, os.path.join(out_dir, f"checkpoint_epoch{epoch:04d}"))
 
@@ -377,19 +387,17 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
             if stale >= config.convergence_patience:
                 break
 
-    if processed is None:
-        records, processed = project_prototypes(model, dataset, features)
-        history.projections.append(ProjectionEvent(epoch, records))
+    if not projected:
+        calibration_forward = project(epoch)
 
     # the projection just snapped prototypes onto real feature vectors, which
     # reshapes the similarity peaks; re-fit the head weights against the
     # projected prototypes. Only theta moves, so the prototypes stay exactly
     # projected in the shipped model, and the distance and similarity maps
-    # are fixed: compute them once and run every calibration step on theta * S
+    # are fixed: every calibration step runs on theta * S over the maps the
+    # final projection built
     theta = model.theta
     theta_params = {theta.name: theta}
-    if config.calibration_epochs:
-        calibration_forward = _fixed_maps_forward(model, processed)
     for i in range(config.calibration_epochs):
         history.calibration_reports.append(
             run_epoch(theta_params, f"calibration epoch {i + 1}", calibration_forward))

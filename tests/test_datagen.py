@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protodensity.datagen import (DotAnnotation, SceneConfig, generate_dataset,
+from protodensity.datagen import (SIGMA, DotAnnotation, SceneConfig, generate_dataset,
                                   load_dataset, load_sample, make_density_map,
                                   manifest_hash, parse_manifest, render_scene,
                                   save_sample, write_pgm)
+from protodensity.model import DOWNSAMPLE
 
 SMALL = SceneConfig(image_size=(32, 32), cell_count_range=(3, 12), seed=7)
 
@@ -96,6 +97,37 @@ def test_density_out_of_bounds_names_point():
         make_density_map(DotAnnotation([(70.0, 2.0)]), (64, 64))
     with pytest.raises(ValueError):
         make_density_map(DotAnnotation([(2.0, -1.0)]), (64, 64))
+    with pytest.raises(ValueError, match=r"point \(2\.0, -1\.0\) outside"):
+        make_density_map(DotAnnotation([(3.0, 4.0), (2.0, -1.0), (70.0, 2.0)]), (64, 64))
+
+
+def density_map_per_point(points, input_size):
+    """The map as a loop over points: each kernel summed alone, then added
+    into the map in point order."""
+    hf, wf = input_size[0] // DOWNSAMPLE, input_size[1] // DOWNSAMPLE
+    out = np.zeros((hf, wf))
+    cols = np.arange(wf, dtype=np.float64)[None, :]
+    rows = np.arange(hf, dtype=np.float64)[:, None]
+    for x, y in points:
+        cx, cy = x / DOWNSAMPLE, y / DOWNSAMPLE
+        kernel = np.exp(-((cols - cx) ** 2 + (rows - cy) ** 2) / (2.0 * SIGMA * SIGMA))
+        out += kernel / kernel.sum()
+    return out
+
+
+@pytest.mark.parametrize("size", [(32, 32), (64, 48), (128, 128)])
+def test_density_equals_per_point_loop_bitwise(size):
+    # the one broadcast over all points gives the loop's bits, edge points
+    # (where the kernel is most truncated) included
+    rng = np.random.default_rng(size[1])
+    h, w = size
+    edges = [(0.0, 0.0), (np.nextafter(w, 0), np.nextafter(h, 0)), (0.0, h - 1e-9)]
+    for n in (0, 1, 7, 40):
+        points = edges + [(float(rng.uniform(0, w)), float(rng.uniform(0, h)))
+                          for _ in range(n)]
+        density = make_density_map(DotAnnotation(points), size)
+        expected = density_map_per_point(points, size)
+        assert density.tobytes() == expected.tobytes()
 
 
 @given(st.lists(st.tuples(st.floats(0, 31.999), st.floats(0, 31.999)),

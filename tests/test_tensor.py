@@ -3,6 +3,7 @@ gradient against central finite differences."""
 
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -643,6 +644,48 @@ def test_backward_frees_each_gradient_once_used():
     np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
     assert peak < tape + 3 * x.data.nbytes, \
         f"backward peak {peak} B >= tape {tape} B + 3 buffers"
+
+
+def test_tape_keeps_only_what_backward_reads(rng):
+    # a node's edges reach only the inputs a gradient flows to
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    const = Tensor(rng.normal(size=(2, 3)))
+    y = T.mul(x, const)
+    assert len(y._parents) == 1 and y._parents[0] is x
+
+    # conv1x1 reads its transposed GEMM operand, so an input that gets no
+    # gradient is freed once the caller drops it
+    data = rng.normal(size=(4, 3, 5, 5))
+    alive = weakref.ref(data)
+    w = Parameter(rng.normal(size=(2, 3)), name="w")
+    b = Parameter(rng.normal(size=2), name="b")
+    out = T.conv1x1(Tensor(data), w, b)
+    assert len(out._parents) == 2 and out._parents[0] is w and out._parents[1] is b
+    channel_sums = data.sum(axis=(0, 2, 3))
+    del data
+    assert alive() is None
+    T.tsum(out).backward()
+    np.testing.assert_allclose(w.grad, np.tile(channel_sums, (2, 1)), rtol=1e-12)
+    np.testing.assert_array_equal(b.grad, [100.0, 100.0])
+
+    # sigmoid's backward computes (g * s) * (1 - s) inside the out.grad it
+    # owns: one (1 - s) temporary and no other full-size buffer
+    x = Tensor(rng.normal(size=2 ** 17), requires_grad=True)
+    s = T.sigmoid(x)
+    s.grad = rng.normal(size=x.shape)
+    g = s.grad
+    expected = g * s.data
+    expected *= 1.0 - s.data
+    expected += 0.0
+    tracemalloc.start()
+    try:
+        s._backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is g
+    assert x.grad.tobytes() == expected.tobytes()
+    assert peak < 1.5 * g.nbytes, f"sigmoid backward peak {peak} B >= 1.5 buffers"
 
 
 def test_first_accumulation_equals_zeros_plus_grad_bitwise():

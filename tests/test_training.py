@@ -481,9 +481,9 @@ def test_diverged_calibration_restores_requires_grad(tiny_dataset, tiny_extracto
 def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
                                             tiny_features, monkeypatch):
     # after the final projection only theta moves: the split's maps are
-    # computed once from the processed split that projection returned, so
-    # neither the cache nor any calibration step or validation pass runs the
-    # processing layer again. With projection every three epochs, five
+    # computed once, right after that projection, from the processed split it
+    # returned, so no calibration step or calibration validation pass runs
+    # the processing layer again. With projection every three epochs, five
     # epochs put the final projection after the main loop and six put it in
     # the loop's last epoch.
     events = []
@@ -521,13 +521,14 @@ def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
 
         n_val = int(round(config.val_fraction * n))
         assert [p.epoch for p in history.projections] == [3, max_epochs]
-        # a projection in the loop's last epoch is followed by that epoch's
+        # the maps follow the projection directly, so a projection in the
+        # loop's last epoch frees the processed split before that epoch's
         # validation pass, which the main loop runs on the full forward
         val_pass = (["forward_from_features", "process_features"]
                     * math.ceil(n_val / config.batch_size) if max_epochs == 6 else [])
         steps = config.calibration_epochs * math.ceil((n - n_val) / config.batch_size)
         after = events[len(events) - events[::-1].index("project"):]
-        assert after == val_pass + ["cache"] + ["calibration step"] * steps
+        assert after == ["cache"] + val_pass + ["calibration step"] * steps
 
         order = np.random.default_rng([config.seed, 2]).permutation(n)
         val_idx = order[:n_val]
@@ -535,6 +536,38 @@ def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
                           dtype=float)
         pred, _ = model.predict(None, tiny_features[val_idx], batch=config.batch_size)
         assert history.calibration_val_mae[-1] == float(np.abs(pred - counts).mean())
+
+
+def test_train_peak_memory(tiny_extractor):
+    # a default-scale split, 100 samples of 64 x 16 x 16 features, at batch
+    # 32: one (32, 64, 16, 16) activation is 4 MiB. The peak is a main-loop
+    # forward, which holds five: the gathered batch, conv1x1's transposed
+    # operand and output, and sigmoid's exp temporary and output. The
+    # backward holds four (the batch is freed once conv1x1 has copied it)
+    # plus sigmoid's (1 - s) temporary, and each projection's 12.5 MiB
+    # processed split is freed once the calibration maps (2 x 1.6 MiB) are
+    # built, before the epoch's validation pass. With the 0.5 MiB sign mask,
+    # the distance maps and the loss nodes, the peak stays below 22 MiB;
+    # a backward that also kept the batch, a full-size P^T g product and a
+    # second sigmoid buffer would reach 29 MiB.
+    rng = np.random.default_rng(0)
+    samples = [types.SimpleNamespace(sample_id=i, density_gt=rng.uniform(size=(16, 16)) / 256,
+                                     annotation=[None] * int(rng.integers(0, 20)))
+               for i in range(100)]
+    features = rng.normal(size=(100, FEATURE_DIM, 16, 16))
+    model = CountModel(ModelConfig(), tiny_extractor, seed=0)
+    config = TrainConfig(batch_size=32, max_epochs=2, projection_interval=2,
+                         calibration_epochs=2)
+    tracemalloc.start()
+    try:
+        _, history = train(model, types.SimpleNamespace(train=samples), config,
+                           feature_cache=features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.epoch for p in history.projections] == [2]
+    assert len(history.calibration_reports) == 2
+    assert peak < 22 * 2**20, f"peak {peak / 2**20:.2f} MiB >= 22 MiB"
 
 
 def test_calibration_on_cached_maps_equals_full_forward(tiny_dataset, tiny_extractor,
