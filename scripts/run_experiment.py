@@ -4,7 +4,8 @@ Each generates data/ and pretrains one frozen extractor/ under --out, then:
 
     pipeline  trains run/ (checkpoints, history.csv, projections.csv), writes
               eval.csv (per-image errors) and gallery/ (top-k patches);
-              about 75 s on a 2-core Xeon, BLAS on one thread, at the default config
+              about 18 s on a 2-core AMD EPYC, BLAS on one thread, at the
+              default config
     ablation  trains full loss, no-diversity and no-prototype-feature at
               every seed: ablation.csv (MAE, distances, localization rates
               per run) and distance_table.txt (seed-averaged intra-group

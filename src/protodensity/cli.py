@@ -177,7 +177,10 @@ GRADCHECK_TOLERANCE = 1e-5
 
 def run_gradcheck_suite(trials: int = 20, seed: int = 0) -> dict[str, float]:
     """Max finite-difference relative error per component over random small
-    instances (B=2, K=4, d=8, 6x6 maps)."""
+    instances (B=2, K=4, d=8, 6x6 maps). Fewer than one trial checks nothing,
+    so it raises ValueError naming ``--trials``."""
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     rng = np.random.default_rng([seed, 17])
     b, k, d, hw = 2, 4, 8, 6
     worst: dict[str, float] = {}

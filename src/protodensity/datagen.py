@@ -289,10 +289,10 @@ def parse_manifest(manifest_path: str):
     """Parse a dataset manifest into (config, downsample, sigma, n_train,
     n_test, sample rows). Rows are (id, split, count, image, annotation,
     density) with paths relative to the manifest directory. A malformed line,
-    a split other than train or test, sample paths other than the
-    ``samples/sample_<id>_*`` names ``generate_dataset`` writes, a missing
-    field or recorded scene settings that ``SceneConfig`` rejects raise
-    ValueError naming the manifest (and the line)."""
+    a split other than train or test, a sample id listed twice, sample paths
+    other than the ``samples/sample_<id>_*`` names ``generate_dataset``
+    writes, a missing field or recorded scene settings that ``SceneConfig``
+    rejects raise ValueError naming the manifest (and the line)."""
     lines = read_text(manifest_path).splitlines()
     table = next((i for i, line in enumerate(lines) if line.strip() == "[samples]"),
                  len(lines))
@@ -300,6 +300,7 @@ def parse_manifest(manifest_path: str):
     if kv.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"{manifest_path}: unknown manifest format {kv.get('format')!r}")
     rows = []
+    seen = set()
     for lineno, line in enumerate(lines[table + 1:], start=table + 2):
         line = line.strip()
         if not line or line.startswith(("#", "id,")):
@@ -311,6 +312,9 @@ def parse_manifest(manifest_path: str):
             raise ValueError(f"{manifest_path}:{lineno}: bad sample row {line!r}: {exc}") from None
         if split not in ("train", "test"):
             raise ValueError(f"{manifest_path}:{lineno}: split {split!r} is not 'train' or 'test'")
+        if sid in seen:
+            raise ValueError(f"{manifest_path}:{lineno}: sample id {sid} is listed twice")
+        seen.add(sid)
         # samples load from these names only, never from a recorded path
         expected = tuple(f"samples/{p}" for p in _sample_paths(sid))
         if (img_p, pts_p, den_p) != expected:

@@ -302,19 +302,27 @@ def save_checkpoint(model: CountModel, ckpt_dir: str) -> None:
 
 
 def _read_provenance(path: str, k_total: int) -> list[PrototypeProvenance | None]:
-    """provenance.csv's records; any malformed row raises ValueError naming
-    the path."""
+    """provenance.csv's records, one row for each prototype id 0..K-1; a
+    malformed row, an id listed twice or an id with no row raises ValueError
+    naming the path (and the row)."""
     provenance: list[PrototypeProvenance | None] = [None] * k_total
+    seen = set()
     for n, row in enumerate(T.read_csv(path, PROVENANCE_CSV_HEADER), start=1):
         try:
             pid = int(row[0])
             if not 0 <= pid < k_total:
                 raise ValueError(f"prototype id {pid} outside 0..{k_total - 1}")
-            if row[1] != "":
-                provenance[pid] = PrototypeProvenance(
-                    pid, int(row[1]), int(row[2]), int(row[3]), float(row[4]))
+            record = None if row[1] == "" else PrototypeProvenance(
+                pid, int(row[1]), int(row[2]), int(row[3]), float(row[4]))
+            if pid in seen:
+                raise ValueError(f"prototype id {pid} is listed twice")
         except ValueError as exc:
             raise ValueError(f"{path}: row {n}: {exc}") from None
+        seen.add(pid)
+        provenance[pid] = record
+    if len(seen) < k_total:
+        missing = min(set(range(k_total)) - seen)
+        raise ValueError(f"{path}: no row for prototype id {missing}")
     return provenance
 
 

@@ -16,18 +16,20 @@ module function (``T.add``, ``T.mul``, ...): a Tensor has no arithmetic
 operators, only ``t[idx]`` for ``getitem`` and ``float(t)`` for a one-element
 value.
 
-The 3x3 convolution runs one sample at a time: nine shifted, cropped slices
-of the input fill one zero-bordered, sample-sized (C*9, H*W) im2col buffer,
-so its forward and backward GEMMs run on NCHW data with no transposed copy,
-and neither a padded copy nor a batch-sized im2col matrix exists. Max pooling
-compares the four strided window corners, and its backward routes each
-window's gradient by a compare mask to the first maximum in row-major window
-order. The distance map's forward is one reduce over a (d,K,B,H,W) buffer of
-at most 1 MiB, else (or for one (K,B,H,W) element, which numpy sums pairwise)
-a channel loop, both in channel order; its backward is two GEMMs, the
-feature one run a sample at a time into the feature gradient. A central
-finite-difference oracle (`finite_diff_grad`) verifies every analytic
-gradient.
+The 3x3 convolution and the 2x2 max pool make every pass over a
+(B, C, H, W) activation one sample at a time, while that sample's slice sits
+in cache. In the convolution, nine shifted, cropped slices of the input fill
+one zero-bordered, sample-sized (C*9, H*W) im2col buffer, so its forward and
+backward GEMMs run on NCHW data with no transposed copy, and neither a padded
+copy nor a batch-sized im2col matrix exists; the bias is added, and its
+gradient summed, per sample. Max pooling compares the four strided window
+corners, and its backward routes each window's gradient by one sample's
+compare masks to the first maximum in row-major window order. The distance
+map's forward is one reduce over a (d,K,B,H,W) buffer of at most 1 MiB, else
+(or for one (K,B,H,W) element, which numpy sums pairwise) a channel loop,
+both in channel order; its backward is two GEMMs, the feature one run a
+sample at a time into the feature gradient. A central finite-difference
+oracle (`finite_diff_grad`) verifies every analytic gradient.
 
 The module also holds the package's file formats: PDTF tensors, and the one
 ``key = value`` writer and reader and the one CSV writer and reader behind
@@ -523,14 +525,16 @@ def _im2col(col: np.ndarray, x_n: np.ndarray) -> np.ndarray:
 def conv3x3(x, weight, bias) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 (spatial dims preserved).
 
-    One sample at a time, the nine shifted, cropped slices of the input fill
-    a single zero-bordered (C*9, H*W) im2col buffer and one GEMM writes that
-    sample's C_out x H*W output, so no padded copy and no batch-sized im2col
-    matrix exist, and the tape keeps nothing beyond the input. The backward
-    rebuilds each sample's im2col slice, accumulates
-    grad_W = sum_b g[b] col[b]^T in sample order, puts W^T g[b] in a second
-    sample-sized buffer and adds its nine cropped slices into that sample's
-    zeroed input gradient in tap order; nothing is transposed.
+    Every pass runs one sample at a time, while that sample's slices sit in
+    cache. The nine shifted, cropped slices of the input fill a single
+    zero-bordered (C*9, H*W) im2col buffer, one GEMM writes that sample's
+    C_out x H*W output and the bias is added to it, so no padded copy and no
+    batch-sized im2col matrix exist, and the tape keeps nothing beyond the
+    input. The backward rebuilds each sample's im2col slice, accumulates
+    grad_W = sum_b g[b] col[b]^T and the bias gradient, each in sample order,
+    puts W^T g[b] in a second sample-sized buffer and adds its nine cropped
+    slices, in tap order, into that sample's slice of the input gradient,
+    zeroed just before; nothing is transposed.
     """
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     xd = _batched(x, "conv3x3")
@@ -548,27 +552,32 @@ def conv3x3(x, weight, bias) -> Tensor:
     oc = np.empty((b_, c_out, h * w))
     for n in range(b_):
         np.matmul(w2, _im2col(col, xd[n]), out=oc[n])
-    oc += bias.data[:, None]
+        oc[n] += bias.data[:, None]
     out_data = oc.reshape(b_, c_out, h, w)
 
     def backward():
         g = out.grad.reshape(b_, c_out, h * w)
         col = np.zeros((c, 9, h, w))
         gw = np.zeros((c_out, c * 9)) if weight.requires_grad else None
-        gx = np.zeros_like(xd) if x.requires_grad else None
+        gb = np.zeros(c_out) if bias.requires_grad else None
+        gx = np.empty_like(xd) if x.requires_grad else None
         gcol = np.empty((c, 9, h, w)) if x.requires_grad else None
         for n in range(b_):
             if gw is not None:
                 gw += g[n] @ _im2col(col, xd[n]).T
+            if gb is not None:
+                gb += g[n].sum(axis=1)
             if gx is not None:
                 np.matmul(w2.T, g[n], out=gcol.reshape(c * 9, h * w))
+                gx_n = gx[n]
+                gx_n.fill(0.0)
                 for i, (dy, sy) in enumerate(_TAP_CROPS):
                     for j, (dx, sx) in enumerate(_TAP_CROPS):
-                        gx[n, :, sy, sx] += gcol[:, 3 * i + j, dy, dx]
+                        gx_n[:, sy, sx] += gcol[:, 3 * i + j, dy, dx]
         if gw is not None:
             _accum(weight, gw.reshape(weight.shape))
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2)))
+        if gb is not None:
+            _accum(bias, gb)
         if gx is not None:
             _accum_own(x, gx)
 
@@ -581,39 +590,51 @@ def maxpool2x2(x) -> Tensor:
     to its first maximum in row-major window order (top-left, top-right,
     bottom-left, bottom-right).
 
-    The forward is ``np.maximum`` of the even and odd rows (contiguous
-    runs), then of that result's even and odd columns, with any zero result
-    taken from the first corner holding a zero (the maximum of -0.0 and 0.0
-    may be either). The backward routes the gradient by a
-    compare mask in the same corner order: a corner gets it where it equals
-    the maximum and no earlier corner did, and the last corner gets the rest.
+    Both passes run one sample at a time, while that sample's slice sits in
+    cache. The forward is ``np.maximum`` of the even and odd rows (contiguous
+    runs) into a sample-sized buffer, then of that buffer's even and odd
+    columns into the preallocated output, with any zero result taken from
+    the first corner holding a zero (the maximum of -0.0 and 0.0 may be
+    either). The backward routes the gradient by a compare mask in the same
+    corner order, in two sample-sized bool buffers reused across samples: a
+    corner gets it where it equals the maximum and no earlier corner did
+    (``hit > taken``), and the last corner gets the rest.
     """
     x = _coerce(x)
     xd = _batched(x, "maxpool2x2")
     b_, c, h, w = xd.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {h}x{w}")
-    corners = [xd[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-    rows = np.maximum(xd[:, :, 0::2], xd[:, :, 1::2])
-    pooled = np.maximum(rows[..., 0::2], rows[..., 1::2])
-    zero = pooled == 0.0
-    if zero.any():
-        first = corners[3]
-        for corner in corners[2::-1]:
-            first = np.where(corner == 0.0, corner, first)
-        pooled[zero] = first[zero]
+    pooled = np.empty((b_, c, h // 2, w // 2))
+    rows = np.empty((c, h // 2, w))
+    for n in range(b_):
+        xn, pn = xd[n], pooled[n]
+        np.maximum(xn[:, 0::2], xn[:, 1::2], out=rows)
+        np.maximum(rows[..., 0::2], rows[..., 1::2], out=pn)
+        zero = pn == 0.0
+        if zero.any():
+            first = xn[:, 1::2, 1::2]
+            for i, j in ((1, 0), (0, 1), (0, 0)):
+                corner = xn[:, i::2, j::2]
+                first = np.where(corner == 0.0, corner, first)
+            pn[zero] = first[zero]
 
     def backward():
         g = out.grad
         gx = np.empty_like(xd)
-        gx_corners = [gx[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-        taken = np.zeros(pooled.shape, dtype=bool)
-        for corner, g_corner in zip(corners[:3], gx_corners):
-            hit = corner == pooled
-            hit &= ~taken
-            np.multiply(g, hit, out=g_corner)
-            taken |= hit
-        np.multiply(g, ~taken, out=gx_corners[3])
+        hit = np.empty(pooled.shape[1:], dtype=bool)
+        taken = np.empty_like(hit)
+        for n in range(b_):
+            xn, pn, gn, gxn = xd[n], pooled[n], g[n], gx[n]
+            np.equal(xn[:, 0::2, 0::2], pn, out=taken)
+            np.multiply(gn, taken, out=gxn[:, 0::2, 0::2])
+            for i, j in ((0, 1), (1, 0)):
+                np.equal(xn[:, i::2, j::2], pn, out=hit)
+                np.greater(hit, taken, out=hit)  # hit & ~taken
+                np.multiply(gn, hit, out=gxn[:, i::2, j::2])
+                taken |= hit
+            np.logical_not(taken, out=taken)
+            np.multiply(gn, taken, out=gxn[:, 1::2, 1::2])
         _accum_own(x, gx)
 
     out = _make(pooled, (x,), backward)

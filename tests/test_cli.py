@@ -197,6 +197,36 @@ def test_malformed_manifest_and_provenance_exit_usage(tmp_path, cfg_path, capsys
     assert provenance in capsys.readouterr().err
 
 
+def test_repeated_sample_and_prototype_ids_exit_usage(tmp_path, cfg_path, capsys):
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "ckpt")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                               FeatureExtractor(np.random.default_rng(0))), ckpt)
+    eval_argv = ["eval", "--model", ckpt, "--data", data, "--out", str(tmp_path / "e.csv")]
+    provenance = os.path.join(ckpt, "provenance.csv")
+    with open(provenance, newline="") as f:
+        header, first, _, *rest = f.readlines()
+    with open(provenance, "w", newline="") as f:
+        f.writelines([header, first, first, *rest])
+    assert main(eval_argv) == 1
+    err = capsys.readouterr().err
+    assert provenance in err and "prototype id 0 is listed twice" in err
+
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                               FeatureExtractor(np.random.default_rng(0))), ckpt)
+    manifest = os.path.join(data, "manifest.txt")
+    with open(manifest) as f:
+        lines = f.readlines()
+    n = next(i for i, line in enumerate(lines) if line.startswith("1,train,"))
+    lines[n] = lines[n - 1]
+    with open(manifest, "w") as f:
+        f.writelines(lines)
+    assert main(eval_argv) == 1
+    err = capsys.readouterr().err
+    assert f"{manifest}:{n + 1}: sample id 0 is listed twice" in err
+
+
 def test_nan_epsilon_in_checkpoint_exits_usage(tmp_path, cfg_path, capsys):
     data, ckpt = str(tmp_path / "data"), str(tmp_path / "ckpt")
     assert main(["gen-data", "--config", cfg_path, "--out", data,
@@ -693,6 +723,15 @@ def test_gradcheck_passes(capsys):
         assert component in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_without_trials_exits_usage(capsys, trials):
+    # no trial checks no gradient, so it must not report them all within bounds
+    assert main(["gradcheck", "--trials", trials]) == 1
+    out, err = capsys.readouterr()
+    assert "all gradients within" not in out
+    assert err.startswith("error: --trials") and trials in err
+
+
 def test_gradcheck_reports_failure(capsys, monkeypatch):
     import protodensity.cli as cli
     monkeypatch.setattr(cli, "GRADCHECK_TOLERANCE", 0.0)
@@ -810,6 +849,45 @@ def test_digest_run_compares_two_directories(tmp_path):
     assert done.returncode == 1
     assert done.stdout.splitlines() == ["differs  " + os.path.join("sub", "y.bin"),
                                         "only in B  x.txt", "only in B  z"]
+
+
+def test_digest_run_says_by_how_much_numbers_differ(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    values = np.arange(1.0, 7.0).reshape(2, 3)
+    for root in (a, b):
+        root.mkdir()
+        tensor.save_tensor(str(root / "w.pdt"), values)
+        tensor.save_tensor(str(root / "shape.pdt"), values)
+        tensor.write_csv(str(root / "h.csv"), ["epoch", "loss", "note"],
+                         [[1, 0.5, "x"], [2, 0.25, "y"]])
+        (root / "notes.txt").write_text("same\n")
+    compare = ("digest_run.py", str(a), str(b))
+    assert _run_script(*compare).stdout == ""
+
+    # one ulp on element [1, 2], a CSV cell, a shape and a text file
+    moved = values.copy()
+    moved[1, 2] = np.nextafter(6.0, 7.0)
+    tensor.save_tensor(str(b / "w.pdt"), moved)
+    tensor.save_tensor(str(b / "shape.pdt"), values.T)
+    tensor.write_csv(str(b / "h.csv"), ["epoch", "loss", "note"],
+                     [[1, 0.5, "x"], [2, 0.3, "y"]])
+    (b / "notes.txt").write_text("other\n")
+    done = _run_script(*compare, check=False)
+    assert done.returncode == 1
+    ulp = np.spacing(6.0)
+    assert done.stdout.splitlines() == [
+        "differs  h.csv  max abs 5.000e-02 at row 2 column loss  "
+        "max rel 1.667e-01 at row 2 column loss",
+        "differs  notes.txt",
+        "differs  shape.pdt  shape (2, 3) vs (3, 2)",
+        f"differs  w.pdt  max abs {ulp:.3e} at [1, 2]  "
+        f"max rel {ulp / np.nextafter(6.0, 7.0):.3e} at [1, 2]",
+    ]
+    # a cell that is not a number is named with both values
+    tensor.write_csv(str(b / "h.csv"), ["epoch", "loss", "note"],
+                     [[1, 0.5, "x"], [2, 0.3, "z"]])
+    assert ("differs  h.csv  row 2 column note: 'y' vs 'z'"
+            in _run_script(*compare, check=False).stdout.splitlines())
 
 
 def test_bench_table_prints_medians_ratios_and_pairs_won(tmp_path):

@@ -201,6 +201,20 @@ def test_load_rejects_count_mismatch(tmp_path):
         load_dataset(str(tmp_path))
 
 
+def test_manifest_rejects_repeated_sample_id(tmp_path):
+    # sample 0's row in place of sample 1's: loading it would train on
+    # sample 0 twice and never on sample 1
+    manifest = generate_dataset(SMALL, 2, 1, str(tmp_path))
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("0,train,"))
+    assert lines[first + 1].startswith("1,train,")
+    lines[first + 1] = lines[first]
+    (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="sample id 0 is listed twice") as info:
+        load_dataset(str(tmp_path))
+    assert str(info.value).startswith(f"{manifest}:{first + 2}: ")
+
+
 def test_load_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(str(tmp_path / "nope"))

@@ -365,6 +365,28 @@ def test_checkpoint_rejects_bad_provenance_row(tmp_path, extractor, row, fragmen
     assert str(provenance) in str(info.value)
 
 
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda rows: [rows[0], rows[0], *rows[2:]], "row 2: prototype id 0 is listed twice"),
+    (lambda rows: rows[:1] + rows[2:], "no row for prototype id 1"),
+], ids=["repeated", "missing"])
+def test_checkpoint_rejects_provenance_not_covering_each_id_once(tmp_path, extractor,
+                                                                  edit, fragment):
+    # prototype 0's row in place of prototype 1's loaded as prototype 1
+    # without provenance
+    from protodensity.model import PrototypeProvenance
+    m = CountModel(ModelConfig(k_cell=2, k_bg=2), extractor, seed=0)
+    m.provenance[0] = PrototypeProvenance(0, 7, 2, 3, 0.125)
+    m.provenance[1] = PrototypeProvenance(1, 5, 1, 0, 0.5)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(m, str(ckpt))
+    provenance = ckpt / "provenance.csv"
+    header, *rows = provenance.read_text().splitlines(keepends=True)
+    provenance.write_text(header + "".join(edit(rows)), newline="")
+    with pytest.raises(ValueError, match=fragment) as info:
+        load_checkpoint(str(ckpt))
+    assert str(info.value).startswith(f"{provenance}: ")
+
+
 def test_extractor_roundtrip(tmp_path):
     ext = FeatureExtractor(np.random.default_rng(3))
     ext.freeze()

@@ -452,6 +452,169 @@ def test_unbatched_conv_and_pool_shapes(rng):
             call()
 
 
+# -- per-sample passes against the whole-batch ones ------------------------------
+#
+# conv3x3 and maxpool2x2 once ran some passes over the whole (B, C, H, W)
+# activation; each now runs them one sample at a time. The whole-batch
+# versions stay here as references, and every output and leaf gradient must
+# match them to the bit.
+
+# (destination, source) slices of a 3x3 tap's shift along one spatial axis
+_CROPS = ((slice(1, None), slice(None, -1)), (slice(None), slice(None)),
+          (slice(None, -1), slice(1, None)))
+
+
+def conv3x3_whole_batch(x, w, b, g):
+    """The conv3x3 output for (x, w, b) and the input, weight and bias
+    gradients for output gradient g, with the bias added to and its gradient
+    summed over the whole batch, and the input gradient zeroed at once."""
+    bs, c, h, wd = x.shape
+    c_out = w.shape[0]
+    w2 = w.reshape(c_out, c * 9)
+    col = np.zeros((c, 9, h, wd))
+
+    def im2col(x_n):
+        for i, (dy, sy) in enumerate(_CROPS):
+            for j, (dx, sx) in enumerate(_CROPS):
+                col[:, 3 * i + j, dy, dx] = x_n[:, sy, sx]
+        return col.reshape(c * 9, h * wd)
+
+    oc = np.empty((bs, c_out, h * wd))
+    for n in range(bs):
+        np.matmul(w2, im2col(x[n]), out=oc[n])
+    oc += b[:, None]
+    g2 = g.reshape(bs, c_out, h * wd)
+    gw = np.zeros((c_out, c * 9))
+    gx = np.zeros_like(x)
+    gcol = np.empty((c, 9, h, wd))
+    for n in range(bs):
+        gw += g2[n] @ im2col(x[n]).T
+        np.matmul(w2.T, g2[n], out=gcol.reshape(c * 9, h * wd))
+        for i, (dy, sy) in enumerate(_CROPS):
+            for j, (dx, sx) in enumerate(_CROPS):
+                gx[n, :, sy, sx] += gcol[:, 3 * i + j, dy, dx]
+    return oc.reshape(bs, c_out, h, wd), gx, gw.reshape(w.shape), g2.sum(axis=(0, 2))
+
+
+def maxpool2x2_whole_batch(x, g):
+    """The maxpool2x2 output for x and input gradient for output gradient g,
+    each pass over the whole batch, with batch-sized compare masks."""
+    corners = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    rows = np.maximum(x[:, :, 0::2], x[:, :, 1::2])
+    pooled = np.maximum(rows[..., 0::2], rows[..., 1::2])
+    zero = pooled == 0.0
+    if zero.any():
+        first = corners[3]
+        for corner in corners[2::-1]:
+            first = np.where(corner == 0.0, corner, first)
+        pooled[zero] = first[zero]
+    gx = np.empty_like(x)
+    gx_corners = [gx[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    taken = np.zeros(pooled.shape, dtype=bool)
+    for corner, g_corner in zip(corners[:3], gx_corners):
+        hit = corner == pooled
+        hit &= ~taken
+        np.multiply(g, hit, out=g_corner)
+        taken |= hit
+    np.multiply(g, ~taken, out=gx_corners[3])
+    return pooled, gx
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
+def _tied_or_normal(rng, tied, size, values):
+    # tied: few distinct values, so windows hold tied maxima and +-0.0 maxima
+    return rng.choice(values, size=size) if tied else rng.normal(size=size)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 16])
+@pytest.mark.parametrize("tied", [False, True])
+def test_per_sample_conv3x3_equals_whole_batch_bitwise(rng, b, tied):
+    # odd channel counts, 1 included for the input; a single output channel
+    # is left out, as the whole batch summed its bias gradient in one
+    # pairwise pass over B*H*W, which no per-sample sum reproduces
+    for c_in, c_out, h, w in [(1, 3, 6, 8), (3, 5, 4, 10), (5, 3, 8, 6), (3, 16, 2, 2)]:
+        x = _tied_or_normal(rng, tied, (b, c_in, h, w), [-1.0, -0.0, 0.0, 1.0, 2.0])
+        wt = _tied_or_normal(rng, tied, (c_out, c_in, 3, 3), [-1.0, 0.0, 1.0])
+        bias = _tied_or_normal(rng, tied, (c_out,), [-0.0, 0.0, 1.0])
+        g = rng.normal(size=(b, c_out, h, w))
+        g[g > 1.0] = -0.0
+        ref_out, ref_gx, ref_gw, ref_gb = conv3x3_whole_batch(x, wt, bias, g)
+        for x_grad in (True, False):
+            xt, weight, bias_t = Tensor(x, requires_grad=x_grad), Parameter(wt), Parameter(bias)
+            out = T.conv3x3(xt, weight, bias_t)
+            assert_same_bits(out.data, ref_out)
+            out.grad = g.copy()
+            out._backward()
+            # a leaf's first gradient is the whole-batch one plus 0.0
+            assert_same_bits(weight.grad, ref_gw + 0.0)
+            assert_same_bits(bias_t.grad, ref_gb + 0.0)
+            if x_grad:
+                assert_same_bits(xt.grad, ref_gx + 0.0)
+            else:
+                assert xt.grad is None
+        with no_grad():
+            assert_same_bits(T.conv3x3(x, wt, bias).data, ref_out)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 16])
+@pytest.mark.parametrize("tied", [False, True])
+def test_per_sample_maxpool2x2_equals_whole_batch_bitwise(rng, b, tied):
+    for c, h, w in [(1, 2, 2), (3, 6, 8), (5, 4, 10), (16, 8, 8)]:
+        x = _tied_or_normal(rng, tied, (b, c, h, w), [-1.0, -0.0, 0.0, 1.0])
+        g = rng.normal(size=(b, c, h // 2, w // 2))
+        g[g > 1.0] = -0.0
+        ref_out, ref_gx = maxpool2x2_whole_batch(x, g)
+        for x_grad in (True, False):
+            xt = Tensor(x, requires_grad=x_grad)
+            out = T.maxpool2x2(xt)
+            assert_same_bits(out.data, ref_out)
+            if x_grad:
+                out.grad = g.copy()
+                out._backward()
+                assert_same_bits(xt.grad, ref_gx + 0.0)
+            else:
+                assert out._backward is None
+
+
+def test_maxpool_backward_keeps_no_batch_sized_mask(rng):
+    # at B=16 and block 0's size the compare masks are one sample's: the
+    # backward allocates its input gradient and under half a batch-sized
+    # bool mask beside it (the whole-batch masks took three)
+    x = Tensor(rng.normal(size=(16, 16, 128, 128)), requires_grad=True)
+    out = T.maxpool2x2(x)
+    out.grad = rng.normal(size=out.shape)
+    batch_mask = out.data.size
+    tracemalloc.start()
+    try:
+        out._backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - x.grad.nbytes < batch_mask // 2, \
+        f"backward peak {peak} B beside a {x.grad.nbytes} B gradient"
+
+
+def test_leaf_gradients_hold_no_negative_zero(rng):
+    # relu and the pool hand on -0.0 wherever a negative gradient is masked;
+    # after conv3x3 -> maxpool2x2 -> relu no leaf holds -0.0
+    x = Tensor(rng.choice([-1.0, 0.0, 1.0], size=(2, 3, 8, 8)), requires_grad=True)
+    weight = Parameter(rng.choice([-1.0, 0.0, 1.0], size=(4, 3, 3, 3)))
+    bias = Parameter(np.array([-50.0, 0.0, 0.5, -1.0]))
+    pooled_leaf = Tensor(rng.choice([-1.0, -0.0, 0.0, 1.0], size=(2, 4, 8, 8)),
+                         requires_grad=True)
+    g = Tensor(-np.abs(rng.normal(size=(2, 4, 4, 4))))
+    blocks = T.relu(T.maxpool2x2(T.conv3x3(x, weight, bias)))
+    T.tsum(T.mul(T.add(blocks, T.relu(T.maxpool2x2(pooled_leaf))), g)).backward()
+    for leaf in (x, weight, bias, pooled_leaf):
+        zeros = leaf.grad[leaf.grad == 0.0]
+        assert zeros.size and not np.signbit(zeros).any()
+
+
 # -- distance map --------------------------------------------------------------
 
 
