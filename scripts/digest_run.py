@@ -161,6 +161,16 @@ def numeric_note(path_a: str, path_b: str) -> str:
     return ""
 
 
+def emit(lines: list[str]) -> None:
+    """Print ``lines``; a reader that closes early (``| head``) just ends
+    the output."""
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # stdout's flush at exit would fail the same way
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("run_dirs", metavar="DIR", nargs="+",
@@ -174,7 +184,7 @@ def main() -> int:
             return 1
     found = [digests(run_dir) for run_dir in args.run_dirs]
     if len(found) == 1:
-        print("\n".join(f"{digest}  {path}" for path, digest in sorted(found[0].items())))
+        emit([f"{digest}  {path}" for path, digest in sorted(found[0].items())])
         return 0
     lines = diff_lines(*found)
     for n, line in enumerate(lines):
@@ -184,7 +194,7 @@ def main() -> int:
         if note:
             lines[n] = f"{line}  {note}"
     if lines:
-        print("\n".join(lines))
+        emit(lines)
     return 1 if lines else 0
 
 

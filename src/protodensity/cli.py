@@ -16,9 +16,7 @@ import numpy as np
 from .config import build_run_config, write_resolved_config
 from .datagen import generate_dataset, load_dataset
 from .evaluate import mae, plan_grid, run_ablation, sweep_k, sweep_tau, write_eval_csv
-from .interp import (explain_location, export_prototype_gallery,
-                     global_top_patches, percentile_threshold,
-                     write_explanation_csv)
+from .interp import explain_location, export_prototype_gallery, write_explanation_csv
 from .losses import (LossConfig, density_loss, diversity_loss,
                      proto_feature_loss, total_loss)
 from .model import (CountModel, load_checkpoint, load_extractor, save_extractor,
@@ -113,11 +111,9 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     # the arguments and the explanation are checked before anything is written;
-    # the gallery's k and q go through interp's own checks on empty input
+    # the gallery checks its k and q before it creates --out
     if (args.image is None) != (args.loc is None):
         raise ValueError("--image ID and --loc H,W go together")
-    global_top_patches([], np.zeros((0, 0)), args.global_k)
-    percentile_threshold(np.zeros(1), args.percentile)
     model = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     explanation = None

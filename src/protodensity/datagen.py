@@ -234,8 +234,7 @@ def save_sample(samples_dir: str, sample: Sample) -> None:
 
 def load_sample(samples_dir: str, sample_id: int) -> Sample:
     img_p, pts_p, den_p = (os.path.join(samples_dir, p) for p in _sample_paths(sample_id))
-    image = np.asarray(load_tensor(img_p), dtype=np.float64)
-    density = np.asarray(load_tensor(den_p), dtype=np.float64)
+    image, density = load_tensor(img_p), load_tensor(den_p)
     points = []
     for n, row in enumerate(read_csv(pts_p, ("x", "y")), start=1):
         try:

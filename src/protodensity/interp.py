@@ -1,8 +1,9 @@
 """Interpretation extraction for a trained counting model.
 
 Turns similarity maps into human-inspectable evidence: percentile-threshold
-masks, 8-connected component bounding boxes, per-prototype galleries of the
-strongest training patches, additive per-location explanations of the density
+masks, 8-connected components, per-prototype galleries of the strongest
+training patches (each image's box around the mask component holding its
+map's maximum), additive per-location explanations of the density
 prediction (each forwards only the crop that holds the location's receptive
 field), and intra-group prototype distance statistics. Maps, masks and
 prototypes are plain arrays, and an image is one (1, H, W) array, as the
@@ -121,56 +122,37 @@ def connected_components(mask) -> tuple[np.ndarray, int]:
     return np.array(labels, dtype=np.int64).reshape(h, w), n
 
 
-def boxes_from_mask(labels, similarity_map, image_id: int,
-                    prototype_id: int) -> list[PatchBox]:
-    """One tight bounding box per component, scaled by ``DOWNSAMPLE`` to
-    input-pixel coordinates and sorted by score (max similarity in the
-    component) descending."""
-    if labels.shape != similarity_map.shape:
-        raise T.ShapeError(f"boxes_from_mask: labels {labels.shape} vs similarity "
-                           f"{similarity_map.shape}")
-    s = DOWNSAMPLE
-    boxes = []
-    for label in range(1, int(labels.max(initial=0)) + 1):
-        where = labels == label
-        rows = np.flatnonzero(where.any(axis=1))
-        cols = np.flatnonzero(where.any(axis=0))
-        boxes.append(PatchBox(
-            image_id=image_id,
-            prototype_id=prototype_id,
-            x0=s * int(cols[0]),
-            y0=s * int(rows[0]),
-            x1=s * (int(cols[-1]) + 1) - 1,
-            y1=s * (int(rows[-1]) + 1) - 1,
-            score=float(similarity_map[where].max()),
-        ))
-    boxes.sort(key=lambda b: -b.score)
-    return boxes
-
-
 # -- global patch galleries ----------------------------------------------------
 
 
 def global_top_patches(samples, sims, k: int = 3,
                        q: float = 99) -> list[list[PatchBox]]:
     """Per-prototype top-k patches over ``samples``, ranked from their
-    similarity maps ``sims`` (N, K, Hf, Wf), at most one patch per image per
-    prototype. For a projected model's training split the top patch shows
-    the prototype's own source neighborhood."""
+    similarity maps ``sims`` (N, K, Hf, Wf), one patch per image per
+    prototype: the tight box, scaled by ``DOWNSAMPLE``, of the first
+    8-connected component of the map's q-th percentile mask that holds the
+    map's maximum, scored by that maximum. For a projected model's training
+    split the top patch shows the prototype's own source neighborhood."""
     if k < 1:
         raise ValueError(f"global_top_patches: k must be >= 1, got {k}")
     if not np.isfinite(sims).all():
         n, proto = np.argwhere(~np.isfinite(sims))[0, :2]
         raise ValueError(f"global_top_patches: similarity map of prototype {proto} "
                          f"on sample {samples[n].sample_id} is not finite")
+    s = DOWNSAMPLE
     result: list[list[PatchBox]] = []
     for proto in range(sims.shape[1]):
         best_per_image = []
         for n, sample in enumerate(samples):
             sim = sims[n, proto]
-            labels, count = connected_components(percentile_threshold(sim, q))
-            boxes = boxes_from_mask(labels, sim, sample.sample_id, proto)
-            best_per_image.append(boxes[0])
+            peak = sim.max()
+            labels, _ = connected_components(percentile_threshold(sim, q))
+            where = labels == labels[sim == peak].min()
+            rows = np.flatnonzero(where.any(axis=1))
+            cols = np.flatnonzero(where.any(axis=0))
+            best_per_image.append(PatchBox(
+                sample.sample_id, proto, s * int(cols[0]), s * int(rows[0]),
+                s * (int(cols[-1]) + 1) - 1, s * (int(rows[-1]) + 1) - 1, float(peak)))
         best_per_image.sort(key=lambda b: -b.score)
         result.append(best_per_image[:k])
     return result

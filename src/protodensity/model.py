@@ -267,7 +267,7 @@ def _read_manifest(ckpt_dir: str, name: str, fmt: str) -> tuple[str, dict]:
 
 def _load_param(ckpt_dir: str, name: str, shape: tuple) -> np.ndarray:
     path = os.path.join(ckpt_dir, f"{name}.pdt")
-    data = np.asarray(T.load_tensor(path), dtype=np.float64)
+    data = T.load_tensor(path)
     if data.shape != shape:
         raise ValueError(f"{path}: shape {data.shape} does not match "
                          f"expected {shape} for parameter {name}")
@@ -276,10 +276,10 @@ def _load_param(ckpt_dir: str, name: str, shape: tuple) -> np.ndarray:
 
 def _restore_frozen(extractor: FeatureExtractor, kv: dict, prefix: str,
                     manifest: str) -> None:
+    if extractor.checksum() != T.require(kv, f"{prefix}checksum", manifest):
+        raise ValueError(f"{manifest}: extractor checksum mismatch after load")
     if kv.get(f"{prefix}frozen") == "True":
         extractor.freeze()
-        if extractor.checksum() != T.require(kv, f"{prefix}checksum", manifest):
-            raise ValueError(f"{manifest}: extractor checksum mismatch after load")
 
 
 def save_checkpoint(model: CountModel, ckpt_dir: str) -> None:

@@ -586,19 +586,20 @@ def conv3x3(x, weight, bias) -> Tensor:
 
 
 def maxpool2x2(x) -> Tensor:
-    """2x2 max pooling with stride 2. Each window's value and gradient belong
-    to its first maximum in row-major window order (top-left, top-right,
-    bottom-left, bottom-right).
+    """2x2 max pooling with stride 2. Each window's gradient belongs to its
+    first maximum in row-major window order (top-left, top-right,
+    bottom-left, bottom-right). A zero maximum of a window that holds both
+    -0.0 and 0.0 may come out with either sign; the extractor's relu right
+    after the pool makes it 0.0.
 
     Both passes run one sample at a time, while that sample's slice sits in
     cache. The forward is ``np.maximum`` of the even and odd rows (contiguous
     runs) into a sample-sized buffer, then of that buffer's even and odd
-    columns into the preallocated output, with any zero result taken from
-    the first corner holding a zero (the maximum of -0.0 and 0.0 may be
-    either). The backward routes the gradient by a compare mask in the same
-    corner order, in two sample-sized bool buffers reused across samples: a
-    corner gets it where it equals the maximum and no earlier corner did
-    (``hit > taken``), and the last corner gets the rest.
+    columns into the preallocated output. The backward routes the gradient
+    by a compare mask in the same corner order, in two sample-sized bool
+    buffers reused across samples: a corner gets it where it equals the
+    maximum and no earlier corner did (``hit > taken``), and the last corner
+    gets the rest.
     """
     x = _coerce(x)
     xd = _batched(x, "maxpool2x2")
@@ -608,16 +609,8 @@ def maxpool2x2(x) -> Tensor:
     pooled = np.empty((b_, c, h // 2, w // 2))
     rows = np.empty((c, h // 2, w))
     for n in range(b_):
-        xn, pn = xd[n], pooled[n]
-        np.maximum(xn[:, 0::2], xn[:, 1::2], out=rows)
-        np.maximum(rows[..., 0::2], rows[..., 1::2], out=pn)
-        zero = pn == 0.0
-        if zero.any():
-            first = xn[:, 1::2, 1::2]
-            for i, j in ((1, 0), (0, 1), (0, 0)):
-                corner = xn[:, i::2, j::2]
-                first = np.where(corner == 0.0, corner, first)
-            pn[zero] = first[zero]
+        np.maximum(xd[n, :, 0::2], xd[n, :, 1::2], out=rows)
+        np.maximum(rows[..., 0::2], rows[..., 1::2], out=pooled[n])
 
     def backward():
         g = out.grad
@@ -743,21 +736,22 @@ def gradcheck_rel_error(scalar_fn, at, analytic, h: float = 1e-6) -> float:
 
 # -- PDTF tensor file format --------------------------------------------------
 #
-# Layout: magic "PDTF", u8 dtype code (0 = float32, 1 = float64), u8 ndim,
+# Layout: magic "PDTF", u8 dtype code (1 = float64, the only one), u8 ndim,
 # ndim x u32 little-endian dims, then the row-major payload in little-endian
-# IEEE-754. The package writes float64 only; float32 files still load.
+# IEEE-754.
 
 PDTF_MAGIC = b"PDTF"
-_PDTF_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_PDTF_CODE = 1
+_PDTF_DTYPE = np.dtype("<f8")
 _PDTF_MAX_NDIM = 32
 
 
 def save_tensor(path, array) -> None:
-    """Write an array to ``path`` as a float64 (dtype code 1) PDTF tensor."""
-    arr = np.ascontiguousarray(array, dtype=_PDTF_DTYPES[1])
+    """Write an array to ``path`` as a float64 PDTF tensor."""
+    arr = np.ascontiguousarray(array, dtype=_PDTF_DTYPE)
     if arr.ndim > _PDTF_MAX_NDIM:
         raise ValueError(f"save_tensor: ndim {arr.ndim} exceeds format limit")
-    header = PDTF_MAGIC + struct.pack("<BB", 1, arr.ndim)
+    header = PDTF_MAGIC + struct.pack("<BB", _PDTF_CODE, arr.ndim)
     header += b"".join(struct.pack("<I", d) for d in arr.shape)
     with open(path, "wb") as f:
         f.write(header)
@@ -765,15 +759,15 @@ def save_tensor(path, array) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read a PDTF file. Returns an array of the stored dtype; rejects bad
-    magic, unknown dtype codes, non-positive dims, truncated payloads, NaN and inf."""
+    """Read a PDTF file as a float64 array; rejects bad magic, any dtype
+    code but float64's, non-positive dims, truncated payloads, NaN and inf."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 6 or blob[:4] != PDTF_MAGIC:
         raise ValueError(f"{path}: not a PDTF tensor file (bad magic)")
     code, ndim = struct.unpack("<BB", blob[4:6])
-    if code not in _PDTF_DTYPES:
-        raise ValueError(f"{path}: unknown PDTF dtype code {code}")
+    if code != _PDTF_CODE:
+        raise ValueError(f"{path}: PDTF dtype code {code} is not float64's {_PDTF_CODE}")
     if ndim > _PDTF_MAX_NDIM:
         raise ValueError(f"{path}: PDTF ndim {ndim} exceeds format limit")
     offset = 6 + 4 * ndim
@@ -782,12 +776,11 @@ def load_tensor(path) -> np.ndarray:
     dims = struct.unpack(f"<{ndim}I", blob[6:offset]) if ndim else ()
     if any(d == 0 for d in dims):
         raise ValueError(f"{path}: PDTF dims must be positive, got {dims}")
-    dt = _PDTF_DTYPES[code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dt.itemsize if dims else dt.itemsize
+    expected = int(np.prod(dims, dtype=np.int64)) * _PDTF_DTYPE.itemsize
     payload = blob[offset:]
     if len(payload) != expected:
         raise ValueError(f"{path}: PDTF payload is {len(payload)} bytes, expected {expected}")
-    arr = np.frombuffer(payload, dtype=dt).reshape(dims).copy()
+    arr = np.frombuffer(payload, dtype=_PDTF_DTYPE).reshape(dims).copy()
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: PDTF tensor holds NaN or inf")
     return arr

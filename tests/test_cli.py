@@ -162,6 +162,38 @@ def test_bad_explain_arguments_exit_before_any_output(tmp_path, cfg_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("frozen", ["True", "False"])
+def test_flipped_extractor_bit_exits_usage_whatever_the_frozen_flag(tmp_path, cfg_path,
+                                                                    capsys, frozen):
+    # the checksum is verified on every load; the flag only says whether to freeze
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    extractor = FeatureExtractor(np.random.default_rng(0))
+    extractor.freeze()
+    ckpt, ex = tmp_path / "ckpt", tmp_path / "ex"
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16), extractor), str(ckpt))
+    save_extractor(extractor, str(ex))
+    for manifest, key, argv in [
+            (ckpt / "checkpoint.txt", "extractor_frozen",
+             ["eval", "--model", str(ckpt), "--data", data, "--out", str(tmp_path / "e.csv")]),
+            (ex / "extractor.txt", "frozen",
+             ["train", "--config", cfg_path, "--data", data, "--extractor", str(ex),
+              "--out", str(tmp_path / "run")])]:
+        weight = manifest.parent / "extractor.block1.weight.pdt"
+        blob = bytearray(weight.read_bytes())
+        blob[-1] ^= 0x80  # the sign of the last element
+        weight.write_bytes(blob)
+        text = manifest.read_text()
+        assert f"\n{key} = True\n" in text
+        manifest.write_text(text.replace(f"\n{key} = True\n", f"\n{key} = {frozen}\n"))
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {manifest}: extractor checksum mismatch after load\n"
+    assert not (tmp_path / "e.csv").exists() and not (tmp_path / "run").exists()
+
+
 def test_malformed_manifest_and_provenance_exit_usage(tmp_path, cfg_path, capsys):
     data = str(tmp_path / "data")
     assert main(["gen-data", "--config", cfg_path, "--out", data,
@@ -849,6 +881,21 @@ def test_digest_run_compares_two_directories(tmp_path):
     assert done.returncode == 1
     assert done.stdout.splitlines() == ["differs  " + os.path.join("sub", "y.bin"),
                                         "only in B  x.txt", "only in B  z"]
+
+
+def test_digest_run_exits_quietly_when_its_reader_closes_early(tmp_path):
+    # ~260 KB of digest lines, far past a pipe's buffer, so the script is
+    # still writing when the reader stops after the first line, as ``| head -1``
+    for n in range(2000):
+        (tmp_path / f"{n:04d}_{'x' * 60}").write_text(str(n))
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "digest_run.py")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    with subprocess.Popen([sys.executable, script, str(tmp_path)], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env) as proc:
+        assert proc.stdout.readline().endswith(f"  0000_{'x' * 60}\n")
+        proc.stdout.close()
+        assert proc.communicate(timeout=60)[1] == ""
+    assert proc.returncode == 0
 
 
 def test_digest_run_says_by_how_much_numbers_differ(tmp_path):

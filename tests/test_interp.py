@@ -21,8 +21,7 @@ from hypothesis.extra.numpy import arrays
 from protodensity.datagen import SceneConfig, render_scene
 from protodensity.evaluate import localization_rates
 from protodensity.interp import (EXPLANATION_CSV_HEADER, PATCH_CSV_HEADER,
-                                 PatchBox, boxes_from_mask,
-                                 connected_components, explain_location,
+                                 PatchBox, connected_components, explain_location,
                                  export_prototype_gallery, global_top_patches,
                                  intra_group_distances, patch_peak,
                                  percentile_threshold, render_boxes_pgm,
@@ -175,33 +174,72 @@ def test_components_partition_and_encounter_order(rng):
 # -- boxes --------------------------------------------------------------------
 
 
+def _top_boxes(maps, q=99, k=1, first_id=0):
+    """global_top_patches over hand-built (N, K, Hf, Wf) similarity maps."""
+    samples = [types.SimpleNamespace(sample_id=first_id + n) for n in range(maps.shape[0])]
+    return global_top_patches(samples, maps, k=k, q=q)
+
+
+def all_boxes_oracle(sim, q, image_id, prototype_id):
+    """Every component's tight box, scaled by 8, stably sorted by score
+    (the component's max similarity) descending; the first is the top box."""
+    labels, n = flood_fill_oracle(percentile_oracle(sim, q))
+    boxes = []
+    for label in range(1, n + 1):
+        rows, cols = np.nonzero(labels == label)
+        boxes.append(PatchBox(image_id, prototype_id, 8 * cols.min(), 8 * rows.min(),
+                              8 * cols.max() + 7, 8 * rows.max() + 7,
+                              float(sim[labels == label].max())))
+    return sorted(boxes, key=lambda b: -b.score)
+
+
 def test_box_scales_single_feature_cell():
-    labels = np.zeros((4, 4), dtype=np.int64)
-    labels[2, 3] = 1
-    sim = np.zeros((4, 4))
-    sim[2, 3] = 0.42
-    (box,) = boxes_from_mask(labels, sim, image_id=7, prototype_id=1)
+    maps = np.zeros((1, 2, 4, 4))
+    maps[0, 1, 2, 3] = 0.42
+    box = _top_boxes(maps, first_id=7)[1][0]
     assert (box.x0, box.y0, box.x1, box.y1) == (24, 16, 31, 23)
     assert box.score == 0.42
     assert box.image_id == 7 and box.prototype_id == 1
 
 
 def test_boxes_sorted_by_score_with_tight_bounds():
-    labels = np.zeros((4, 4), dtype=np.int64)
-    labels[0, 0] = labels[1, 1] = 1    # diagonal pair, rows 0-1, cols 0-1
-    labels[3, 2:4] = 2                 # horizontal pair, row 3, cols 2-3
-    sim = np.zeros((4, 4))
-    sim[0, 0], sim[1, 1] = 0.2, 0.3
-    sim[3, 2], sim[3, 3] = 0.9, 0.1
-    boxes = boxes_from_mask(labels, sim, image_id=0, prototype_id=0)
-    assert [b.score for b in boxes] == [0.9, 0.3]
+    # q=80 of 16 pixels thresholds at rank 13, the smallest nonzero value:
+    # each map holds a diagonal pair (rows 0-1, cols 0-1) and a horizontal
+    # pair (row 3, cols 2-3), and each image's box is its best pair's
+    maps = np.zeros((2, 1, 4, 4))
+    for n, (diagonal, horizontal) in enumerate([((0.2, 0.3), (0.9, 0.1)),
+                                                ((0.2, 0.8), (0.5, 0.1))]):
+        maps[n, 0, 0, 0], maps[n, 0, 1, 1] = diagonal
+        maps[n, 0, 3, 2], maps[n, 0, 3, 3] = horizontal
+    boxes = _top_boxes(maps, q=80, k=2)[0]
+    assert [(b.image_id, b.score) for b in boxes] == [(0, 0.9), (1, 0.8)]
     assert (boxes[0].x0, boxes[0].y0, boxes[0].x1, boxes[0].y1) == (16, 24, 31, 31)
     assert (boxes[1].x0, boxes[1].y0, boxes[1].x1, boxes[1].y1) == (0, 0, 15, 15)
 
 
-def test_boxes_shape_mismatch_raises():
-    with pytest.raises(ShapeError):
-        boxes_from_mask(np.zeros((3, 3), dtype=np.int64), np.zeros((4, 4)), 0, 0)
+def test_tied_maxima_go_to_the_component_that_starts_first():
+    # column 0 starts first (label 1) and peaks at (3, 0); the pair in row 1
+    # peaks as high at (1, 3), earlier in row-major order, but starts later
+    sim = np.zeros((1, 1, 5, 5))
+    sim[0, 0, 0:4, 0] = [0.5, 0.5, 0.5, 1.0]
+    sim[0, 0, 1, 3:5] = [1.0, 0.5]
+    (box,) = _top_boxes(sim, q=80)[0]   # rank 20 of 25: the 0.5s and up
+    assert (box.x0, box.y0, box.x1, box.y1, box.score) == (0, 0, 7, 31, 1.0)
+    assert box == all_boxes_oracle(sim[0, 0], 80, 0, 0)[0]
+
+
+def test_top_box_random_against_all_boxes_oracle(rng):
+    # few distinct values, so maps often hold several components that tie
+    # at the maximum
+    tied = 0
+    for _ in range(1000):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        sim = rng.integers(0, 4, size=shape) / 3.0
+        q = float(rng.choice([50.0, 75.0, 90.0, 99.0, 100.0]))
+        boxes = all_boxes_oracle(sim, q, 5, 0)
+        assert _top_boxes(sim[None, None], q=q, first_id=5)[0] == boxes[:1]
+        tied += len(boxes) > 1 and boxes[1].score == boxes[0].score
+    assert tied > 100
 
 
 def test_patch_peak_respects_box_window():

@@ -92,9 +92,29 @@ def test_processed_lives_in_unit_interval(model):
 # -- extractor blocks ----------------------------------------------------------
 
 
-def test_extractor_pool_then_relu_equals_relu_then_pool_bitwise():
+def test_extractor_pool_then_relu_equals_relu_then_pool_bitwise(monkeypatch):
     # integer inputs and weights make every conv output an exact integer,
-    # so windows tie often and many are all <= 0
+    # so windows tie often and many are all <= 0. The conv gives 0.0 for a
+    # zero; here every zero on odd h + w becomes -0.0, so the pool meets zero
+    # maxima of each sign and of both, which the relu after it must erase
+    conv3x3 = T.conv3x3
+    zero_windows = {"-0.0": 0, "0.0": 0, "both": 0}
+
+    def conv3x3_signed_zeros(x, w, b):
+        out = conv3x3(x, w, b)
+        h, w_ = out.shape[-2:]
+        odd = np.add.outer(np.arange(h), np.arange(w_)) % 2 == 1
+        out.data[(out.data == 0.0) & odd] = -0.0
+        corners = np.stack([out.data[..., i::2, j::2] for i in (0, 1) for j in (0, 1)])
+        zero_max = corners.max(axis=0) == 0.0
+        neg = ((corners == 0.0) & np.signbit(corners)).any(axis=0)
+        pos = ((corners == 0.0) & ~np.signbit(corners)).any(axis=0)
+        zero_windows["-0.0"] += np.count_nonzero(zero_max & neg & ~pos)
+        zero_windows["0.0"] += np.count_nonzero(zero_max & pos & ~neg)
+        zero_windows["both"] += np.count_nonzero(zero_max & pos & neg)
+        return out
+
+    monkeypatch.setattr(T, "conv3x3", conv3x3_signed_zeros)
     rng = np.random.default_rng(3)
     extractor = FeatureExtractor(rng)
     for w in extractor.weights:
@@ -120,6 +140,7 @@ def test_extractor_pool_then_relu_equals_relu_then_pool_bitwise():
 
     out, grads = run(extractor.forward)
     ref_out, ref_grads = run(relu_then_pool)
+    assert all(zero_windows.values()), zero_windows
     assert np.count_nonzero(out) and np.count_nonzero(out == 0)
     for a, b in zip([out, *grads], [ref_out, *ref_grads]):
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))

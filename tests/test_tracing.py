@@ -1,6 +1,6 @@
 """The benchmark's tracer patches names of this package from outside it:
-a traced tiny training run must reach every hook it counts, and
-``uninstall`` must put every patched name back."""
+a traced tiny training run, pretraining run and gallery must reach every
+hook they count, and ``uninstall`` must put every patched name back."""
 
 import importlib
 import importlib.util
@@ -21,8 +21,9 @@ def _load_tracing():
     return tracing
 
 
-def test_tracer_counts_every_layer_of_a_train_and_restores_every_name(
-        tiny_dataset, tiny_extractor, tiny_features):
+def _traced(run):
+    """The tracer's counts over ``run(pkg)``, once every name it patched is
+    checked to be back."""
     tracing = _load_tracing()
     pkg = {name: importlib.import_module(f"protodensity.{name}") for name in MODULES}
     patched = [(pkg[mod], attr) for mod, attrs in tracing.LAYER_FUNCTIONS.items()
@@ -35,16 +36,41 @@ def test_tracer_counts_every_layer_of_a_train_and_restores_every_name(
     tracer = tracing.Tracer(pkg)
     tracer.install()
     try:
-        model = pkg["model"].CountModel(ModelConfig(k_cell=2, k_bg=2, d=8),
-                                        tiny_extractor, seed=0)
-        pkg["training"].train(model, tiny_dataset,
-                              tiny_train_config(max_epochs=1, calibration_epochs=1),
-                              feature_cache=tiny_features)
+        run(pkg)
     finally:
         tracer.uninstall()
 
     assert [name for (owner, name), original in zip(patched, originals)
             if getattr(owner, name) is not original] == []
+    return tracer.counts
+
+
+def test_tracer_counts_every_layer_of_a_train_and_restores_every_name(
+        tiny_dataset, tiny_extractor, tiny_features):
+    def run(pkg):
+        model = pkg["model"].CountModel(ModelConfig(k_cell=2, k_bg=2, d=8),
+                                        tiny_extractor, seed=0)
+        pkg["training"].train(model, tiny_dataset,
+                              tiny_train_config(max_epochs=1, calibration_epochs=1),
+                              feature_cache=tiny_features)
+
+    counts = _traced(run)
     for name in ("training.adam_step", "losses.total_loss", "losses.density_loss",
                  "tensor.distance_map", "model.forward_from_features"):
-        assert tracer.counts[f"{name}.calls"] > 0, name
+        assert counts[f"{name}.calls"] > 0, name
+
+
+def test_tracer_counts_the_pretrain_and_gallery_layers(tiny_dataset, tiny_extractor,
+                                                       tiny_features, tmp_path):
+    # the names the benchmark traces on its pretrain and infer workloads
+    def run(pkg):
+        pkg["training"].pretrain_extractor(tiny_dataset, tiny_train_config(pretrain_epochs=1))
+        model = pkg["model"].CountModel(ModelConfig(k_cell=2, k_bg=2, d=8),
+                                        tiny_extractor, seed=0)
+        pkg["interp"].export_prototype_gallery(model, tiny_dataset, str(tmp_path), k=2,
+                                               features=tiny_features)
+
+    counts = _traced(run)
+    for name in ("tensor.maxpool2x2", "tensor.conv3x3", "interp.global_top_patches",
+                 "interp.connected_components", "interp.render_boxes_pgm"):
+        assert counts[f"{name}.calls"] > 0, name
