@@ -79,7 +79,7 @@ def cmd_pretrain(args) -> int:
     extractor, history = pretrain_extractor(dataset, config.train)
     save_extractor(extractor, args.out)
     write_csv(os.path.join(args.out, "pretrain_history.csv"), ("epoch", "mse"),
-              enumerate(history))
+              enumerate(history, start=1))
     print(f"pretrained extractor: mse {history[0]:.6f} -> {history[-1]:.6f}, "
           f"saved to {args.out}")
     return EXIT_OK

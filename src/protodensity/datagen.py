@@ -42,7 +42,6 @@ class SceneConfig:
     artifact_count_range: tuple[int, int] = bounded((2, 6), "[0, inf)")
     artifact_kinds: tuple[str, ...] = _KNOWN_ARTIFACTS
     noise_std: float = bounded(0.03, "[0, inf)")
-    min_separation: float = bounded(0.0, "[0, inf)")  # 0 disables the overlap guard
     seed: int = bounded(0, "[0, inf)")
 
     def __post_init__(self):
@@ -83,8 +82,6 @@ def _add_gaussian(img: np.ndarray, cx: float, cy: float, sigma: float, amp: floa
     r = max(1, int(np.ceil(3.0 * sigma)))
     x0, x1 = max(0, int(cx) - r), min(w - 1, int(cx) + r)
     y0, y1 = max(0, int(cy) - r), min(h - 1, int(cy) + r)
-    if x0 > x1 or y0 > y1:
-        return
     xs = np.arange(x0, x1 + 1, dtype=np.float64)
     ys = np.arange(y0, y1 + 1, dtype=np.float64)
     d2 = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2
@@ -104,8 +101,6 @@ def _add_streak(img: np.ndarray, rng: np.random.Generator) -> None:
     x1 = min(w - 1, int(max(ax, bx)) + pad)
     y0 = max(0, int(min(ay, by)) - pad)
     y1 = min(h - 1, int(max(ay, by)) + pad)
-    if x0 > x1 or y0 > y1:
-        return
     xs = np.arange(x0, x1 + 1, dtype=np.float64)[None, :]
     ys = np.arange(y0, y1 + 1, dtype=np.float64)[:, None]
     dx, dy = bx - ax, by - ay
@@ -128,21 +123,6 @@ def _add_gradient(img: np.ndarray, rng: np.random.Generator) -> None:
     img += amp * ramp
 
 
-def _place_cells(rng: np.random.Generator, config: SceneConfig, n: int) -> list[tuple[float, float]]:
-    h, w = config.image_size
-    points: list[tuple[float, float]] = []
-    for _ in range(n):
-        x, y = rng.uniform(0, w), rng.uniform(0, h)
-        if config.min_separation > 0:
-            for _ in range(200):
-                if all((x - px) ** 2 + (y - py) ** 2 >= config.min_separation ** 2
-                       for px, py in points):
-                    break
-                x, y = rng.uniform(0, w), rng.uniform(0, h)
-        points.append((x, y))
-    return points
-
-
 def render_scene(config: SceneConfig, index: int) -> tuple[np.ndarray, DotAnnotation]:
     """Render scene ``index``: a deterministic function of (config.seed, index).
 
@@ -155,7 +135,7 @@ def render_scene(config: SceneConfig, index: int) -> tuple[np.ndarray, DotAnnota
 
     lo, hi = config.cell_count_range
     n_cells = int(rng.integers(lo, hi + 1))
-    points = _place_cells(rng, config, n_cells)
+    points = [(rng.uniform(0, w), rng.uniform(0, h)) for _ in range(n_cells)]
     for x, y in points:
         radius = rng.uniform(*config.cell_radius_range)
         amp = rng.uniform(*config.cell_intensity_range)
@@ -286,8 +266,7 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
 
 def parse_manifest(manifest_path: str):
     """Parse a dataset manifest into (config, downsample, sigma, n_train,
-    n_test, sample rows). Rows are (id, split, count, image, annotation,
-    density) with paths relative to the manifest directory. A malformed line,
+    n_test, sample rows). Rows are (id, split, count). A malformed line,
     a split other than train or test, a sample id listed twice, sample paths
     other than the ``samples/sample_<id>_*`` names ``generate_dataset``
     writes, a missing field or recorded scene settings that ``SceneConfig``
@@ -319,7 +298,7 @@ def parse_manifest(manifest_path: str):
         if (img_p, pts_p, den_p) != expected:
             raise ValueError(f"{manifest_path}:{lineno}: sample {sid} paths {img_p},{pts_p},"
                              f"{den_p} differ from {','.join(expected)}")
-        rows.append((sid, split, count, img_p, pts_p, den_p))
+        rows.append((sid, split, count))
 
     def get(key, parse=str):
         return require(kv, key, manifest_path, parse)
@@ -355,7 +334,10 @@ def manifest_hash(manifest_path: str) -> str:
 
 
 def load_dataset(dataset_dir: str) -> Dataset:
-    """Load every sample listed in ``dataset_dir``'s manifest."""
+    """Load every sample listed in ``dataset_dir``'s manifest. A sample whose
+    image or density map has another shape than the manifest's scene implies,
+    or whose annotation holds a point that is not finite or lies outside the
+    image, raises ValueError naming the file."""
     manifest_path = os.path.join(dataset_dir, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"no dataset manifest at {manifest_path}")
@@ -368,7 +350,7 @@ def load_dataset(dataset_dir: str) -> Dataset:
     train: list[Sample] = []
     test: list[Sample] = []
     samples_dir = os.path.join(dataset_dir, "samples")
-    for sid, split, count, _img, _pts, _den in rows:
+    for sid, split, count in rows:
         sample = load_sample(samples_dir, sid)
         img_p, pts_p, den_p = (os.path.join(samples_dir, p) for p in _sample_paths(sid))
         for path, shape, expected in ((img_p, sample.image.shape, image_shape),
@@ -376,6 +358,10 @@ def load_dataset(dataset_dir: str) -> Dataset:
             if shape != expected:
                 raise ValueError(f"{path}: shape {shape} != {expected}, from {manifest_path}'s "
                                  f"image_size {config.image_size} and downsample {downsample}")
+        # the rule make_density_map applies at generation; NaN fails it too
+        for n, (x, y) in enumerate(sample.annotation.points, start=1):
+            if not (0 <= x < w and 0 <= y < h):
+                raise ValueError(f"{pts_p}: row {n}: point ({x}, {y}) outside image {w}x{h}")
         if len(sample.annotation) != count:
             raise ValueError(f"{manifest_path}: sample {sid}: manifest count {count} != "
                              f"{len(sample.annotation)} annotation points in {pts_p}")

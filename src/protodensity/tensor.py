@@ -35,9 +35,10 @@ The module also holds the package's file formats: PDTF tensors, and the one
 ``key = value`` writer and reader and the one CSV writer and reader behind
 every manifest, config and table.
 
-Shapes are strict: elementwise ops require equal shapes, the only implicit
-broadcasting is scalar-vs-tensor, the spatial ops take B x C x H x W only,
-and ``tsum`` and ``tmean`` reduce the whole tensor. All compute is float64.
+Shapes are strict: elementwise ops require equal shapes, and the only
+implicit broadcasting is a constant scalar (a 0-d operand that needs no
+gradient) beside a tensor. The spatial ops take B x C x H x W only, and
+``tsum`` and ``tmean`` reduce the whole tensor. All compute is float64.
 """
 
 from __future__ import annotations
@@ -88,11 +89,6 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an operation."""
 
 
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """A float64 n-d array plus the autodiff bookkeeping for one tape node.
 
@@ -105,7 +101,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -241,17 +237,13 @@ def _accum_own(t: Tensor, g: np.ndarray) -> None:
 
 
 def _check_elementwise(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.shape == b.shape or a.ndim == 0 or b.ndim == 0:
+    # a broadcast scalar gets no gradient, so each operand's gradient has
+    # the output's shape
+    if (a.shape == b.shape or (a.ndim == 0 and not a.requires_grad)
+            or (b.ndim == 0 and not b.requires_grad)):
         return
     raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ "
-                     "(only scalar-tensor broadcasting is supported)")
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # collapse a broadcasted gradient back onto a scalar operand
-    if g.shape == shape:
-        return g
-    return np.sum(g).reshape(shape)
+                     "(only a constant scalar broadcasts)")
 
 
 # -- elementwise arithmetic ---------------------------------------------------
@@ -263,8 +255,8 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward():
-        _accum(a, _reduce_to(out.grad, a.shape))
-        _accum(b, _reduce_to(out.grad, b.shape))
+        _accum(a, out.grad)
+        _accum(b, out.grad)
 
     out = _make(out_data, (a, b), backward)
     return out
@@ -276,8 +268,8 @@ def sub(a, b) -> Tensor:
     out_data = a.data - b.data
 
     def backward():
-        _accum(a, _reduce_to(out.grad, a.shape))
-        _accum(b, _reduce_to(-out.grad, b.shape))
+        _accum(a, out.grad)
+        _accum(b, -out.grad)
 
     out = _make(out_data, (a, b), backward)
     return out
@@ -289,8 +281,8 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward():
-        _accum(a, _reduce_to(out.grad * b.data, a.shape))
-        _accum(b, _reduce_to(out.grad * a.data, b.shape))
+        _accum(a, out.grad * b.data)
+        _accum(b, out.grad * a.data)
 
     out = _make(out_data, (a, b), backward)
     return out

@@ -7,6 +7,7 @@ The pipeline test drives gen-data, pretrain, train, eval, and explain on a
 import csv
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -104,6 +105,7 @@ def test_full_pipeline(tmp_path, cfg_path, capsys):
         rows = list(csv.reader(f))
     assert rows[0] == ["epoch", "mse"]
     assert len(rows) == 3  # two pretraining epochs
+    assert rows[1][0] == "1"  # counted from 1, as history.csv is
 
     assert main(["train", "--config", cfg_path, "--data", data,
                  "--extractor", extractor, "--out", run]) == 0
@@ -276,6 +278,30 @@ def test_nan_epsilon_in_checkpoint_exits_usage(tmp_path, cfg_path, capsys):
     err = capsys.readouterr().err
     assert manifest in err and "epsilon must lie in (0, 1), got nan" in err
     assert not (tmp_path / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("x, y", [("nan", "1.0"), ("inf", "1.0"), ("-0.5", "1.0"),
+                                  ("32", "1.0"), ("1.0", "32")],
+                         ids=["nan", "inf", "negative", "x-equals-width", "y-equals-height"])
+def test_point_outside_its_image_exits_naming_the_points_file(tmp_path, cfg_path, capsys,
+                                                               x, y):
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "ckpt")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                               FeatureExtractor(np.random.default_rng(0))), ckpt)
+    points = os.path.join(data, "samples", "sample_00002_points.csv")
+    with open(points, newline="") as f:
+        header, _, *rest = f.readlines()
+    with open(points, "w", newline="") as f:
+        f.writelines([header, f"{x},{y}\r\n", *rest])
+    with pytest.raises(ValueError, match=f"^{re.escape(points)}: row 1: "):
+        load_dataset(data)
+    capsys.readouterr()
+    assert main(["eval", "--model", ckpt, "--data", data,
+                 "--out", str(tmp_path / "e.csv")]) == 1
+    assert points in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
 
 
 def _poke_first_value(path, value):
@@ -819,10 +845,10 @@ def test_experiment_scripts_keep_their_layout(tmp_path, cfg_path, experiment, fl
         assert (out / entry).exists(), entry
 
 
-def _run_script(script, *args, check=True) -> subprocess.CompletedProcess:
+def _run_script(script, *args, check=True, env=()) -> subprocess.CompletedProcess:
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     # the scripts import the package from src/ whether or not it is installed
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | dict(env)
     return subprocess.run([sys.executable, os.path.join(root, "scripts", script), *args],
                           check=check, capture_output=True, text=True, env=env)
 
@@ -845,11 +871,13 @@ def test_experiment_rejects_another_experiments_flag(tmp_path):
 
 
 def test_two_runs_of_the_pipeline_digest_alike(tmp_path, cfg_path):
+    # the second run's BLAS has two threads: no output may depend on their number
     digests = []
-    for name in ("a", "b"):
+    for name, threads in (("a", "1"), ("b", "2")):
         out = str(tmp_path / name)
         _run_script("run_experiment.py", "pipeline", "--out", out, "--config", cfg_path,
-                    "--n-train", "8", "--n-test", "4", "--gallery-k", "1")
+                    "--n-train", "8", "--n-test", "4", "--gallery-k", "1",
+                    env={"OPENBLAS_NUM_THREADS": threads})
         digests.append(_run_script("digest_run.py", out).stdout)
     assert digests[0] == digests[1]
     paths = [line.split("  ", 1)[1] for line in digests[0].splitlines()]

@@ -79,6 +79,7 @@ def test_loss_keys_land_inside_train():
     ("sectionless = 1", "sectionless"),
     ("nowhere.seed = 1", "nowhere"),
     ("train.bogus_field = 1", "bogus_field"),
+    ("scene.min_separation = nan", "scene.min_separation"),  # a removed field
     ("model.d = not_a_number", "model.d"),
     ("scene.image_size = 64", "image_size"),  # needs both dims
     ("loss.tau_cell = maybe", "loss.tau_cell"),
@@ -99,7 +100,6 @@ def test_loss_keys_land_inside_train():
     ("train.learning_rate = inf", "train.learning_rate"),
     ("scene.cell_count_range = -3,2", "scene.cell_count_range"),
     ("scene.cell_radius_range = 0,0", "scene.cell_radius_range"),
-    ("scene.min_separation = nan", "scene.min_separation"),
     ("scene.noise_std = inf", "scene.noise_std"),
     ("scene.image_size = -8,8", "scene.image_size"),
 ])
@@ -234,7 +234,6 @@ _DEFAULT_ECHO = [
     "scene.artifact_count_range = 2,6",
     "scene.artifact_kinds = blob,streak,gradient",
     "scene.noise_std = 0.03",
-    "scene.min_separation = 0.0",
     "scene.seed = 0",
     "model.k_cell = 4",
     "model.k_bg = 4",
@@ -268,6 +267,14 @@ def test_default_echo_is_pinned(tmp_path):
     with open(write_resolved_config(RunConfig(), str(tmp_path))) as f:
         lines = [line for line in f.read().splitlines() if "." in line.split(" = ")[0]]
     assert lines == _DEFAULT_ECHO
+
+
+def test_removed_key_exits_before_writing(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--set", "scene.min_separation=2", "--out", str(out),
+                 "--n-train", "1", "--n-test", "1"]) == 1
+    assert "unknown config key 'scene.min_separation'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_package_never_touches_the_process_environment():

@@ -1,6 +1,8 @@
 """Data generator tests: deterministic rendering, sum-preserving density
 maps, dataset round trips, and manifest integrity."""
 
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,24 @@ def test_manifest_config_roundtrip(tmp_path):
     assert config == SMALL
     assert (downsample, sigma, n_train, n_test) == (8, 1.0, 2, 1)
     assert len(rows) == 3
+
+
+def test_manifest_with_a_removed_scene_field_still_loads(tmp_path):
+    # older manifests record config.min_separation; its one value, 0.0, drew
+    # the cells exactly as render_scene draws them now
+    generate_dataset(SMALL, 2, 1, str(tmp_path / "new"))
+    manifest = tmp_path / "new" / "manifest.txt"
+    text = manifest.read_text()
+    assert "\nconfig.seed = " in text and "min_separation" not in text
+    old = tmp_path / "old"
+    shutil.copytree(tmp_path / "new", old)
+    (old / "manifest.txt").write_text(text.replace(
+        "\nconfig.seed = ", "\nconfig.min_separation = 0.0\nconfig.seed = "))
+    a, b = load_dataset(str(tmp_path / "new")), load_dataset(str(old))
+    assert a.config == b.config == SMALL
+    for sa, sb in zip(a.all_samples, b.all_samples, strict=True):
+        np.testing.assert_array_equal(sa.image, sb.image)
+        assert sa.annotation.points == sb.annotation.points
 
 
 def test_load_rejects_count_mismatch(tmp_path):

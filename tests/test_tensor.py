@@ -92,9 +92,20 @@ def test_elementwise_grads(rng):
 
 
 def test_scalar_operand_grad(rng):
-    a = rng.normal(size=(4,))
-    s = np.array(1.7)
-    check_grad(lambda t: T.tsum(T.mul(Tensor(a), t)), s)
+    # a scalar broadcasts only as a constant: one that needs a gradient
+    # beside a larger tensor is a ShapeError naming the op
+    a, s = rng.normal(size=(4,)), np.array(1.7)
+    for op in (T.add, T.sub, T.mul):
+        for operands in ((Tensor(a), Tensor(s, requires_grad=True)),
+                         (Tensor(s, requires_grad=True), Tensor(a, requires_grad=True))):
+            with pytest.raises(ShapeError, match=f"^{op.__name__}: "):
+                op(*operands)
+    # a constant scalar still broadcasts, and the tensor beside it gets the
+    # full gradient; scalar beside scalar needs no broadcast at all
+    t = Tensor(a, requires_grad=True)
+    T.tsum(T.mul(3.0, T.add(t, 2.0))).backward()
+    np.testing.assert_array_equal(t.grad, np.full(4, 3.0))
+    check_grad(lambda t: T.mul(T.sub(t, 0.5), t), s)
 
 
 # -- nonlinearities ------------------------------------------------------------
