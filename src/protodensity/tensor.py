@@ -1,20 +1,25 @@
 """Dense float64 tensor kernel with reverse-mode autodiff.
 
-Every differentiable operation records the inputs that need a gradient and a
-backward closure on the output node; calling ``backward()`` on a scalar
-result replays the tape in reverse topological order and frees each interior
-node's closure, edges and gradient as soon as its closure has run. Two rules
-keep the tape to what backward reads. A node's edges lead only to the inputs
-a gradient reaches, and its closure holds any other input only where the
-backward reads that input's values. Every interior ``.grad`` is a private
-buffer, so a backward may reuse the ``out.grad`` it owns and hand it on as
-its input's gradient. The op set is exactly what the
-counting model and its losses need: elementwise arithmetic, sigmoid/relu/log,
-2-D matmul, reductions, indexing, row normalization, 1x1 and 3x3
-convolutions, 2x2 max pooling, and prototype distance maps. Every op is a
-module function (``T.add``, ``T.mul``, ...): a Tensor has no arithmetic
-operators, only ``t[idx]`` for ``getitem`` and ``float(t)`` for a one-element
-value.
+The tape holds gradient nodes, not values. An op whose input needs a
+gradient gives its output Tensor a node: the output's gradient, edges to the
+nodes of the inputs a gradient reaches, and a backward closure. A leaf
+tensor is its own node. A closure holds the nodes it accumulates into and
+only the arrays its backward reads, never a Tensor, so an activation no
+backward reads is freed as soon as the caller drops its Tensor: a
+``conv3x3`` output once the pool after it has read it, a pool output once
+its relu has. Calling ``backward()`` on a scalar result replays the nodes in
+reverse topological order and frees each interior node's closure, edges and
+gradient as soon as its closure has run. Every interior ``.grad`` is a
+private buffer, so a backward may reuse the ``out.grad`` it owns and hand it
+on as its input's gradient. A node's first gradient is allocated in the
+layout ``np.empty_like`` gives its output, from the shape and axis order the
+node recorded, so reductions over it sum in the same order. The op set is
+exactly what the counting model and its losses need: elementwise arithmetic,
+sigmoid/relu/log, 2-D matmul, reductions, indexing, row normalization, 1x1
+and 3x3 convolutions, 2x2 max pooling, and prototype distance maps. Every op
+is a module function (``T.add``, ``T.mul``, ...): a Tensor has no arithmetic
+operators, only ``t[idx]`` for ``getitem`` and ``float(t)`` for a
+one-element value.
 
 The 3x3 convolution and the 2x2 max pool make every pass over a
 (B, C, H, W) activation one sample at a time, while that sample's slice sits
@@ -23,13 +28,15 @@ one zero-bordered, sample-sized (C*9, H*W) im2col buffer, so its forward and
 backward GEMMs run on NCHW data with no transposed copy, and neither a padded
 copy nor a batch-sized im2col matrix exists; the bias is added, and its
 gradient summed, per sample. Max pooling compares the four strided window
-corners, and its backward routes each window's gradient by one sample's
-compare masks to the first maximum in row-major window order. The distance
-map's forward is one reduce over a (d,K,B,H,W) buffer of at most 1 MiB, else
-(or for one (K,B,H,W) element, which numpy sums pairwise) a channel loop,
-both in channel order; its backward is two GEMMs, the feature one run a
-sample at a time into the feature gradient. A central finite-difference
-oracle (`finite_diff_grad`) verifies every analytic gradient.
+corners; when its input needs a gradient, the forward also keeps a bool mask,
+one byte per input element, of each window's first maximum in row-major
+window order, and the backward routes the gradient by that mask alone. The
+distance map's forward is one reduce over a (d,K,B,H,W) buffer of at most
+1 MiB, else (or for one (K,B,H,W) element, which numpy sums pairwise) a
+channel loop, both in channel order; its backward is two GEMMs, the feature
+one run a sample at a time into the feature gradient. A central
+finite-difference oracle (`finite_diff_grad`) verifies every analytic
+gradient.
 
 The module also holds the package's file formats: PDTF tensors, and the one
 ``key = value`` writer and reader and the one CSV writer and reader behind
@@ -47,6 +54,7 @@ import csv
 import os
 import struct
 from dataclasses import field, fields
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -71,7 +79,7 @@ _grad_enabled = True
 
 class no_grad:
     """Context manager that suspends tape recording; forward passes inside
-    it allocate no backward closures."""
+    it make no tape nodes."""
 
     def __enter__(self):
         global _grad_enabled
@@ -90,12 +98,12 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A float64 n-d array plus the autodiff bookkeeping for one tape node.
+    """A float64 n-d array. A leaf tensor, one no op recorded, is its own
+    tape node: ``grad`` accumulates d(loss)/d(this) after ``backward()``.
 
-    ``data`` is the value, ``grad`` accumulates d(loss)/d(this) after
-    ``backward()``. Leaf tensors default to ``requires_grad=False``; ops
-    propagate the flag and only record backward closures when some input
-    requires a gradient.
+    Leaves default to ``requires_grad=False``; an op propagates the flag and
+    records a node only when some input requires a gradient. Its output then
+    reads and sets ``grad``, ``_parents`` and ``_backward`` on that node.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -104,8 +112,16 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple = ()
         self._backward: Callable[[], None] | None = None
+
+    @property
+    def _node(self):
+        # a leaf is its own tape node
+        return self
+
+    def _empty(self) -> np.ndarray:
+        return np.empty_like(self.data)
 
     # -- basic protocol -------------------------------------------------------
 
@@ -131,19 +147,22 @@ class Tensor:
     # -- autodiff -------------------------------------------------------------
 
     def backward(self) -> None:
-        """Run reverse-mode accumulation from this scalar node. The tape is
-        consumed as it runs: right after an interior node's closure has run,
-        the node drops its closure, its edges and its ``.grad``, so each
-        activation and gradient is freed once no remaining closure needs it.
+        """Run reverse-mode accumulation from this scalar's node over the
+        node tape. The tape is consumed as it runs: right after an interior
+        node's closure has run, the node drops its closure, its edges and its
+        ``.grad``, so each array a closure held and each gradient is freed
+        once no remaining closure needs it. The tape never held a value, so
+        an activation no closure reads was freed before the backward began.
         Edges lead only to inputs that get a gradient, and an interior
         ``.grad`` is read by its own closure alone, which may therefore
         overwrite it and pass it on as its input's gradient. Leaves keep
         their ``.grad``."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
-        topo: list[Tensor] = []
+        root = self._node
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -156,7 +175,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             if node._backward is not None:
@@ -165,6 +184,52 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
+
+
+class _Node:
+    """The tape node of an op's output: ``grad`` accumulates d(loss)/d(output),
+    ``_parents`` are the nodes of the inputs a gradient reaches, and
+    ``_backward`` sends ``grad`` on to them. It keeps no value, only the
+    output's shape and axis order, from which ``_empty`` allocates a gradient
+    in the layout ``np.empty_like`` gives the output: C order, else the axes
+    by decreasing absolute stride, ties in axis order."""
+
+    __slots__ = ("grad", "_parents", "_backward", "_shape", "_axes")
+
+    def __init__(self, data: np.ndarray, parents: tuple):
+        self.grad = None
+        self._parents = parents
+        self._backward = None
+        if data.flags.c_contiguous:
+            self._shape, self._axes = data.shape, None
+        else:
+            order = sorted(range(data.ndim), key=lambda i: -abs(data.strides[i]))
+            self._shape = tuple(data.shape[i] for i in order)
+            self._axes = tuple(np.argsort(order))
+
+    def _empty(self) -> np.ndarray:
+        g = np.empty(self._shape)
+        return g if self._axes is None else g.transpose(self._axes)
+
+
+class _Output(Tensor):
+    """An op's output that has a tape node. ``grad``, ``_parents`` and
+    ``_backward`` are the node's; the tape holds the node and not this
+    Tensor, so ``data`` lives only as long as the caller, or a closure that
+    reads it, keeps it."""
+
+    __slots__ = ("_node",)
+
+    def __init__(self, data: np.ndarray, node: _Node):
+        self.data = data
+        self.requires_grad = True
+        self._node = node
+
+    grad = property(lambda self: self._node.grad,
+                    lambda self, value: setattr(self._node, "grad", value))
+    _parents = property(lambda self: self._node._parents)
+    _backward = property(lambda self: self._node._backward,
+                         lambda self, value: setattr(self._node, "_backward", value))
 
 
 class Parameter(Tensor):
@@ -200,40 +265,44 @@ def _coerce(x) -> Tensor:
     raise TypeError(f"cannot treat {type(x).__name__} as a tensor operand")
 
 
-def _make(data: np.ndarray, parents: Iterable[Tensor], backward: Callable[[], None]) -> Tensor:
-    # edges lead only to the inputs a gradient reaches
-    out = Tensor(data)
+def _make(data: np.ndarray, inputs: Iterable[Tensor],
+          backward: Callable[..., None]) -> Tensor:
+    """The output Tensor of an op on ``inputs``. When it records a node, the
+    node's closure is ``backward(node, *nodes)``, where ``nodes`` holds each
+    input's node, or None for an input that gets no gradient; edges lead only
+    to the inputs a gradient reaches."""
     if _grad_enabled:
-        parents = tuple(p for p in parents if p.requires_grad)
+        nodes = [t._node if t.requires_grad else None for t in inputs]
+        parents = tuple([n for n in nodes if n is not None])
         if parents:
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
-    return out
+            node = _Node(data, parents)
+            node._backward = partial(backward, node, *nodes)
+            return _Output(data, node)
+    return Tensor(data)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(node: Tensor | _Node | None, g: np.ndarray) -> None:
+    if node is None:
         return
-    if t.grad is not None:
-        t.grad += g
+    if node.grad is not None:
+        node.grad += g
     else:
         # zeros + g in one pass: a new array, since g may be another node's
         # grad (and a 0-d g + 0.0 would be a scalar); -0.0 still becomes 0.0
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        node.grad = np.add(g, 0.0, out=node._empty())
 
 
-def _accum_own(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate ``g`` into ``t.grad`` where ``g`` is the calling closure's
-    own buffer: one it allocated, or the ``out.grad`` of its node, which
-    ``Tensor.backward`` drops right after the closure. It becomes the
+def _accum_own(node: Tensor | _Node, g: np.ndarray) -> None:
+    """Accumulate ``g`` into ``node.grad`` where ``g`` is the calling
+    closure's own buffer: one it allocated, or the ``out.grad`` of its node,
+    which ``Tensor.backward`` drops right after the closure. It becomes the
     gradient with no copy; adding 0.0 in place turns -0.0 into 0.0, as
     ``_accum`` does."""
-    if t.grad is None:
+    if node.grad is None:
         g += 0.0
-        t.grad = g
+        node.grad = g
     else:
-        t.grad += g
+        node.grad += g
 
 
 def _check_elementwise(a: Tensor, b: Tensor, opname: str) -> None:
@@ -246,71 +315,71 @@ def _check_elementwise(a: Tensor, b: Tensor, opname: str) -> None:
                      "(only a constant scalar broadcasts)")
 
 
+# Each op's backward takes its output's node and then each input's node, or
+# None for an input that gets no gradient, and reads only the arrays it
+# closes over.
+
 # -- elementwise arithmetic ---------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_elementwise(a, b, "add")
-    out_data = a.data + b.data
 
-    def backward():
+    def backward(out, a, b):
         _accum(a, out.grad)
         _accum(b, out.grad)
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_elementwise(a, b, "sub")
-    out_data = a.data - b.data
 
-    def backward():
+    def backward(out, a, b):
         _accum(a, out.grad)
         _accum(b, -out.grad)
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_elementwise(a, b, "mul")
-    out_data = a.data * b.data
+    # each gradient reads the other operand's values
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
-    def backward():
-        _accum(a, out.grad * b.data)
-        _accum(b, out.grad * a.data)
+    def backward(out, a, b):
+        if a is not None:
+            _accum(a, out.grad * bd)
+        if b is not None:
+            _accum(b, out.grad * ad)
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(a.data * b.data, (a, b), backward)
 
 
 def relu(a) -> Tensor:
     a = _coerce(a)
     mask = a.data > 0
-    out_data = np.where(mask, a.data, 0.0)
 
-    def backward():
+    def backward(out, a):
         _accum_own(a, out.grad * mask)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(np.where(mask, a.data, 0.0), (a,), backward)
 
 
 def log(a) -> Tensor:
     a = _coerce(a)
-    if np.any(a.data <= 0):
+    ad = a.data
+    if np.any(ad <= 0):
         raise ValueError("log: input must be strictly positive")
-    out_data = np.log(a.data)
 
-    def backward():
-        _accum(a, out.grad / a.data)
+    def backward(out, a):
+        _accum(a, out.grad / ad)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(np.log(ad), (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
@@ -327,15 +396,14 @@ def sigmoid(a) -> Tensor:
     ex += 1.0
     out_data /= ex
 
-    def backward():
+    def backward(out, a):
         # (g * s) * (1 - s) inside the out.grad this node owns
         g = out.grad
         g *= out_data
         g *= 1.0 - out_data
         _accum_own(a, g)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -343,26 +411,23 @@ def sigmoid(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _coerce(a)
-    out_data = a.data.reshape(shape)
+    in_shape = a.shape
 
-    def backward():
-        _accum(a, out.grad.reshape(a.shape))
+    def backward(out, a):
+        _accum(a, out.grad.reshape(in_shape))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(a.data.reshape(shape), (a,), backward)
 
 
 def transpose(a, axes) -> Tensor:
     a = _coerce(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out_data = a.data.transpose(axes)
 
-    def backward():
+    def backward(out, a):
         _accum(a, out.grad.transpose(inv))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def getitem(a, idx) -> Tensor:
@@ -371,18 +436,17 @@ def getitem(a, idx) -> Tensor:
     a = _coerce(a)
     norm = idx if isinstance(idx, tuple) else (idx,)
     advanced = any(isinstance(i, np.ndarray) and i.ndim > 0 for i in norm)
-    out_data = a.data[norm]
 
-    def backward():
+    def backward(out, a):
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
+            a.grad = a._empty()
+            a.grad.fill(0.0)
         if advanced:
             np.add.at(a.grad, norm, out.grad)
         else:
             a.grad[norm] += out.grad
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(np.asarray(a.data[norm]), (a,), backward)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -390,24 +454,22 @@ def getitem(a, idx) -> Tensor:
 
 def tsum(a) -> Tensor:
     a = _coerce(a)
-    out_data = np.asarray(a.data.sum())
+    in_shape = a.shape
 
-    def backward():
-        _accum(a, np.broadcast_to(out.grad, a.shape).copy())
+    def backward(out, a):
+        _accum(a, np.broadcast_to(out.grad, in_shape).copy())
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(np.asarray(a.data.sum()), (a,), backward)
 
 
 def tmean(a) -> Tensor:
     a = _coerce(a)
-    out_data = np.asarray(a.data.mean())
+    in_shape, size = a.shape, a.data.size
 
-    def backward():
-        _accum(a, np.broadcast_to(out.grad, a.shape).copy() / a.data.size)
+    def backward(out, a):
+        _accum(a, np.broadcast_to(out.grad, in_shape).copy() / size)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(np.asarray(a.data.mean()), (a,), backward)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -419,14 +481,17 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    # each gradient reads the other operand's values
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
-    def backward():
-        _accum(a, out.grad @ b.data.T)
-        _accum(b, a.data.T @ out.grad)
+    def backward(out, a, b):
+        if a is not None:
+            _accum(a, out.grad @ bd.T)
+        if b is not None:
+            _accum(b, ad.T @ out.grad)
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(a.data @ b.data, (a, b), backward)
 
 
 def l2_normalize_rows(a) -> Tensor:
@@ -440,13 +505,12 @@ def l2_normalize_rows(a) -> Tensor:
         raise ValueError(f"l2_normalize_rows: row {bad} has zero norm")
     out_data = a.data / norms[:, None]
 
-    def backward():
+    def backward(out, a):
         g = out.grad
         dot = (g * out_data).sum(axis=1, keepdims=True)
         _accum(a, (g - dot * out_data) / norms[:, None])
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 # -- convolution / pooling / distances ---------------------------------------
@@ -461,7 +525,10 @@ def _batched(x: Tensor, opname: str) -> np.ndarray:
 
 
 def conv1x1(x, weight, bias=None) -> Tensor:
-    """Pointwise convolution: out[b,o,h,w] = sum_c weight[o,c] x[b,c,h,w] (+ bias[o])."""
+    """Pointwise convolution: out[b,o,h,w] = sum_c weight[o,c] x[b,c,h,w] (+ bias[o]).
+
+    The GEMM runs on the channel-major (C, B*H*W) input, a view of ``x`` when
+    its data is a channel-major array seen batch-major, else a copy."""
     x, weight = _coerce(x), _coerce(weight)
     bias = _coerce(bias) if bias is not None else None
     xd = _batched(x, "conv1x1")
@@ -478,22 +545,21 @@ def conv1x1(x, weight, bias=None) -> Tensor:
     oc = weight.data @ xc
     if bias is not None:
         oc += bias.data[:, None]
-    out_data = oc.reshape(c_out, b_, h, w).transpose(1, 0, 2, 3)
-    # the backward reads xc, so it holds x only if x gets a gradient
-    x_grad = x if x.requires_grad else None
+    # the weight gradient reads xc, the input gradient the weight
+    xc_read = xc if weight.requires_grad else None
+    w_read = weight.data if x.requires_grad else None
 
-    def backward():
+    def backward(out, x, weight, bias=None):
         gc = np.ascontiguousarray(out.grad.transpose(1, 0, 2, 3)).reshape(c_out, b_ * h * w)
-        if x_grad is not None:
-            _accum(x_grad, (weight.data.T @ gc).reshape(c, b_, h, w).transpose(1, 0, 2, 3))
-        if weight.requires_grad:
-            _accum(weight, gc @ xc.T)
-        if bias is not None and bias.requires_grad:
+        if x is not None:
+            _accum(x, (w_read.T @ gc).reshape(c, b_, h, w).transpose(1, 0, 2, 3))
+        if weight is not None:
+            _accum(weight, gc @ xc_read.T)
+        if bias is not None:
             _accum(bias, gc.sum(axis=1))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make(out_data, parents, backward)
-    return out
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _make(oc.reshape(c_out, b_, h, w).transpose(1, 0, 2, 3), inputs, backward)
 
 
 # along one spatial axis, tap k of a 3x3 kernel reads input offset k - 1:
@@ -521,8 +587,9 @@ def conv3x3(x, weight, bias) -> Tensor:
     cache. The nine shifted, cropped slices of the input fill a single
     zero-bordered (C*9, H*W) im2col buffer, one GEMM writes that sample's
     C_out x H*W output and the bias is added to it, so no padded copy and no
-    batch-sized im2col matrix exist, and the tape keeps nothing beyond the
-    input. The backward rebuilds each sample's im2col slice, accumulates
+    batch-sized im2col matrix exist. The tape keeps the input for the weight
+    gradient and the weight for the input gradient, and never the output.
+    The backward rebuilds each sample's im2col slice, accumulates
     grad_W = sum_b g[b] col[b]^T and the bias gradient, each in sample order,
     puts W^T g[b] in a second sample-sized buffer and adds its nine cropped
     slices, in tap order, into that sample's slice of the input gradient,
@@ -545,85 +612,102 @@ def conv3x3(x, weight, bias) -> Tensor:
     for n in range(b_):
         np.matmul(w2, _im2col(col, xd[n]), out=oc[n])
         oc[n] += bias.data[:, None]
-    out_data = oc.reshape(b_, c_out, h, w)
+    # the weight gradient reads the input, the input gradient the weight
+    x_read = xd if weight.requires_grad else None
+    w_read = w2 if x.requires_grad else None
 
-    def backward():
+    def backward(out, x, weight, bias):
         g = out.grad.reshape(b_, c_out, h * w)
         col = np.zeros((c, 9, h, w))
-        gw = np.zeros((c_out, c * 9)) if weight.requires_grad else None
-        gb = np.zeros(c_out) if bias.requires_grad else None
-        gx = np.empty_like(xd) if x.requires_grad else None
-        gcol = np.empty((c, 9, h, w)) if x.requires_grad else None
+        gw = np.zeros((c_out, c * 9)) if weight is not None else None
+        gb = np.zeros(c_out) if bias is not None else None
+        gx = x._empty() if x is not None else None
+        gcol = np.empty((c, 9, h, w)) if x is not None else None
         for n in range(b_):
             if gw is not None:
-                gw += g[n] @ _im2col(col, xd[n]).T
+                gw += g[n] @ _im2col(col, x_read[n]).T
             if gb is not None:
                 gb += g[n].sum(axis=1)
             if gx is not None:
-                np.matmul(w2.T, g[n], out=gcol.reshape(c * 9, h * w))
+                np.matmul(w_read.T, g[n], out=gcol.reshape(c * 9, h * w))
                 gx_n = gx[n]
                 gx_n.fill(0.0)
                 for i, (dy, sy) in enumerate(_TAP_CROPS):
                     for j, (dx, sx) in enumerate(_TAP_CROPS):
                         gx_n[:, sy, sx] += gcol[:, 3 * i + j, dy, dx]
         if gw is not None:
-            _accum(weight, gw.reshape(weight.shape))
+            _accum(weight, gw.reshape(c_out, c, 3, 3))
         if gb is not None:
             _accum(bias, gb)
         if gx is not None:
             _accum_own(x, gx)
 
-    out = _make(out_data, (x, weight, bias), backward)
-    return out
+    return _make(oc.reshape(b_, c_out, h, w), (x, weight, bias), backward)
 
 
 def maxpool2x2(x) -> Tensor:
     """2x2 max pooling with stride 2. Each window's gradient belongs to its
     first maximum in row-major window order (top-left, top-right,
-    bottom-left, bottom-right). A zero maximum of a window that holds both
-    -0.0 and 0.0 may come out with either sign; the extractor's relu right
-    after the pool makes it 0.0.
+    bottom-left, bottom-right); a window with no corner equal to its maximum,
+    one holding a NaN, routes it to the last corner. A zero maximum of a
+    window that holds both -0.0 and 0.0 may come out with either sign; the
+    extractor's relu right after the pool makes it 0.0.
 
     Both passes run one sample at a time, while that sample's slice sits in
     cache. The forward is ``np.maximum`` of the even and odd rows (contiguous
     runs) into a sample-sized buffer, then of that buffer's even and odd
-    columns into the preallocated output. The backward routes the gradient
-    by a compare mask in the same corner order, in two sample-sized bool
-    buffers reused across samples: a corner gets it where it equals the
-    maximum and no earlier corner did (``hit > taken``), and the last corner
-    gets the rest.
+    columns into the preallocated output. When the input needs a gradient,
+    it also fills a (B, C, H/2, 2, W) bool mask of each window's first
+    maximum, element for element in the input's row-major order: one
+    contiguous compare of the sample against its pooled values repeated
+    along each row, then the corners in turn, each keeping the hits no
+    earlier corner took, and the last corner the rest. The tape keeps that
+    mask, one byte per input element, and neither the input nor the output.
+    The backward writes each sample's gradient to all four strided corners
+    of its input gradient and multiplies that by the sample's mask in place,
+    so it allocates nothing beside the input gradient.
     """
     x = _coerce(x)
     xd = _batched(x, "maxpool2x2")
     b_, c, h, w = xd.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {h}x{w}")
-    pooled = np.empty((b_, c, h // 2, w // 2))
-    rows = np.empty((c, h // 2, w))
+    h2, w2 = h // 2, w // 2
+    pooled = np.empty((b_, c, h2, w2))
+    rows = np.empty((c, h2, w))
+    first = None  # each window's first maximum, kept only for a backward
+    if _grad_enabled and x.requires_grad:
+        first = np.empty((b_, c, h2, 2, w), dtype=bool)
     for n in range(b_):
         np.maximum(xd[n, :, 0::2], xd[n, :, 1::2], out=rows)
         np.maximum(rows[..., 0::2], rows[..., 1::2], out=pooled[n])
+        if first is not None:
+            # rows is free again: each pooled value twice along its row
+            rows[..., 0::2] = pooled[n]
+            rows[..., 1::2] = pooled[n]
+            mask = first[n]
+            np.equal(xd[n].reshape(c, h2, 2, w), rows[:, :, None], out=mask)
+            e00, e01 = mask[:, :, 0, 0::2], mask[:, :, 0, 1::2]
+            e10, e11 = mask[:, :, 1, 0::2], mask[:, :, 1, 1::2]
+            np.greater(e01, e00, out=e01)     # a hit no earlier corner took
+            np.logical_or(e00, e01, out=e11)  # e11 holds the corners taken
+            np.greater(e10, e11, out=e10)
+            # e10 and the taken corners are disjoint, so they are equal where
+            # neither holds: the last corner gets every window left
+            np.equal(e11, e10, out=e11)
 
-    def backward():
+    def backward(out, x):
         g = out.grad
-        gx = np.empty_like(xd)
-        hit = np.empty(pooled.shape[1:], dtype=bool)
-        taken = np.empty_like(hit)
+        gx = x._empty()
         for n in range(b_):
-            xn, pn, gn, gxn = xd[n], pooled[n], g[n], gx[n]
-            np.equal(xn[:, 0::2, 0::2], pn, out=taken)
-            np.multiply(gn, taken, out=gxn[:, 0::2, 0::2])
-            for i, j in ((0, 1), (1, 0)):
-                np.equal(xn[:, i::2, j::2], pn, out=hit)
-                np.greater(hit, taken, out=hit)  # hit & ~taken
-                np.multiply(gn, hit, out=gxn[:, i::2, j::2])
-                taken |= hit
-            np.logical_not(taken, out=taken)
-            np.multiply(gn, taken, out=gxn[:, 1::2, 1::2])
+            gx_n = gx[n]
+            for i in (0, 1):
+                for j in (0, 1):
+                    gx_n[:, i::2, j::2] = g[n]
+            gx_n *= first[n].reshape(c, h, w)
         _accum_own(x, gx)
 
-    out = _make(pooled, (x,), backward)
-    return out
+    return _make(pooled, (x,), backward)
 
 
 # 1 MiB of float64, one image's (d,K,B,H,W) difference at d=64, K=8, 16x16: the one
@@ -670,23 +754,22 @@ def distance_map(features, prototypes) -> Tensor:
             acc += sq
     out_data = np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
 
-    def backward():
+    def backward(out, features, prototypes):
         g = out.grad.reshape(b_, k, h * w)
         f2 = fd.reshape(b_, d, h * w)
-        if features.requires_grad:
+        if features is not None:
             gf = f2 * g.sum(axis=1)[:, None, :]
             pg = np.empty((d, h * w))
             for n in range(b_):
                 gf[n] -= np.matmul(pd.T, g[n], out=pg)
             gf *= 2.0
             _accum_own(features, gf.reshape(b_, d, h, w))
-        if prototypes.requires_grad:
+        if prototypes is not None:
             gp = (g @ f2.transpose(0, 2, 1)).sum(axis=0)
             gp -= g.sum(axis=(0, 2))[:, None] * pd
             _accum(prototypes, -2.0 * gp)
 
-    out = _make(out_data, (features, prototypes), backward)
-    return out
+    return _make(out_data, (features, prototypes), backward)
 
 
 # -- finite differences -------------------------------------------------------

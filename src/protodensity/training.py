@@ -352,8 +352,13 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
                 for b0 in range(0, val_idx.size, config.batch_size)])
         return float(np.abs(pred - counts[val_idx]).mean())
 
+    # a batch is gathered channel-major, the layout of conv1x1's GEMM
+    # operand, so the gathered batch is that operand and is not copied again
+    channel_major = features.transpose(1, 0, 2, 3)
+
     def fit_forward(idx):
-        out = model.forward_from_features(Tensor(features[idx]))
+        batch = np.take(channel_major, idx, axis=1).transpose(1, 0, 2, 3)
+        out = model.forward_from_features(Tensor(batch))
         return out.density, out.distances, model.prototypes
 
     def project(epoch):

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from protodensity import tensor as T
 from protodensity.losses import density_loss, proto_feature_loss
+from protodensity.model import FEATURE_DIM, CountModel, FeatureExtractor, ModelConfig
 from protodensity.tensor import (Parameter, ShapeError, Tensor,
                                  gradcheck_rel_error, no_grad)
 
@@ -567,10 +568,14 @@ def test_per_sample_conv3x3_equals_whole_batch_bitwise(rng, b, tied):
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 16])
-@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("tied", [False, True, "nonfinite"])
 def test_per_sample_maxpool2x2_equals_whole_batch_bitwise(rng, b, tied):
+    # "nonfinite" windows hold NaN, whose gradient goes to the last corner,
+    # and tied or lone infinite maxima
+    values = ([-1.0, -0.0, 0.0, 1.0] if tied is True
+              else [np.nan, -np.inf, np.inf, -0.0, 0.0, 1.0])
     for c, h, w in [(1, 2, 2), (3, 6, 8), (5, 4, 10), (16, 8, 8)]:
-        x = _tied_or_normal(rng, tied, (b, c, h, w), [-1.0, -0.0, 0.0, 1.0])
+        x = _tied_or_normal(rng, bool(tied), (b, c, h, w), values)
         g = rng.normal(size=(b, c, h // 2, w // 2))
         g[g > 1.0] = -0.0
         ref_out, ref_gx = maxpool2x2_whole_batch(x, g)
@@ -587,9 +592,11 @@ def test_per_sample_maxpool2x2_equals_whole_batch_bitwise(rng, b, tied):
 
 
 def test_maxpool_backward_keeps_no_batch_sized_mask(rng):
-    # at B=16 and block 0's size the compare masks are one sample's: the
-    # backward allocates its input gradient and under half a batch-sized
-    # bool mask beside it (the whole-batch masks took three)
+    # at B=16 and block 0's size the backward routes by the first-maximum
+    # mask the forward kept and multiplies the input gradient by it in
+    # place: it allocates under half a batch-sized bool mask beside that
+    # gradient (compare masks built in the backward over the whole batch
+    # took three)
     x = Tensor(rng.normal(size=(16, 16, 128, 128)), requires_grad=True)
     out = T.maxpool2x2(x)
     out.grad = rng.normal(size=out.shape)
@@ -618,6 +625,95 @@ def test_leaf_gradients_hold_no_negative_zero(rng):
     for leaf in (x, weight, bias, pooled_leaf):
         zeros = leaf.grad[leaf.grad == 0.0]
         assert zeros.size and not np.signbit(zeros).any()
+
+
+# -- tape lifetimes --------------------------------------------------------------
+#
+# The tape holds gradient nodes, and a closure only the arrays its backward
+# reads, so an op output the caller dropped is freed before backward().
+
+
+def _watch_outputs(monkeypatch, names):
+    """(op, weak references) per call of each op in ``names``, in call
+    order: one to the output array and one to the array it views, if any.
+    The wrappers keep no Tensor."""
+    calls = []
+    for name in names:
+        def watched(*args, _op=getattr(T, name), _name=name):
+            out = _op(*args)
+            arrays = [out.data] if out.data.base is None else [out.data, out.data.base]
+            calls.append((_name, [weakref.ref(a) for a in arrays]))
+            return out
+        monkeypatch.setattr(T, name, watched)
+    return calls
+
+
+def _dead(refs):
+    return all(ref() is None for ref in refs)
+
+
+def extractor_whole_batch_grads(x, weights, biases, g):
+    """The weight and bias gradients, in ``FeatureExtractor.parameters()``
+    order, of sum(extractor(x) * g) by the whole-batch references, with 0.0
+    added wherever the tape adds it to a node's first gradient."""
+    blocks, h = [], x
+    for w, b in zip(weights, biases):
+        c = conv3x3_whole_batch(h, w, b, np.zeros((len(x), len(w), *h.shape[2:])))[0]
+        p = maxpool2x2_whole_batch(c, np.zeros_like(c[:, :, ::2, ::2]))[0]
+        blocks.append((h, c, p))
+        h = np.where(p > 0, p, 0.0)
+    grads, gr = [], g + 0.0
+    for (h, c, p), w, b in reversed(list(zip(blocks, weights, biases))):
+        gp = gr * (p > 0) + 0.0
+        gc = maxpool2x2_whole_batch(c, gp)[1] + 0.0
+        _, gx, gw, gb = conv3x3_whole_batch(h, w, b, gc)
+        grads = [gw + 0.0, gb + 0.0] + grads
+        gr = gx + 0.0
+    return grads
+
+
+def test_extractor_step_frees_conv_and_pool_outputs_before_backward(rng, monkeypatch):
+    # a B=16 pretraining step (at 32x32): each conv3x3 output dies once its
+    # pool has read it and each pool output once its relu has, so all six
+    # are gone before backward(); the gradients match the references' bits
+    extractor = FeatureExtractor(np.random.default_rng(0))
+    x = rng.uniform(size=(16, 1, 32, 32))
+    g = rng.normal(size=(16, FEATURE_DIM, 4, 4))
+    calls = _watch_outputs(monkeypatch, ("conv3x3", "maxpool2x2"))
+    loss = T.tsum(T.mul(extractor.forward(Tensor(x)), Tensor(g)))
+    assert [name for name, _ in calls] == ["conv3x3", "maxpool2x2"] * 3
+    assert all(_dead(refs) for _, refs in calls)
+    loss.backward()
+    want = extractor_whole_batch_grads(x, [w.data for w in extractor.weights],
+                                       [b.data for b in extractor.biases], g)
+    for p, ref in zip(extractor.parameters(), want, strict=True):
+        assert_same_bits(p.grad, ref)
+
+
+def test_processing_step_frees_conv1x1_output_before_backward(rng, monkeypatch):
+    # a B=32 main-loop step on a batch gathered channel-major, as train
+    # gathers it: the processing conv1x1's output dies once sigmoid has read
+    # it (the head's lives on in the density the caller holds), and every
+    # gradient has the bits of the same step on a batch-major copy
+    features = rng.normal(size=(40, FEATURE_DIM, 16, 16))
+    idx = rng.permutation(40)[:32]
+    g = rng.normal(size=(32, 16, 16))
+    grads = []
+    for batch in (np.take(features.transpose(1, 0, 2, 3), idx, axis=1).transpose(1, 0, 2, 3),
+                  features[idx]):
+        model = CountModel(ModelConfig(), FeatureExtractor(np.random.default_rng(0)), seed=0)
+        model.extractor.freeze()
+        calls = _watch_outputs(monkeypatch, ("conv1x1",))
+        density = model.forward_from_features(Tensor(batch)).density
+        loss = T.tsum(T.mul(density, Tensor(g)))
+        assert [name for name, _ in calls] == ["conv1x1"] * 2
+        assert _dead(calls[0][1]) and not _dead(calls[1][1])
+        loss.backward()
+        grads.append([p.grad for p in model.trainable_parameters().values()])
+        monkeypatch.undo()
+    assert len(grads[0]) == 4
+    for got, want in zip(*grads, strict=True):
+        assert_same_bits(got, want)
 
 
 # -- distance map --------------------------------------------------------------
@@ -854,6 +950,23 @@ def test_tape_keeps_only_what_backward_reads(rng):
     assert x.grad is g
     assert x.grad.tobytes() == expected.tobytes()
     assert peak < 1.5 * g.nbytes, f"sigmoid backward peak {peak} B >= 1.5 buffers"
+
+
+def test_node_gradient_has_the_layout_empty_like_gives_the_output(rng):
+    # a node keeps no value, yet its first gradient must be laid out as
+    # np.empty_like(output) was, so that reductions over it sum in the
+    # same order; the strides of a length-1 axis do not matter
+    base = np.empty((2, 3, 4, 5))
+    views = [base, base.transpose(1, 0, 2, 3), base[:, ::2], base[..., ::-1],
+             base.transpose(3, 1, 0, 2)[:, 1:], base[:, :1].transpose(2, 1, 0, 3),
+             np.broadcast_to(base[:, :, :1], base.shape)]
+    for _ in range(50):
+        views.append(base.transpose(rng.permutation(4))[::int(rng.choice([1, 2, -1]))])
+    for view in views:
+        got, want = T._Node(view, ())._empty(), np.empty_like(view)
+        assert got.shape == want.shape
+        assert [s for n, s in zip(got.shape, got.strides) if n > 1] == \
+            [s for n, s in zip(want.shape, want.strides) if n > 1]
 
 
 def test_first_accumulation_equals_zeros_plus_grad_bitwise():

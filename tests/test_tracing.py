@@ -22,8 +22,8 @@ def _load_tracing():
 
 
 def _traced(run):
-    """The tracer's counts over ``run(pkg)``, once every name it patched is
-    checked to be back."""
+    """The tracer's counts and span names over ``run(pkg)``, once every name
+    it patched is checked to be back."""
     tracing = _load_tracing()
     pkg = {name: importlib.import_module(f"protodensity.{name}") for name in MODULES}
     patched = [(pkg[mod], attr) for mod, attrs in tracing.LAYER_FUNCTIONS.items()
@@ -42,7 +42,7 @@ def _traced(run):
 
     assert [name for (owner, name), original in zip(patched, originals)
             if getattr(owner, name) is not original] == []
-    return tracer.counts
+    return tracer.counts, {rec[0] for rec in tracer.spans}
 
 
 def test_tracer_counts_every_layer_of_a_train_and_restores_every_name(
@@ -54,10 +54,13 @@ def test_tracer_counts_every_layer_of_a_train_and_restores_every_name(
                               tiny_train_config(max_epochs=1, calibration_epochs=1),
                               feature_cache=tiny_features)
 
-    counts = _traced(run)
+    counts, spans = _traced(run)
     for name in ("training.adam_step", "losses.total_loss", "losses.density_loss",
                  "tensor.distance_map", "model.forward_from_features"):
         assert counts[f"{name}.calls"] > 0, name
+    # the backward runs the closure the tracer installed through out._backward
+    for op in ("conv1x1", "sigmoid", "distance_map"):
+        assert f"tensor.{op}.bwd" in spans, op
 
 
 def test_tracer_counts_the_pretrain_and_gallery_layers(tiny_dataset, tiny_extractor,
@@ -70,7 +73,9 @@ def test_tracer_counts_the_pretrain_and_gallery_layers(tiny_dataset, tiny_extrac
         pkg["interp"].export_prototype_gallery(model, tiny_dataset, str(tmp_path), k=2,
                                                features=tiny_features)
 
-    counts = _traced(run)
+    counts, spans = _traced(run)
     for name in ("tensor.maxpool2x2", "tensor.conv3x3", "interp.global_top_patches",
                  "interp.connected_components", "interp.render_boxes_pgm"):
         assert counts[f"{name}.calls"] > 0, name
+    for op in ("conv3x3", "maxpool2x2", "relu", "conv1x1"):
+        assert f"tensor.{op}.bwd" in spans, op

@@ -540,16 +540,16 @@ def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
 
 def test_train_peak_memory(tiny_extractor):
     # a default-scale split, 100 samples of 64 x 16 x 16 features, at batch
-    # 32: one (32, 64, 16, 16) activation is 4 MiB. The peak is a main-loop
-    # forward, which holds five: the gathered batch, conv1x1's transposed
-    # operand and output, and sigmoid's exp temporary and output. The
-    # backward holds four (the batch is freed once conv1x1 has copied it)
-    # plus sigmoid's (1 - s) temporary, and each projection's 12.5 MiB
-    # processed split is freed once the calibration maps (2 x 1.6 MiB) are
-    # built, before the epoch's validation pass. With the 0.5 MiB sign mask,
-    # the distance maps and the loss nodes, the peak stays below 22 MiB;
-    # a backward that also kept the batch, a full-size P^T g product and a
-    # second sigmoid buffer would reach 29 MiB.
+    # 32: one (32, 64, 16, 16) activation is 4 MiB. A main-loop step gathers
+    # its batch channel-major, which makes it conv1x1's GEMM operand, and
+    # its tape holds that batch and sigmoid's output but not conv1x1's
+    # output; with their gradients and the distance maps the step peaks
+    # near 17 MiB, in its backward. Each projection peaks near 19 MiB: its
+    # 12.5 MiB processed split beside one 16-sample processing batch and
+    # the 1.6 MiB distance rows. The split is freed once the calibration
+    # maps (2 x 1.6 MiB) are built, before the epoch's validation pass. So
+    # the peak stays below 22 MiB; a backward that also kept the batch, a
+    # full-size P^T g product and a second sigmoid buffer would reach 29 MiB.
     rng = np.random.default_rng(0)
     samples = [types.SimpleNamespace(sample_id=i, density_gt=rng.uniform(size=(16, 16)) / 256,
                                      annotation=[None] * int(rng.integers(0, 20)))
