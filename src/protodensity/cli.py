@@ -19,9 +19,9 @@ from .evaluate import mae, plan_grid, run_ablation, sweep_k, sweep_tau, write_ev
 from .interp import explain_location, export_prototype_gallery, write_explanation_csv
 from .losses import (LossConfig, density_loss, diversity_loss,
                      proto_feature_loss, total_loss)
-from .model import (CountModel, load_checkpoint, load_extractor, save_extractor,
-                    similarity_from_distance)
-from .tensor import (Tensor, conv1x1, distance_map, gradcheck_rel_error,
+from .model import (EXTRACTOR_MANIFEST, CountModel, load_checkpoint, load_extractor,
+                    save_extractor, similarity_from_distance)
+from .tensor import (Tensor, clear_outputs, conv1x1, distance_map, gradcheck_rel_error,
                      sigmoid, tsum, write_csv)
 from .training import pretrain_extractor, train
 
@@ -75,6 +75,7 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     config = build_run_config(args.config, args.set or ())
     dataset = load_dataset(args.data)
+    clear_outputs(args.out, EXTRACTOR_MANIFEST, "pretrain_history.csv")
     write_resolved_config(config, args.out, dict(command="pretrain", data=args.data))
     extractor, history = pretrain_extractor(dataset, config.train)
     save_extractor(extractor, args.out)

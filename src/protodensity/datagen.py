@@ -18,9 +18,9 @@ from functools import partial
 import numpy as np
 
 from .model import DOWNSAMPLE
-from .tensor import (bounded, check_bounds, load_tensor, parse_key_values,
-                     parse_value, read_csv, read_text, require, save_tensor,
-                     write_csv, write_key_values)
+from .tensor import (bounded, check_bounds, clear_outputs, load_tensor,
+                     parse_key_values, parse_value, read_csv, read_text, require,
+                     save_tensor, write_csv, write_key_values)
 
 SIGMA = 1.0  # ground-truth kernel width, in feature-grid cells
 
@@ -235,11 +235,10 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
     if n_train < 0 or n_test < 0:
         raise ValueError(f"generate_dataset: sample counts must be >= 0, got "
                          f"n_train={n_train}, n_test={n_test}")
+    clear_outputs(out_dir, MANIFEST_NAME)
     samples_dir = os.path.join(out_dir, "samples")
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     os.makedirs(samples_dir, exist_ok=True)
-    if os.path.lexists(manifest_path):
-        os.remove(manifest_path)
 
     rows = []
     for i in range(n_train + n_test):

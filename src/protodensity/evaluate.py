@@ -20,7 +20,7 @@ from .interp import (GroupDistanceStats, global_top_patches,
                      intra_group_distances, patch_peak,
                      export_prototype_gallery)
 from .model import CountModel, FeatureExtractor, ModelConfig
-from .tensor import write_csv, write_key_values
+from .tensor import clear_outputs, write_csv, write_key_values
 from .training import TrainConfig, compute_features, train
 
 EVAL_CSV_HEADER = ("sample_id", "true_count", "predicted_count", "abs_error")
@@ -205,6 +205,8 @@ def run_ablation(dataset: Dataset, config: TrainConfig, variants=VARIANTS, *,
     groups' min and mean pairwise distances over seeds.
     """
     runs = plan_grid(run_ablation, config, variants, seeds, model_config)
+    if out_dir:
+        clear_outputs(out_dir, "ablation.csv", "distance_table.txt")
     reports = []
     for (variant, seed), model, test_mae, features in _train_grid(
             dataset, runs, extractor, feature_cache):
@@ -214,7 +216,6 @@ def run_ablation(dataset: Dataset, config: TrainConfig, variants=VARIANTS, *,
         reports.append(AblationReport(variant, seed, test_mae, stats, cell_rate,
                                       bg_rate, dataset.manifest_hash))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         write_ablation_csv(reports, os.path.join(out_dir, "ablation.csv"))
         with open(os.path.join(out_dir, "distance_table.txt"), "w") as f:
             f.write(format_distance_table(reports))
@@ -256,6 +257,8 @@ def sweep_k(dataset: Dataset, config: TrainConfig, k_values, *,
     """Train one model per total prototype count K per seed, ``model_config``
     with K split equally, and report test MAE rows (K, seed, MAE)."""
     runs = plan_grid(sweep_k, config, k_values, seeds, model_config)
+    if out_dir:
+        clear_outputs(out_dir, "sweep_k.csv")
     rows = [(k, seed, test_mae) for (k, seed), _, test_mae, _ in _train_grid(
         dataset, runs, extractor, feature_cache)]
     _write_sweep_csv(out_dir, "sweep_k.csv", SWEEP_K_CSV_HEADER, rows)
@@ -270,6 +273,8 @@ def sweep_tau(dataset: Dataset, config: TrainConfig, tau_values, *,
     """Retrain per diversity threshold tau and emit a patch gallery per run
     for qualitative comparison, plus MAE rows (tau, seed, MAE)."""
     runs = plan_grid(sweep_tau, config, tau_values, seeds, model_config)
+    if out_dir:
+        clear_outputs(out_dir, "sweep_tau.csv", "tau_*_seed*/patches.csv")
     rows = []
     for (tau, seed), model, test_mae, features in _train_grid(
             dataset, runs, extractor, feature_cache):
@@ -289,5 +294,4 @@ _GRID_RUNS = {run_ablation: _ablation_runs, sweep_k: _sweep_k_runs,
 def _write_sweep_csv(out_dir, name: str, header, rows) -> None:
     """One (value, seed, MAE) row per sweep run, if ``out_dir`` is given."""
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, name), header, rows)

@@ -12,7 +12,6 @@ dataset stores it.
 
 from __future__ import annotations
 
-import glob
 import math
 import os
 from dataclasses import dataclass
@@ -129,10 +128,12 @@ def global_top_patches(samples, sims, k: int = 3,
                        q: float = 99) -> list[list[PatchBox]]:
     """Per-prototype top-k patches over ``samples``, ranked from their
     similarity maps ``sims`` (N, K, Hf, Wf), one patch per image per
-    prototype: the tight box, scaled by ``DOWNSAMPLE``, of the first
-    8-connected component of the map's q-th percentile mask that holds the
-    map's maximum, scored by that maximum. For a projected model's training
-    split the top patch shows the prototype's own source neighborhood."""
+    prototype: the images are ranked by their map's maximum, the first image
+    first on ties, and only the top k are labeled. A patch is the tight box,
+    scaled by ``DOWNSAMPLE``, of the first 8-connected component of the
+    map's q-th percentile mask that holds the map's maximum, scored by that
+    maximum. For a projected model's training split the top patch shows the
+    prototype's own source neighborhood."""
     if k < 1:
         raise ValueError(f"global_top_patches: k must be >= 1, got {k}")
     if not np.isfinite(sims).all():
@@ -140,21 +141,20 @@ def global_top_patches(samples, sims, k: int = 3,
         raise ValueError(f"global_top_patches: similarity map of prototype {proto} "
                          f"on sample {samples[n].sample_id} is not finite")
     s = DOWNSAMPLE
+    peaks = sims.max(axis=(2, 3))
     result: list[list[PatchBox]] = []
     for proto in range(sims.shape[1]):
-        best_per_image = []
-        for n, sample in enumerate(samples):
-            sim = sims[n, proto]
-            peak = sim.max()
+        boxes = []
+        for n in np.argsort(-peaks[:, proto], kind="stable")[:k]:
+            sim, peak = sims[n, proto], peaks[n, proto]
             labels, _ = connected_components(percentile_threshold(sim, q))
             where = labels == labels[sim == peak].min()
             rows = np.flatnonzero(where.any(axis=1))
             cols = np.flatnonzero(where.any(axis=0))
-            best_per_image.append(PatchBox(
-                sample.sample_id, proto, s * int(cols[0]), s * int(rows[0]),
+            boxes.append(PatchBox(
+                samples[n].sample_id, proto, s * int(cols[0]), s * int(rows[0]),
                 s * (int(cols[-1]) + 1) - 1, s * (int(rows[-1]) + 1) - 1, float(peak)))
-        best_per_image.sort(key=lambda b: -b.score)
-        result.append(best_per_image[:k])
+        result.append(boxes)
     return result
 
 
@@ -263,20 +263,18 @@ def render_boxes_pgm(image, boxes, path) -> None:
 
 def export_prototype_gallery(model: CountModel, dataset, out_dir, k: int = 3,
                              q: float = 99, features=None) -> list[list[PatchBox]]:
-    """Write the top-k patch gallery: patches.csv, per-patch PGM previews, and
-    the top-1 similarity map and mask per prototype as binary tensors. The
-    training split is forwarded once; every patch and map comes from that
-    one similarity stack. Once its patches are found, the previews (with
-    their scale sidecars) and maps an earlier gallery left in ``out_dir`` are
-    removed, so a gallery that fails leaves the earlier one whole."""
+    """Write the top-k patch gallery: per-patch PGM previews, the top-1
+    similarity map and mask per prototype as binary tensors, and last their
+    index, patches.csv. The training split is forwarded once; every patch and
+    map comes from that one similarity stack. Once its patches are found,
+    what an earlier gallery left in ``out_dir`` is removed, patches.csv
+    first, so a gallery that fails its checks leaves the earlier one whole
+    and one cut short leaves no index."""
     samples = dataset.train
     _, sims = model.predict(samples, features)
     patches = global_top_patches(samples, sims, k=k, q=q)
-    os.makedirs(out_dir, exist_ok=True)
-    for pattern in ("proto*_rank*_img*.pgm*", "proto*_sim.pdt", "proto*_mask.pdt"):
-        for stale in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
-            os.remove(stale)
-    write_patches_csv(patches, os.path.join(out_dir, "patches.csv"))
+    T.clear_outputs(out_dir, "patches.csv", "proto*_rank*_img*.pgm*", "proto*_sim.pdt",
+                    "proto*_mask.pdt")
     index = {s.sample_id: n for n, s in enumerate(samples)}
     for proto, boxes in enumerate(patches):
         for rank, box in enumerate(boxes, start=1):
@@ -288,4 +286,5 @@ def export_prototype_gallery(model: CountModel, dataset, out_dir, k: int = 3,
         mask = percentile_threshold(sim, q)
         T.save_tensor(os.path.join(out_dir, f"proto{proto:02d}_mask.pdt"),
                       mask.astype(np.float64))
+    write_patches_csv(patches, os.path.join(out_dir, "patches.csv"))
     return patches

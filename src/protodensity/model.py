@@ -238,15 +238,12 @@ def _save_dir(ckpt_dir: str, manifest: str, fields: dict, params,
               tables=()) -> None:
     """Write every parameter, then each ``(name, header, rows)`` table, then
     the manifest."""
-    os.makedirs(ckpt_dir, exist_ok=True)
-    manifest_path = os.path.join(ckpt_dir, manifest)
-    if os.path.lexists(manifest_path):
-        os.remove(manifest_path)
+    T.clear_outputs(ckpt_dir, manifest)
     for p in params:
         T.save_tensor(os.path.join(ckpt_dir, f"{p.name}.pdt"), p.data)
     for name, header, rows in tables:
         T.write_csv(os.path.join(ckpt_dir, name), header, rows)
-    T.write_key_values(manifest_path, fields)
+    T.write_key_values(os.path.join(ckpt_dir, manifest), fields)
 
 
 def _read_manifest(ckpt_dir: str, name: str, fmt: str) -> tuple[str, dict]:

@@ -38,9 +38,10 @@ one run a sample at a time into the feature gradient. A central
 finite-difference oracle (`finite_diff_grad`) verifies every analytic
 gradient.
 
-The module also holds the package's file formats: PDTF tensors, and the one
+The module also holds the package's file formats: PDTF tensors, the one
 ``key = value`` writer and reader and the one CSV writer and reader behind
-every manifest, config and table.
+every manifest, config and table, and ``clear_outputs``, the one place that
+removes what an earlier run left in an output directory.
 
 Shapes are strict: elementwise ops require equal shapes, and the only
 implicit broadcasting is a constant scalar (a 0-d operand that needs no
@@ -51,6 +52,7 @@ gradient) beside a tensor. The spatial ops take B x C x H x W only, and
 from __future__ import annotations
 
 import csv
+import glob
 import os
 import struct
 from dataclasses import field, fields
@@ -967,6 +969,15 @@ def write_key_values(path, fields, tail=()) -> None:
     with open(tmp, "w") as f:
         f.write("".join(f"{line}\n" for line in lines))
     os.replace(tmp, path)
+
+
+def clear_outputs(out_dir, *patterns) -> None:
+    """Make ``out_dir`` and remove each file in it that a glob pattern
+    matches, a dangling symlink too; a directory raises IsADirectoryError."""
+    os.makedirs(out_dir, exist_ok=True)
+    for pattern in patterns:
+        for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            os.remove(path)
 
 
 def write_csv(path, header, rows) -> None:

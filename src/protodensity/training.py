@@ -19,7 +19,6 @@ losses and theta's gradient equal those of a full forward bit for bit.
 
 from __future__ import annotations
 
-import glob
 import os
 from dataclasses import astuple, dataclass, field, replace
 
@@ -41,8 +40,9 @@ _NO_DECAY = ("prototypes",)
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss goes non-finite; parameters are rolled back to the
-    last finished epoch before raising."""
+    """Raised when a loss goes non-finite. ``train`` first rolls its parameters
+    back to the last finished epoch; pretraining, whose extractor is never
+    returned, has nothing to roll back."""
 
 
 @dataclass(frozen=True)
@@ -312,15 +312,9 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
     best_mae = np.inf
     stale = 0
     last_good = _snapshot(params)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        # what an earlier run left here must not pass as this run's: its
-        # checkpoints stop loading and its history CSVs go
-        root = glob.escape(out_dir)
-        for stale_file in [*glob.glob(os.path.join(root, "checkpoint_*", CHECKPOINT_MANIFEST)),
-                           *glob.glob(os.path.join(root, "history.csv")),
-                           *glob.glob(os.path.join(root, "projections.csv"))]:
-            os.remove(stale_file)
+    if out_dir:  # an earlier run's checkpoints stop loading, its history CSVs go
+        T.clear_outputs(out_dir, f"checkpoint_*/{CHECKPOINT_MANIFEST}", "history.csv",
+                        "projections.csv")
 
     def run_epoch(update_params: dict, label: str, forward) -> LossReport:
         # ``forward(idx)`` gives the batch's density, distance maps and

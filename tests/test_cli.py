@@ -813,6 +813,32 @@ def test_diverged_rerun_leaves_no_stale_history(tmp_path, cfg_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, flags, diverging, results", [
+    ("pretrain", [], "train.pretrain_learning_rate=1e200",
+     ["extractor.txt", "pretrain_history.csv"]),
+    ("ablate", ["--variants", "full", "--seeds", "0"], "train.learning_rate=1e300",
+     ["ablation.csv", "distance_table.txt"]),
+    ("sweep-k", ["--k", "2", "--seeds", "0"], "train.learning_rate=1e300", ["sweep_k.csv"]),
+    ("sweep-tau", ["--tau", "0", "--seeds", "0"], "train.learning_rate=1e300",
+     ["sweep_tau.csv", "tau_0_seed0/patches.csv"]),
+])
+def test_failed_rerun_leaves_none_of_the_earlier_results(tmp_path, cfg_path, capsys, command,
+                                                         flags, diverging, results):
+    data, extractor, out = (str(tmp_path / d) for d in ("data", "ex", "out"))
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "4", "--n-test", "1"]) == 0
+    assert main(["pretrain", "--config", cfg_path, "--data", data, "--out", extractor]) == 0
+    argv = [command, "--config", cfg_path, "--data", data, "--out", out, *flags,
+            *([] if command == "pretrain" else ["--extractor", extractor])]
+    assert main(argv) == 0
+    assert all(os.path.isfile(os.path.join(out, name)) for name in results)
+    capsys.readouterr()
+    assert main([*argv, "--set", diverging]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert [name for name in results if os.path.lexists(os.path.join(out, name))] == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_runtime(tmp_path, cfg_path, capsys):
     data = str(tmp_path / "data")
     assert main(["gen-data", "--config", cfg_path, "--out", data,

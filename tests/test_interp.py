@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from protodensity import interp
 from protodensity.datagen import SceneConfig, render_scene
 from protodensity.evaluate import localization_rates
 from protodensity.interp import (EXPLANATION_CSV_HEADER, PATCH_CSV_HEADER,
@@ -291,6 +292,24 @@ def test_global_top_patches_k_capped_by_images(interp_model, tiny_dataset,
     assert all(len(boxes) == len(tiny_dataset.train) for boxes in patches)
     with pytest.raises(ValueError, match="k must be"):
         global_top_patches(tiny_dataset.train, sims, k=0)
+
+
+def test_global_top_patches_labels_only_the_kept_images(interp_model, tiny_dataset,
+                                                        tiny_features, monkeypatch, rng):
+    # the top k are labeled, never the images they outrank: one connected
+    # components call per kept patch
+    calls = []
+    monkeypatch.setattr(interp, "connected_components",
+                        lambda mask: calls.append(1) or connected_components(mask))
+    _, sims = interp_model.predict(tiny_dataset.train, tiny_features)
+    patches = global_top_patches(tiny_dataset.train, sims, k=2)
+    assert len(calls) == 2 * sims.shape[1] == 8 and len(sims) == 8
+    assert patches == [boxes[:2] for boxes in global_top_patches(tiny_dataset.train, sims, k=8)]
+    # on few distinct values images tie at their maxima, and the first wins
+    maps = rng.integers(0, 4, size=(6, 3, 4, 5)) / 3.0
+    for proto, boxes in enumerate(_top_boxes(maps, q=75, k=3)):
+        every = [all_boxes_oracle(maps[n, proto], 75, n, proto)[0] for n in range(6)]
+        assert boxes == sorted(every, key=lambda b: -b.score)[:3]
 
 
 # -- per-location explanations ------------------------------------------------
@@ -575,6 +594,28 @@ def test_gallery_and_localization_forward_the_split_once(interp_model, tiny_data
     calls.update(extract_features=0, predict=0)
     localization_rates(interp_model, tiny_dataset, tiny_features)
     assert calls == {"extract_features": 0, "predict": 1}
+
+
+def test_interrupted_gallery_leaves_no_index(interp_model, tiny_dataset, tiny_features,
+                                             tmp_path, monkeypatch):
+    # a rerun cut short at its second preview must not leave the earlier
+    # patches.csv listing previews that are gone
+    out = tmp_path / "gallery"
+    export_prototype_gallery(interp_model, tiny_dataset, str(out), k=2, features=tiny_features)
+    assert (out / "patches.csv").is_file()
+    rendered = []
+
+    def failing_render(image, boxes, path):
+        if len(rendered) == 1:
+            raise OSError("disk full")
+        rendered.append(path)
+        render_boxes_pgm(image, boxes, path)
+
+    monkeypatch.setattr(interp, "render_boxes_pgm", failing_render)
+    with pytest.raises(OSError, match="disk full"):
+        export_prototype_gallery(interp_model, tiny_dataset, str(out), k=2,
+                                 features=tiny_features)
+    assert not (out / "patches.csv").exists()
 
 
 def test_gallery_rerun_leaves_only_its_own_files(interp_model, tiny_dataset,

@@ -1,6 +1,8 @@
 """Tensor kernel tests: op values against small hand/numpy oracles and every
 gradient against central finite differences."""
 
+import ast
+import pathlib
 import re
 import struct
 import tracemalloc
@@ -1065,3 +1067,42 @@ def test_pdtf_rejects_bad_files(tmp_path):
         T.save_tensor(tmp_path / "nonfinite.pdt", [1.0, value])
         with pytest.raises(ValueError, match="nonfinite.pdt: PDTF tensor holds NaN or inf"):
             T.load_tensor(tmp_path / "nonfinite.pdt")
+
+
+# -- clearing an output directory ----------------------------------------------
+
+
+def test_clear_outputs_removes_only_what_its_patterns_match(tmp_path):
+    out = tmp_path / "run[1]"   # glob magic in the directory itself is literal
+    T.clear_outputs(out, "a.csv")
+    assert out.is_dir()
+    for name in ("a.csv", "b_1.pdt", "b_2.pdt", "keep.txt"):
+        (out / name).write_text("old\n")
+    (out / "sub").mkdir()
+    (out / "sub" / "a.csv").write_text("old\n")
+    (out / "dangling.txt").symlink_to(tmp_path / "gone")
+    T.clear_outputs(out, "a.csv", "b_*.pdt", "sub/a.csv", "dangling.txt", "absent.csv")
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "sub"]
+    assert list((out / "sub").iterdir()) == []
+    (out / "a.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        T.clear_outputs(out, "a.csv")
+
+
+def test_only_clear_outputs_removes_files():
+    # one rule for what a rerun clears: no module beside tensor.py removes
+    # files or globs for them on its own
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "protodensity"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Import) and any(a.name == "glob" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "glob"):
+                found.append(f"{path.name}:{node.lineno}: imports glob")
+            if (isinstance(node, ast.Attribute) and node.attr in ("remove", "unlink")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.name}:{node.lineno}: calls os.{node.attr}")
+    assert len(list(package.glob("*.py"))) > 5
+    assert found == []
