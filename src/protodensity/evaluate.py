@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, field, replace
 import numpy as np
 
 from .datagen import Dataset
-from .interp import (GroupDistanceStats, global_top_patches,
+from .interp import (GALLERY_FILES, GroupDistanceStats, global_top_patches,
                      intra_group_distances, patch_peak,
                      export_prototype_gallery)
 from .model import CountModel, FeatureExtractor, ModelConfig
@@ -274,7 +274,7 @@ def sweep_tau(dataset: Dataset, config: TrainConfig, tau_values, *,
     for qualitative comparison, plus MAE rows (tau, seed, MAE)."""
     runs = plan_grid(sweep_tau, config, tau_values, seeds, model_config)
     if out_dir:
-        clear_outputs(out_dir, "sweep_tau.csv", "tau_*_seed*/patches.csv")
+        clear_outputs(out_dir, "sweep_tau.csv", *(f"tau_*_seed*/{name}" for name in GALLERY_FILES))
     rows = []
     for (tau, seed), model, test_mae, features in _train_grid(
             dataset, runs, extractor, feature_cache):

@@ -26,6 +26,8 @@ from .tensor import Tensor, no_grad
 PATCH_CSV_HEADER = ("prototype_id", "image_id", "x0", "y0", "x1", "y1", "score")
 EXPLANATION_CSV_HEADER = ("h", "w", "prototype_id", "theta", "similarity",
                           "contribution")
+# every file a gallery writes, its index first
+GALLERY_FILES = ("patches.csv", "proto*_rank*_img*.pgm*", "proto*_sim.pdt", "proto*_mask.pdt")
 
 
 # -- domain types --------------------------------------------------------------
@@ -273,8 +275,7 @@ def export_prototype_gallery(model: CountModel, dataset, out_dir, k: int = 3,
     samples = dataset.train
     _, sims = model.predict(samples, features)
     patches = global_top_patches(samples, sims, k=k, q=q)
-    T.clear_outputs(out_dir, "patches.csv", "proto*_rank*_img*.pgm*", "proto*_sim.pdt",
-                    "proto*_mask.pdt")
+    T.clear_outputs(out_dir, *GALLERY_FILES)
     index = {s.sample_id: n for n, s in enumerate(samples)}
     for proto, boxes in enumerate(patches):
         for rank, box in enumerate(boxes, start=1):

@@ -21,7 +21,7 @@ is a module function (``T.add``, ``T.mul``, ...): a Tensor has no arithmetic
 operators, only ``t[idx]`` for ``getitem`` and ``float(t)`` for a
 one-element value.
 
-The 3x3 convolution and the 2x2 max pool make every pass over a
+The 3x3 convolution, the 2x2 max pool and the sigmoid make every pass over a
 (B, C, H, W) activation one sample at a time, while that sample's slice sits
 in cache. In the convolution, nine shifted, cropped slices of the input fill
 one zero-bordered, sample-sized (C*9, H*W) im2col buffer, so its forward and
@@ -29,14 +29,13 @@ backward GEMMs run on NCHW data with no transposed copy, and neither a padded
 copy nor a batch-sized im2col matrix exists; the bias is added, and its
 gradient summed, per sample. Max pooling compares the four strided window
 corners; when its input needs a gradient, the forward also keeps a bool mask,
-one byte per input element, of each window's first maximum in row-major
-window order, and the backward routes the gradient by that mask alone. The
-distance map's forward is one reduce over a (d,K,B,H,W) buffer of at most
-1 MiB, else (or for one (K,B,H,W) element, which numpy sums pairwise) a
-channel loop, both in channel order; its backward is two GEMMs, the feature
-one run a sample at a time into the feature gradient. A central
-finite-difference oracle (`finite_diff_grad`) verifies every analytic
-gradient.
+one byte per input element, of each window's first maximum in row-major window
+order, and the backward routes the gradient by that mask alone. The distance
+map's forward is one reduce over a (d,K,B,H,W) buffer of at most 1 MiB, else
+(or for one (K,B,H,W) element, which numpy sums pairwise) a channel loop, both
+in channel order; its backward is two GEMMs, the feature one run a sample at a
+time into the feature gradient. A central finite-difference oracle
+(`finite_diff_grad`) verifies every analytic gradient.
 
 The module also holds the package's file formats: PDTF tensors, the one
 ``key = value`` writer and reader and the one CSV writer and reader behind
@@ -386,24 +385,31 @@ def log(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     """Elementwise 1/(1+exp(-x)), computed branch-wise so neither tail
-    overflows: with ex = exp(-|x|), 1/(1+ex) for x >= 0 and ex/(1+ex) below."""
+    overflows: with ex = exp(-|x|), 1/(1+ex) for x >= 0 and ex/(1+ex) below.
+    Both passes run one sample (a slice along the first axis; a 1-d input is
+    one) at a time through sample-sized buffers, into an ``np.empty_like``
+    output, and the backward computes (g * s) * (1 - s) inside out.grad."""
     a = _coerce(a)
     x = a.data
-    ex = np.abs(x)
-    np.negative(ex, out=ex)
-    np.exp(ex, out=ex)
-    # maximum(1.0, ex) is 1.0 and maximum(0.0, ex) is ex, since 0 <= ex <= 1;
-    # a NaN still propagates
-    out_data = np.maximum(x >= 0, ex)
-    ex += 1.0
-    out_data /= ex
+    out_data = np.empty_like(x)
+    xs, outs = (x, out_data) if x.ndim > 1 else (x.reshape(1, -1), out_data.reshape(1, -1))
+    ex = np.empty(xs.shape[1:])
+    for x_n, s_n in zip(xs, outs):
+        np.abs(x_n, out=ex)
+        np.negative(ex, out=ex)
+        np.exp(ex, out=ex)
+        # maximum(1.0, ex) is 1.0 and maximum(0.0, ex) is ex, since
+        # 0 <= ex <= 1; a NaN still propagates
+        np.maximum(x_n >= 0, ex, out=s_n)
+        ex += 1.0
+        s_n /= ex
 
     def backward(out, a):
-        # (g * s) * (1 - s) inside the out.grad this node owns
-        g = out.grad
-        g *= out_data
-        g *= 1.0 - out_data
-        _accum_own(a, g)
+        one_minus = np.empty(outs.shape[1:])
+        for g_n, s_n in zip(out.grad.reshape(outs.shape), outs):
+            g_n *= s_n
+            g_n *= np.subtract(1.0, s_n, out=one_minus)
+        _accum_own(a, out.grad)
 
     return _make(out_data, (a,), backward)
 

@@ -5,16 +5,14 @@ decay, and prototype projection.
 The extractor is frozen before the main loop, so its feature maps are
 computed once per run and cached; every epoch then touches only the
 processing layer, prototypes, and head. Projection replaces each prototype
-with the nearest processed feature vector across the training split and
-records where it came from.
+with the nearest processed feature vector across the training split, which
+it processes and searches batch by batch, and records where it came from.
 
 After the final projection only the head's theta moves, so the similarity
-and distance maps of the training split are fixed. They are built right after
-each projection (when calibration is on) from the processed split it
-returned, which is then dropped before that epoch's validation pass; a later
-epoch makes them stale, so only the final projection's maps survive, and
-every calibration step and validation pass runs the head alone on them. The
-losses and theta's gradient equal those of a full forward bit for bit.
+and distance maps of the training split are fixed. They are built once after
+it (when calibration is on), from the feature cache 16 samples at a time,
+and every calibration step and validation pass runs the head alone on them.
+The losses and theta's gradient equal those of a full forward bit for bit.
 """
 
 from __future__ import annotations
@@ -209,13 +207,14 @@ def pretrain_extractor(dataset, config: TrainConfig) -> tuple[FeatureExtractor, 
 
 
 def project_prototypes(model: CountModel, dataset,
-                       features) -> tuple[list[PrototypeProvenance], np.ndarray]:
+                       features) -> list[PrototypeProvenance]:
     """Replace every prototype with its nearest processed feature vector over
     the training split (first index on ties), record the source image,
     location, and pre-projection squared distance in ``model.provenance``,
-    and return them with the processed split (N, d, Hf, Wf): one array,
-    filled 16 samples at a time and searched 4 at a time, so no other
-    split-sized buffer is built. ``features`` is the split's extractor output."""
+    and return those records. ``features`` is the split's extractor output,
+    processed 16 samples at a time and searched 4 at a time; each prototype
+    keeps a running minimum that a later batch beats only when strictly
+    smaller, so no split-sized buffer is built."""
     samples = dataset.train
     if not samples:
         raise ValueError("project_prototypes: training split is empty")
@@ -223,28 +222,33 @@ def project_prototypes(model: CountModel, dataset,
     if features.shape[0] != n:
         raise ValueError(f"project_prototypes: features hold {features.shape[0]} maps "
                          f"for {n} samples")
-    processed = np.empty((n, model.config.d, *features.shape[2:]))
-    rows = (processed[s:s + 16] for s in range(0, n, 16))
-    forward_batches(model.process_features, features,
-                    lambda out: np.copyto(next(rows), out.data), 16)
-    _, d, hf, wf = processed.shape
     proto = model.prototypes
-    dist = np.empty((proto.shape[0], n * hf * wf))
-    for s in range(0, n, 4):
-        vectors = np.ascontiguousarray(processed[s:s + 4].transpose(0, 2, 3, 1)).reshape(-1, d)
-        diff = np.empty_like(vectors)
-        for i, p in enumerate(proto.data):
-            np.subtract(vectors, p, out=diff)
-            np.einsum("nd,nd->n", diff, diff, out=dist[i, s * hf * wf:(s + 4) * hf * wf])
-    records = []
-    for i, j in enumerate(np.argmin(dist, axis=1)):
-        sid, rem = divmod(int(j), hf * wf)
-        h, w = divmod(rem, wf)
-        proto.data[i] = processed[sid, :, h, w]
-        rec = PrototypeProvenance(i, samples[sid].sample_id, h, w, float(dist[i, j]))
-        model.provenance[i] = rec
-        records.append(rec)
-    return records, processed
+    k, d = proto.shape
+    hf, wf = features.shape[2:]
+    best, nearest, records = np.full(k, np.inf), np.empty((k, d)), [None] * k
+
+    def search(s, batch):
+        # the processed samples s, s+1, ..., searched 4 at a time
+        dist = np.empty((k, batch.shape[0] * hf * wf))
+        for b in range(0, batch.shape[0], 4):
+            vectors = np.ascontiguousarray(batch[b:b + 4].transpose(0, 2, 3, 1)).reshape(-1, d)
+            diff = np.empty_like(vectors)
+            for i, p in enumerate(proto.data):
+                np.subtract(vectors, p, out=diff)
+                np.einsum("nd,nd->n", diff, diff, out=dist[i, b * hf * wf:(b + 4) * hf * wf])
+        for i, j in enumerate(np.argmin(dist, axis=1)):
+            if dist[i, j] < best[i]:  # strictly nearer: a tie keeps the first index
+                sid, h, w = map(int, np.unravel_index(j, (len(batch), hf, wf)))
+                best[i], nearest[i] = dist[i, j], batch[sid, :, h, w]
+                records[i] = PrototypeProvenance(i, samples[s + sid].sample_id, h, w,
+                                                 float(best[i]))
+
+    starts = iter(range(0, n, 16))
+    forward_batches(model.process_features, features,
+                    lambda out: search(next(starts), out.data), 16)
+    proto.data[...] = nearest
+    model.provenance[:] = records
+    return records
 
 
 # -- main loop ----------------------------------------------------------------
@@ -259,16 +263,22 @@ def _restore(params: dict, snap: dict) -> None:
         p.data = snap[name].copy()
 
 
-def _fixed_maps_forward(model: CountModel, processed: np.ndarray):
+def _fixed_maps_forward(model: CountModel, features: np.ndarray):
     """``forward(idx)`` giving the density and distance maps of samples
-    ``idx`` from the split's similarity and distance maps, computed here once
-    from its ``processed`` features, and the prototypes as a constant: valid
-    while only the head moves, and a loss over them reaches theta alone."""
+    ``idx`` from the split's similarity and distance maps, built here once
+    from its extractor ``features``, 16 samples at a time (``distance_map``
+    sums in channel order whatever the batch), and the prototypes as a
+    constant: valid while only the head moves, and a loss over them reaches
+    theta alone."""
     prototypes = Tensor(model.prototypes.data)
-    with T.no_grad():
-        dists = T.distance_map(Tensor(processed), prototypes)
-        sims = similarity_from_distance(dists, model.config.epsilon).data
-    return lambda idx: (model.predict_density(Tensor(sims[idx])), Tensor(dists.data[idx]),
+
+    def maps(processed):
+        dists = T.distance_map(processed, prototypes)
+        return dists.data, similarity_from_distance(dists, model.config.epsilon).data
+
+    dists, sims = map(np.concatenate,
+                      zip(*forward_batches(model.process_features, features, maps, 16)))
+    return lambda idx: (model.predict_density(Tensor(sims[idx])), Tensor(dists[idx]),
                         prototypes)
 
 
@@ -346,31 +356,26 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
                 for b0 in range(0, val_idx.size, config.batch_size)])
         return float(np.abs(pred - counts[val_idx]).mean())
 
-    # a batch is gathered channel-major, the layout of conv1x1's GEMM
-    # operand, so the gathered batch is that operand and is not copied again
-    channel_major = features.transpose(1, 0, 2, 3)
-
     def fit_forward(idx):
-        batch = np.take(channel_major, idx, axis=1).transpose(1, 0, 2, 3)
+        # a batch is stacked channel-major, the layout of conv1x1's GEMM
+        # operand, so the gathered batch is that operand and is not copied
+        # again; np.take would first copy the whole cache to C order
+        batch = np.stack([features[i] for i in idx], axis=1).transpose(1, 0, 2, 3)
         out = model.forward_from_features(Tensor(batch))
         return out.density, out.distances, model.prototypes
 
     def project(epoch):
-        # the calibration maps are built from the processed split right
-        # here, so that the split is freed before the epoch's validation pass
-        records, processed = project_prototypes(model, dataset, features)
-        history.projections.append(ProjectionEvent(epoch, records))
-        return _fixed_maps_forward(model, processed) if config.calibration_epochs else None
+        history.projections.append(
+            ProjectionEvent(epoch, project_prototypes(model, dataset, features)))
 
     epoch = 0
     projected = False
     for epoch in range(1, config.max_epochs + 1):
-        calibration_forward = None  # stale once the processing layer moves
         history.reports.append(run_epoch(params, f"epoch {epoch}", fit_forward))
 
         projected = epoch % config.projection_interval == 0
         if projected:
-            calibration_forward = project(epoch)
+            project(epoch)
             if out_dir:
                 save_checkpoint(model, os.path.join(out_dir, f"checkpoint_epoch{epoch:04d}"))
 
@@ -387,14 +392,16 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
                 break
 
     if not projected:
-        calibration_forward = project(epoch)
+        project(epoch)
 
     # the projection just snapped prototypes onto real feature vectors, which
     # reshapes the similarity peaks; re-fit the head weights against the
     # projected prototypes. Only theta moves, so the prototypes stay exactly
     # projected in the shipped model, and the distance and similarity maps
-    # are fixed: every calibration step runs on theta * S over the maps the
-    # final projection built
+    # are fixed: they are built once, here, and every calibration step runs
+    # on theta * S over them
+    calibration_forward = (_fixed_maps_forward(model, features)
+                           if config.calibration_epochs else None)
     theta = model.theta
     theta_params = {theta.name: theta}
     for i in range(config.calibration_epochs):

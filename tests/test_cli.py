@@ -838,6 +838,18 @@ def test_failed_rerun_leaves_none_of_the_earlier_results(tmp_path, cfg_path, cap
     assert [name for name in results if os.path.lexists(os.path.join(out, name))] == []
 
 
+def test_sweep_tau_rerun_with_fewer_taus_leaves_no_dropped_gallery(tmp_path, cfg_path):
+    data, extractor = _data_and_extractor(tmp_path, cfg_path)
+    out = tmp_path / "out"
+    sweep = ["sweep-tau", "--config", cfg_path, "--data", data, "--extractor", extractor,
+             "--out", str(out), "--seeds", "0"]
+    assert main([*sweep, "--tau", "0,0.4"]) == 0
+    assert (out / "tau_0.4_seed0" / "patches.csv").is_file()
+    assert main([*sweep, "--tau", "0"]) == 0
+    assert (out / "tau_0_seed0" / "patches.csv").is_file()
+    assert list((out / "tau_0.4_seed0").iterdir()) == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_runtime(tmp_path, cfg_path, capsys):
     data = str(tmp_path / "data")

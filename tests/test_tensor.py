@@ -175,6 +175,49 @@ def test_sigmoid_equals_two_branch_formula_bitwise(rng):
     assert not np.signbit(xt.grad[xt.grad == 0.0]).any()
 
 
+def whole_array_sigmoid(x):
+    # the two-branch formula over the whole array at once: 1/(1+ex) for
+    # x >= 0 and ex/(1+ex) below, with ex = exp(-|x|)
+    ex = np.exp(-np.abs(x))
+    s = np.maximum(x >= 0, ex)
+    s /= ex + 1.0
+    return s
+
+
+SIGMOID_LAYOUTS = {
+    "channel-major-4d": lambda v: v.reshape(5, 4, 3, 6).transpose(1, 0, 2, 3),
+    "C-order-4d": lambda v: v.reshape(4, 5, 3, 6),
+    "2d": lambda v: v.reshape(8, 45),
+    "transposed-2d": lambda v: v.reshape(45, 8).T,
+    "1d": lambda v: v,
+    "strided-1d": lambda v: v[::2],
+}
+
+
+@pytest.mark.parametrize("layout", SIGMOID_LAYOUTS)
+def test_sigmoid_per_sample_keeps_bits_and_layout(layout, rng):
+    # one sample at a time, forward and backward give the whole-array
+    # formula's bytes, NaN, infinities and signed zeros included, in the
+    # layout np.empty_like gives the input
+    v = rng.normal(size=360) * 40
+    v[rng.permutation(360)[:9]] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 800.0, -800.0,
+                                   3000.0, -3000.0]
+    x = Tensor(SIGMOID_LAYOUTS[layout](v), requires_grad=True)
+    s = T.sigmoid(x)
+    assert s.data.strides == np.empty_like(x.data).strides
+    assert np.array_equal(s.data.view(np.int64), whole_array_sigmoid(x.data).view(np.int64))
+
+    g = rng.normal(size=x.shape)
+    g[g > 1.2] = -0.0
+    T.tsum(T.mul(s, Tensor(g))).backward()
+    want = np.zeros_like(g) + g  # the mul's first accumulation makes -0.0 0.0
+    want *= s.data
+    want *= 1.0 - s.data
+    want += 0.0
+    assert x.grad.strides == np.empty_like(x.data).strides
+    assert np.array_equal(x.grad.view(np.int64), want.view(np.int64))
+
+
 # -- shape ops and indexing ----------------------------------------------------
 
 
@@ -935,23 +978,30 @@ def test_tape_keeps_only_what_backward_reads(rng):
     np.testing.assert_array_equal(b.grad, [100.0, 100.0])
 
     # sigmoid's backward computes (g * s) * (1 - s) inside the out.grad it
-    # owns: one (1 - s) temporary and no other full-size buffer
-    x = Tensor(rng.normal(size=2 ** 17), requires_grad=True)
-    s = T.sigmoid(x)
-    s.grad = rng.normal(size=x.shape)
-    g = s.grad
-    expected = g * s.data
-    expected *= 1.0 - s.data
-    expected += 0.0
-    tracemalloc.start()
-    try:
-        s._backward()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert x.grad is g
-    assert x.grad.tobytes() == expected.tobytes()
-    assert peak < 1.5 * g.nbytes, f"sigmoid backward peak {peak} B >= 1.5 buffers"
+    # owns, one sample at a time: one sample-sized (1 - s) temporary and no
+    # other buffer. A 1-d input is one sample, so it may take 1.5 buffers; a
+    # channel-major (32, 64, 16, 16) batch, as conv1x1 gives it, is 4 MiB,
+    # and its backward stays within 3 samples of 128 KiB
+    for data, buffers in ((rng.normal(size=2 ** 17), 1.5),
+                          (rng.normal(size=(64, 32, 16, 16)).transpose(1, 0, 2, 3), 3 / 32)):
+        x = Tensor(data, requires_grad=True)
+        s = T.sigmoid(x)
+        s.grad = s._node._empty()
+        s.grad[...] = rng.normal(size=x.shape)
+        g = s.grad
+        expected = g * s.data
+        expected *= 1.0 - s.data
+        expected += 0.0
+        tracemalloc.start()
+        try:
+            s._backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is g
+        assert np.array_equal(x.grad.view(np.int64), expected.view(np.int64))
+        assert peak < buffers * g.nbytes, \
+            f"sigmoid backward peak {peak} B >= {buffers} x {g.nbytes} B"
 
 
 def test_node_gradient_has_the_layout_empty_like_gives_the_output(rng):

@@ -221,16 +221,12 @@ def test_projection_records_provenance(tiny_dataset, tiny_extractor,
 def test_projection_returns_the_records_it_stores(tiny_dataset, tiny_extractor,
                                                   tiny_features):
     model = CountModel(SMALL_MODEL, tiny_extractor, seed=2)
-    records, processed = project_prototypes(model, tiny_dataset, tiny_features)
+    records = project_prototypes(model, tiny_dataset, tiny_features)
     assert len(records) == SMALL_MODEL.k_total
     assert all(rec is stored for rec, stored in zip(records, model.provenance))
     # the same model and features give the same records
     again = CountModel(SMALL_MODEL, tiny_extractor, seed=2)
-    assert project_prototypes(again, tiny_dataset, tiny_features)[0] == records
-    # and the processed split the search ran on, as one C-contiguous array
-    with T.no_grad():
-        reference = model.process_features(Tensor(tiny_features)).data
-    assert processed.flags.c_contiguous and np.array_equal(processed, reference)
+    assert project_prototypes(again, tiny_dataset, tiny_features) == records
 
 
 def whole_split_projection(model, features):
@@ -256,34 +252,44 @@ def random_split(n, seed):
     return types.SimpleNamespace(train=samples), rng.normal(size=(n, FEATURE_DIM, 4, 4))
 
 
-def two_identical_images(extractor):
+def identical_images(extractor, n=2):
     samples = [types.SimpleNamespace(image=np.full((1, 32, 32), 0.5), sample_id=i)
-               for i in range(2)]
+               for i in range(n)]
     return types.SimpleNamespace(train=samples), compute_features(extractor, samples)
 
 
-@pytest.mark.parametrize("case", ["tiny", "ties", "ragged"])
+@pytest.mark.parametrize("case", ["tiny", "ties", "cross-batch-ties", "ragged"])
 def test_projection_equals_whole_split_search(case, tiny_dataset, tiny_extractor,
                                               tiny_features):
     # the split is processed in batches of 16 and searched 4 samples at a
-    # time; the ragged case (37 samples) ends both loops on a partial batch
+    # time; the ragged case (37 samples) ends both loops on a partial batch.
+    # In the cross-batch case, 20 identical samples, every nearest vector
+    # repeats in the second batch, which must not win the tie
     dataset, features = {"tiny": lambda: (tiny_dataset, tiny_features),
-                         "ties": lambda: two_identical_images(tiny_extractor),
+                         "ties": lambda: identical_images(tiny_extractor),
+                         "cross-batch-ties": lambda: identical_images(tiny_extractor, 20),
                          "ragged": lambda: random_split(37, 4)}[case]()
     model = CountModel(SMALL_MODEL, tiny_extractor, seed=3)
     expected, expected_proto = whole_split_projection(model, features)
-    records, _ = project_prototypes(model, dataset, features)
+    records = project_prototypes(model, dataset, features)
     ids = [s.sample_id for s in dataset.train]
     assert len(records) == len(expected)
     for rec, (i, sid, h, w, dist) in zip(records, expected):
         assert (rec.prototype_id, rec.image_id, rec.h, rec.w) == (i, ids[sid], h, w)
         assert rec.distance_before == dist
     assert np.array_equal(model.prototypes.data, expected_proto)
+    if "ties" in case:
+        assert all(rec.image_id == 0 for rec in records)
 
 
 def test_projection_peak_memory(tiny_extractor):
-    # a default-scale split, 100 samples of 64 x 16 x 16 features: the
-    # processed split (13.1 MB) is the only split-sized buffer
+    # a default-scale split, 100 samples of 64 x 16 x 16 features (12.5 MiB),
+    # processed 16 samples at a time: one batch is 2 MiB, and its conv1x1
+    # operand copy and output, then that output and the sigmoid output,
+    # peak at 2 x 2 MiB; the previous batch is freed by then. The search
+    # adds 4 samples' vectors and differences (2 x 0.5 MiB) and the batch's
+    # distance rows (0.25 MiB) beside the processed batch. So the peak
+    # stays below 8 MiB; one split-sized buffer alone would exceed it
     model = CountModel(ModelConfig(), tiny_extractor, seed=0)
     dataset, _ = random_split(100, 0)
     features = np.random.default_rng(1).normal(size=(100, FEATURE_DIM, 16, 16))
@@ -293,7 +299,7 @@ def test_projection_peak_memory(tiny_extractor):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2**20, f"peak {peak / 2**20:.1f} MB >= 25 MB"
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB >= 8 MiB"
 
 
 @pytest.mark.parametrize("rows", [7, 9])
@@ -309,7 +315,7 @@ def test_projection_ties_resolve_to_first_sample(tiny_extractor):
     # two identical images: every candidate vector repeats in sample 1, so
     # the first-index tie rule must always cite sample 0
     model = CountModel(SMALL_MODEL, tiny_extractor, seed=0)
-    project_prototypes(model, *two_identical_images(tiny_extractor))
+    project_prototypes(model, *identical_images(tiny_extractor))
     assert all(rec.image_id == 0 for rec in model.provenance)
 
 
@@ -481,11 +487,11 @@ def test_diverged_calibration_restores_requires_grad(tiny_dataset, tiny_extracto
 def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
                                             tiny_features, monkeypatch):
     # after the final projection only theta moves: the split's maps are
-    # computed once, right after that projection, from the processed split it
-    # returned, so no calibration step or calibration validation pass runs
-    # the processing layer again. With projection every three epochs, five
-    # epochs put the final projection after the main loop and six put it in
-    # the loop's last epoch.
+    # built once, after the main loop and its final projection, from the
+    # feature cache 16 samples at a time, so no calibration step or
+    # calibration validation pass runs the processing layer again. With
+    # projection every three epochs, five epochs put the final projection
+    # after the main loop and six put it in the loop's last epoch.
     events = []
     real_project = training.project_prototypes
     real_cache = training._fixed_maps_forward
@@ -521,14 +527,15 @@ def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
 
         n_val = int(round(config.val_fraction * n))
         assert [p.epoch for p in history.projections] == [3, max_epochs]
-        # the maps follow the projection directly, so a projection in the
-        # loop's last epoch frees the processed split before that epoch's
-        # validation pass, which the main loop runs on the full forward
+        # a projection in the loop's last epoch is followed by that epoch's
+        # validation pass, on the full forward, before the maps are built
         val_pass = (["forward_from_features", "process_features"]
                     * math.ceil(n_val / config.batch_size) if max_epochs == 6 else [])
+        maps = ["cache"] + ["process_features"] * math.ceil(n / 16)
         steps = config.calibration_epochs * math.ceil((n - n_val) / config.batch_size)
         after = events[len(events) - events[::-1].index("project"):]
-        assert after == ["cache"] + val_pass + ["calibration step"] * steps
+        assert after == val_pass + maps + ["calibration step"] * steps
+        assert events.count("cache") == 1
 
         order = np.random.default_rng([config.seed, 2]).permutation(n)
         val_idx = order[:n_val]
@@ -540,16 +547,19 @@ def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
 
 def test_train_peak_memory(tiny_extractor):
     # a default-scale split, 100 samples of 64 x 16 x 16 features, at batch
-    # 32: one (32, 64, 16, 16) activation is 4 MiB. A main-loop step gathers
-    # its batch channel-major, which makes it conv1x1's GEMM operand, and
-    # its tape holds that batch and sigmoid's output but not conv1x1's
-    # output; with their gradients and the distance maps the step peaks
-    # near 17 MiB, in its backward. Each projection peaks near 19 MiB: its
-    # 12.5 MiB processed split beside one 16-sample processing batch and
-    # the 1.6 MiB distance rows. The split is freed once the calibration
-    # maps (2 x 1.6 MiB) are built, before the epoch's validation pass. So
-    # the peak stays below 22 MiB; a backward that also kept the batch, a
-    # full-size P^T g product and a second sigmoid buffer would reach 29 MiB.
+    # 32: one (32, 64, 16, 16) activation is 4 MiB. A main-loop step stacks
+    # its batch channel-major, one sample at a time, which makes it
+    # conv1x1's GEMM operand, and its tape holds that batch and sigmoid's
+    # output but not conv1x1's output. The step peaks at those two and the
+    # sigmoid output's gradient, 3 x 4 MiB, plus sample-sized sigmoid
+    # buffers, the distance maps (0.5 MiB) and their gradient: 13.7 MiB. A
+    # projection runs 16 samples at a time and stays below 8 MiB
+    # (test_projection_peak_memory); the calibration maps are built the same
+    # way and keep the split's distance and similarity maps (2 x 1.6 MiB),
+    # 6.8 MiB at their build's peak. So the peak stays below 15 MiB. Each of these exceeds it: gathering with np.take on the
+    # transposed cache, which first copies the whole 12.5 MiB cache to C
+    # order (17.4 MiB); batch-sized sigmoid temporaries (17.5 MiB); and a
+    # projection that holds the processed split (19.2 MiB).
     rng = np.random.default_rng(0)
     samples = [types.SimpleNamespace(sample_id=i, density_gt=rng.uniform(size=(16, 16)) / 256,
                                      annotation=[None] * int(rng.integers(0, 20)))
@@ -567,17 +577,17 @@ def test_train_peak_memory(tiny_extractor):
         tracemalloc.stop()
     assert [p.epoch for p in history.projections] == [2]
     assert len(history.calibration_reports) == 2
-    assert peak < 22 * 2**20, f"peak {peak / 2**20:.2f} MiB >= 22 MiB"
+    assert peak < 15 * 2**20, f"peak {peak / 2**20:.2f} MiB >= 15 MiB"
 
 
 def test_calibration_on_cached_maps_equals_full_forward(tiny_dataset, tiny_extractor,
                                                         tiny_features, monkeypatch):
     # reference: every calibration step and validation pass runs the whole
     # forward from the extractor features, as the main loop does, and not
-    # from the processed split the final projection hands over
-    def full_forward(model, processed):
+    # from the maps built once after the final projection
+    def full_forward(model, features):
         def forward(idx):
-            out = model.forward_from_features(Tensor(tiny_features[idx]))
+            out = model.forward_from_features(Tensor(features[idx]))
             return out.density, out.distances, model.prototypes
         return forward
 
@@ -593,6 +603,22 @@ def test_calibration_on_cached_maps_equals_full_forward(tiny_dataset, tiny_extra
     assert cached.calibration_reports == full.calibration_reports
     assert cached.calibration_val_mae == full.calibration_val_mae
     assert np.array_equal(theta, theta_full)
+
+
+@pytest.mark.parametrize("n, side", [(37, 4), (20, 16)])
+def test_calibration_maps_equal_one_whole_split_pass(n, side, tiny_extractor):
+    # the maps are built 16 samples at a time, and distance_map sums in
+    # channel order on both of its paths, so they equal one forward over the
+    # whole split bit for bit: at 37 samples of 4 x 4 a 16-sample batch
+    # takes the one-pass reduce and the whole split the channel loop; at
+    # 16 x 16 both take the loop
+    model = CountModel(ModelConfig(), tiny_extractor, seed=0)
+    features = np.random.default_rng(n).normal(size=(n, FEATURE_DIM, side, side))
+    density, dists, _ = training._fixed_maps_forward(model, features)(np.arange(n))
+    with T.no_grad():
+        whole = model.forward_from_features(Tensor(features))
+    assert np.array_equal(dists.data.view(np.int64), whole.distances.data.view(np.int64))
+    assert np.array_equal(density.data.view(np.int64), whole.density.data.view(np.int64))
 
 
 def test_train_early_stops_on_stale_validation(tiny_dataset, tiny_extractor,
