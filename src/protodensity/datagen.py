@@ -212,18 +212,6 @@ def save_sample(samples_dir: str, sample: Sample) -> None:
               [[float(x), float(y)] for x, y in sample.annotation.points])
 
 
-def load_sample(samples_dir: str, sample_id: int) -> Sample:
-    img_p, pts_p, den_p = (os.path.join(samples_dir, p) for p in _sample_paths(sample_id))
-    image, density = load_tensor(img_p), load_tensor(den_p)
-    points = []
-    for n, row in enumerate(read_csv(pts_p, ("x", "y")), start=1):
-        try:
-            points.append((float(row[0]), float(row[1])))
-        except ValueError as exc:
-            raise ValueError(f"{pts_p}: row {n}: {exc}") from None
-    return Sample(image, DotAnnotation(points), density, sample_id)
-
-
 def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: str) -> str:
     """Write a full dataset (images, annotations, density maps, manifest) to
     ``out_dir`` and return the manifest path. Sample ids 0..n_train-1 are the
@@ -263,63 +251,13 @@ def generate_dataset(config: SceneConfig, n_train: int, n_test: int, out_dir: st
     return manifest_path
 
 
-def parse_manifest(manifest_path: str):
-    """Parse a dataset manifest into (config, downsample, sigma, n_train,
-    n_test, sample rows). Rows are (id, split, count). A malformed line,
-    a split other than train or test, a sample id listed twice, sample paths
-    other than the ``samples/sample_<id>_*`` names ``generate_dataset``
-    writes, a missing field or recorded scene settings that ``SceneConfig``
-    rejects raise ValueError naming the manifest (and the line)."""
-    lines = read_text(manifest_path).splitlines()
-    table = next((i for i, line in enumerate(lines) if line.strip() == "[samples]"),
-                 len(lines))
-    kv = parse_key_values(lines[:table], manifest_path)
-    if kv.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"{manifest_path}: unknown manifest format {kv.get('format')!r}")
-    rows = []
-    seen = set()
-    for lineno, line in enumerate(lines[table + 1:], start=table + 2):
-        line = line.strip()
-        if not line or line.startswith(("#", "id,")):
-            continue
-        try:
-            sid, split, count, img_p, pts_p, den_p = line.split(",")
-            sid, count = int(sid), int(count)
-        except ValueError as exc:
-            raise ValueError(f"{manifest_path}:{lineno}: bad sample row {line!r}: {exc}") from None
-        if split not in ("train", "test"):
-            raise ValueError(f"{manifest_path}:{lineno}: split {split!r} is not 'train' or 'test'")
-        if sid in seen:
-            raise ValueError(f"{manifest_path}:{lineno}: sample id {sid} is listed twice")
-        seen.add(sid)
-        # samples load from these names only, never from a recorded path
-        expected = tuple(f"samples/{p}" for p in _sample_paths(sid))
-        if (img_p, pts_p, den_p) != expected:
-            raise ValueError(f"{manifest_path}:{lineno}: sample {sid} paths {img_p},{pts_p},"
-                             f"{den_p} differ from {','.join(expected)}")
-        rows.append((sid, split, count))
-
-    def get(key, parse=str):
-        return require(kv, key, manifest_path, parse)
-
-    recorded = {name: get(f"config.{name}", partial(parse_value, like=like))
-                for name, like in vars(SceneConfig()).items()}
-    try:
-        config = SceneConfig(**recorded)
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from None
-    return (config, get("downsample", int), get("sigma", float),
-            get("n_train", int), get("n_test", int), rows)
-
-
 @dataclass
 class Dataset:
-    """An in-memory dataset plus the manifest it came from."""
+    """An in-memory dataset plus the hash of the manifest it came from."""
 
     config: SceneConfig
     train: list[Sample]
     test: list[Sample]
-    manifest_path: str
     manifest_hash: str
 
     @property
@@ -333,41 +271,87 @@ def manifest_hash(manifest_path: str) -> str:
 
 
 def load_dataset(dataset_dir: str) -> Dataset:
-    """Load every sample listed in ``dataset_dir``'s manifest. A sample whose
-    image or density map has another shape than the manifest's scene implies,
-    or whose annotation holds a point that is not finite or lies outside the
-    image, raises ValueError naming the file."""
+    """Load every sample listed in ``dataset_dir``'s manifest, in one pass
+    over its lines. A malformed line, a missing field, scene settings that
+    ``SceneConfig`` rejects, a downsample or sigma other than the model's, a
+    split other than train or test, a sample id listed twice, sample paths
+    other than the ``samples/sample_<id>_*`` names ``generate_dataset``
+    writes, or a count or split size other than the loaded one raises
+    ValueError naming the manifest (and the line). A sample file that does
+    not load, or holds another shape than the scene implies or a point that
+    is not finite or lies outside the image, raises ValueError naming it."""
     manifest_path = os.path.join(dataset_dir, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"no dataset manifest at {manifest_path}")
-    config, downsample, sigma, n_train, n_test, rows = parse_manifest(manifest_path)
+    lines = read_text(manifest_path).splitlines()
+    table = next((i for i, line in enumerate(lines) if line.strip() == "[samples]"),
+                 len(lines))
+    kv = parse_key_values(lines[:table], manifest_path)
+    if kv.get("format") != MANIFEST_FORMAT:
+        raise ValueError(f"{manifest_path}: unknown manifest format {kv.get('format')!r}")
+
+    def get(key, parse=str):
+        return require(kv, key, manifest_path, parse)
+
+    recorded = {name: get(f"config.{name}", partial(parse_value, like=like))
+                for name, like in vars(SceneConfig()).items()}
+    try:
+        config = SceneConfig(**recorded)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
+    downsample, sigma = get("downsample", int), get("sigma", float)
     if (downsample, sigma) != (DOWNSAMPLE, SIGMA):
         raise ValueError(f"{manifest_path}: downsample {downsample} and sigma {sigma} "
                          f"differ from the model's {DOWNSAMPLE} and {SIGMA}")
+    n_train, n_test = get("n_train", int), get("n_test", int)
     h, w = config.image_size
-    image_shape, density_shape = (1, h, w), (h // downsample, w // downsample)
-    train: list[Sample] = []
-    test: list[Sample] = []
-    samples_dir = os.path.join(dataset_dir, "samples")
-    for sid, split, count in rows:
-        sample = load_sample(samples_dir, sid)
-        img_p, pts_p, den_p = (os.path.join(samples_dir, p) for p in _sample_paths(sid))
-        for path, shape, expected in ((img_p, sample.image.shape, image_shape),
-                                      (den_p, sample.density_gt.shape, density_shape)):
-            if shape != expected:
-                raise ValueError(f"{path}: shape {shape} != {expected}, from {manifest_path}'s "
-                                 f"image_size {config.image_size} and downsample {downsample}")
-        # the rule make_density_map applies at generation; NaN fails it too
-        for n, (x, y) in enumerate(sample.annotation.points, start=1):
+    image_shape, density_shape = (1, h, w), (h // DOWNSAMPLE, w // DOWNSAMPLE)
+    splits: dict[str, list[Sample]] = {"train": [], "test": []}
+    seen = set()
+    for lineno, line in enumerate(lines[table + 1:], start=table + 2):
+        line = line.strip()
+        if not line or line.startswith(("#", "id,")):
+            continue
+        try:
+            sid, split, count, img_p, pts_p, den_p = line.split(",")
+            sid, count = int(sid), int(count)
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}:{lineno}: bad sample row {line!r}: {exc}") from None
+        if split not in splits:
+            raise ValueError(f"{manifest_path}:{lineno}: split {split!r} is not 'train' or 'test'")
+        if sid in seen:
+            raise ValueError(f"{manifest_path}:{lineno}: sample id {sid} is listed twice")
+        seen.add(sid)
+        # samples load from these names only, never from a recorded path
+        expected = tuple(f"samples/{p}" for p in _sample_paths(sid))
+        if (img_p, pts_p, den_p) != expected:
+            raise ValueError(f"{manifest_path}:{lineno}: sample {sid} paths {img_p},{pts_p},"
+                             f"{den_p} differ from {','.join(expected)}")
+        img_p, pts_p, den_p = (os.path.join(dataset_dir, p) for p in expected)
+        image, density = load_tensor(img_p), load_tensor(den_p)
+        for path, shape, want in ((img_p, image.shape, image_shape),
+                                  (den_p, density.shape, density_shape)):
+            if shape != want:
+                raise ValueError(f"{path}: shape {shape} != {want}, from {manifest_path}'s "
+                                 f"image_size {config.image_size} and downsample {DOWNSAMPLE}")
+        points = []
+        for n, row in enumerate(read_csv(pts_p, ("x", "y")), start=1):
+            try:
+                x, y = map(float, row)
+            except ValueError as exc:
+                raise ValueError(f"{pts_p}: row {n}: {exc}") from None
+            # the rule make_density_map applies at generation; NaN fails it too
             if not (0 <= x < w and 0 <= y < h):
                 raise ValueError(f"{pts_p}: row {n}: point ({x}, {y}) outside image {w}x{h}")
-        if len(sample.annotation) != count:
+            points.append((x, y))
+        if len(points) != count:
             raise ValueError(f"{manifest_path}: sample {sid}: manifest count {count} != "
-                             f"{len(sample.annotation)} annotation points in {pts_p}")
-        (train if split == "train" else test).append(sample)
-    if len(train) != n_train or len(test) != n_test:
+                             f"{len(points)} annotation points in {pts_p}")
+        splits[split].append(Sample(image, DotAnnotation(points), density, sid))
+    train, test = splits.values()
+    if (len(train), len(test)) != (n_train, n_test):
         raise ValueError(f"{manifest_path}: split sizes differ from recorded n_train/n_test")
-    return Dataset(config, train, test, manifest_path, manifest_hash(manifest_path))
+    return Dataset(config, train, test, manifest_hash(manifest_path))
 
 
 # -- PGM preview export -------------------------------------------------------

@@ -24,6 +24,7 @@ EXTRACTOR_WIDTHS = (1, 16, 32, 64)
 EXTRACTOR_BLOCKS = len(EXTRACTOR_WIDTHS) - 1
 DOWNSAMPLE = 2 ** EXTRACTOR_BLOCKS  # three 2x2 pools: spatial /8
 FEATURE_DIM = EXTRACTOR_WIDTHS[-1]
+FEATURE_BATCH = 16  # cached feature maps processed at a time, with no tape
 
 CHECKPOINT_MANIFEST = "checkpoint.txt"
 CHECKPOINT_FORMAT = "protodensity-checkpoint-v1"
@@ -174,17 +175,16 @@ class CountModel:
     def forward(self, x: Tensor) -> ModelOutputs:
         return self.forward_from_features(self.extract_features(x))
 
-    def predict(self, samples, features=None,
-                batch: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, samples, features=None) -> tuple[np.ndarray, np.ndarray]:
         """Counts (N,) and similarity maps (N, K, Hf, Wf) for every sample,
-        with no tape: from ``features`` (N, C, Hf, Wf), ``batch`` at a time,
-        when given, else from the sample images, one at a time."""
+        with no tape: from ``features`` (N, C, Hf, Wf), ``FEATURE_BATCH`` at
+        a time, when given, else from the sample images, one at a time."""
         if features is None:
             forward, inputs = self.forward, samples
         else:
             forward, inputs = self.forward_from_features, features
         counts, sims = zip(*forward_batches(
-            forward, inputs, lambda out: (out.count, out.similarities.data), batch))
+            forward, inputs, lambda out: (out.count, out.similarities.data), FEATURE_BATCH))
         return np.concatenate(counts), np.concatenate(sims)
 
     # -- parameter plumbing ---------------------------------------------------

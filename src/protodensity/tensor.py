@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import csv
 import glob
+import math
 import os
 import struct
 from dataclasses import field, fields
@@ -859,7 +860,7 @@ def load_tensor(path) -> np.ndarray:
     dims = struct.unpack(f"<{ndim}I", blob[6:offset]) if ndim else ()
     if any(d == 0 for d in dims):
         raise ValueError(f"{path}: PDTF dims must be positive, got {dims}")
-    expected = int(np.prod(dims, dtype=np.int64)) * _PDTF_DTYPE.itemsize
+    expected = math.prod(dims) * _PDTF_DTYPE.itemsize
     payload = blob[offset:]
     if len(payload) != expected:
         raise ValueError(f"{path}: PDTF payload is {len(payload)} bytes, expected {expected}")

@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Parameter, Tensor, bounded, check_bounds
 from .losses import LossConfig, LossReport, density_loss, total_loss
-from .model import (CHECKPOINT_MANIFEST, CountModel, FeatureExtractor,
+from .model import (CHECKPOINT_MANIFEST, FEATURE_BATCH, CountModel, FeatureExtractor,
                     PrototypeProvenance, forward_batches, save_checkpoint,
                     similarity_from_distance)
 
@@ -212,9 +212,9 @@ def project_prototypes(model: CountModel, dataset,
     the training split (first index on ties), record the source image,
     location, and pre-projection squared distance in ``model.provenance``,
     and return those records. ``features`` is the split's extractor output,
-    processed 16 samples at a time and searched 4 at a time; each prototype
-    keeps a running minimum that a later batch beats only when strictly
-    smaller, so no split-sized buffer is built."""
+    processed ``FEATURE_BATCH`` samples at a time and searched 4 at a time;
+    each prototype keeps a running minimum that a later batch beats only
+    when strictly smaller, so no split-sized buffer is built."""
     samples = dataset.train
     if not samples:
         raise ValueError("project_prototypes: training split is empty")
@@ -243,9 +243,9 @@ def project_prototypes(model: CountModel, dataset,
                 records[i] = PrototypeProvenance(i, samples[s + sid].sample_id, h, w,
                                                  float(best[i]))
 
-    starts = iter(range(0, n, 16))
-    forward_batches(model.process_features, features,
-                    lambda out: search(next(starts), out.data), 16)
+    with T.no_grad():
+        for s in range(0, n, FEATURE_BATCH):
+            search(s, model.process_features(Tensor(features[s:s + FEATURE_BATCH])).data)
     proto.data[...] = nearest
     model.provenance[:] = records
     return records
@@ -266,18 +266,18 @@ def _restore(params: dict, snap: dict) -> None:
 def _fixed_maps_forward(model: CountModel, features: np.ndarray):
     """``forward(idx)`` giving the density and distance maps of samples
     ``idx`` from the split's similarity and distance maps, built here once
-    from its extractor ``features``, 16 samples at a time (``distance_map``
-    sums in channel order whatever the batch), and the prototypes as a
-    constant: valid while only the head moves, and a loss over them reaches
-    theta alone."""
+    from its extractor ``features``, ``FEATURE_BATCH`` samples at a time
+    (``distance_map`` sums in channel order whatever the batch), and the
+    prototypes as a constant: valid while only the head moves, and a loss
+    over them reaches theta alone."""
     prototypes = Tensor(model.prototypes.data)
 
     def maps(processed):
         dists = T.distance_map(processed, prototypes)
         return dists.data, similarity_from_distance(dists, model.config.epsilon).data
 
-    dists, sims = map(np.concatenate,
-                      zip(*forward_batches(model.process_features, features, maps, 16)))
+    dists, sims = map(np.concatenate, zip(*forward_batches(
+        model.process_features, features, maps, FEATURE_BATCH)))
     return lambda idx: (model.predict_density(Tensor(sims[idx])), Tensor(dists[idx]),
                         prototypes)
 

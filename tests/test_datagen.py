@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protodensity.datagen import (SIGMA, DotAnnotation, SceneConfig, generate_dataset,
-                                  load_dataset, load_sample, make_density_map,
-                                  manifest_hash, parse_manifest, render_scene,
-                                  save_sample, write_pgm)
+                                  load_dataset, make_density_map, manifest_hash,
+                                  render_scene, write_pgm)
 from protodensity.model import DOWNSAMPLE
 
 SMALL = SceneConfig(image_size=(32, 32), cell_count_range=(3, 12), seed=7)
@@ -145,14 +144,11 @@ def test_density_mass_property(points):
 
 
 def test_sample_roundtrip_bit_identical(tmp_path):
+    generate_dataset(SMALL, 2, 1, str(tmp_path))
+    back = load_dataset(str(tmp_path)).test[0]
     img, ann = render_scene(SMALL, 2)
-    density = make_density_map(ann, SMALL.image_size)
-    from protodensity.datagen import Sample
-    sample = Sample(img, ann, density, sample_id=2)
-    save_sample(str(tmp_path), sample)
-    back = load_sample(str(tmp_path), 2)
     np.testing.assert_array_equal(back.image, img)
-    np.testing.assert_array_equal(back.density_gt, density)
+    np.testing.assert_array_equal(back.density_gt, make_density_map(ann, SMALL.image_size))
     assert back.annotation.points == ann.points
     assert back.sample_id == 2
 
@@ -161,7 +157,6 @@ def test_generate_and_load_dataset(tmp_path):
     manifest = generate_dataset(SMALL, 5, 3, str(tmp_path))
     dataset = load_dataset(str(tmp_path))
     assert len(dataset.train) == 5 and len(dataset.test) == 3
-    assert dataset.manifest_path == manifest
     assert dataset.manifest_hash == manifest_hash(manifest)
     for sample in dataset.all_samples:
         assert abs(float(sample.density_gt.sum()) - len(sample.annotation)) <= 1e-7
@@ -181,11 +176,10 @@ def test_dataset_regenerates_identically(tmp_path):
 
 
 def test_manifest_config_roundtrip(tmp_path):
-    manifest = generate_dataset(SMALL, 2, 1, str(tmp_path))
-    config, downsample, sigma, n_train, n_test, rows = parse_manifest(manifest)
-    assert config == SMALL
-    assert (downsample, sigma, n_train, n_test) == (8, 1.0, 2, 1)
-    assert len(rows) == 3
+    generate_dataset(SMALL, 2, 1, str(tmp_path))
+    dataset = load_dataset(str(tmp_path))
+    assert dataset.config == SMALL
+    assert (len(dataset.train), len(dataset.test)) == (2, 1)
 
 
 def test_manifest_with_a_removed_scene_field_still_loads(tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import TINY_SCENE
 from protodensity.config import RunConfig, write_resolved_config
-from protodensity.datagen import generate_dataset, load_dataset, parse_manifest
+from protodensity.datagen import generate_dataset, load_dataset
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
                                 PrototypeProvenance, load_checkpoint,
                                 load_extractor, save_checkpoint, save_extractor)
@@ -106,12 +106,6 @@ def saved(tmp_path_factory):
 
 
 @given(damage=_damage)
-def test_parse_manifest_fails_cleanly(saved, damage):
-    _fuzz_copy(str(saved / "data"), "manifest.txt", damage,
-               lambda d: parse_manifest(os.path.join(d, "manifest.txt")))
-
-
-@given(damage=_damage)
 def test_load_dataset_manifest_fails_cleanly(saved, damage):
     _fuzz_copy(str(saved / "data"), "manifest.txt", damage, load_dataset)
 
@@ -182,4 +176,4 @@ def test_missing_files_are_named(saved, tmp_path):
         with pytest.raises(FileNotFoundError, match=re.escape(str(ckpt / name))):
             load_checkpoint(str(ckpt))
     with pytest.raises(FileNotFoundError, match="manifest.txt"):
-        parse_manifest(str(tmp_path / "manifest.txt"))
+        load_dataset(str(tmp_path))

@@ -1103,6 +1103,20 @@ def test_pdtf_float32_file_is_rejected(tmp_path, rng):
         T.load_tensor(path)
 
 
+@pytest.mark.parametrize("dims, payload, expected", [
+    pytest.param((65536,) * 4, b"", 2 ** 67, id="2^64-elements"),
+    pytest.param((2 ** 31, 2 ** 32 - 1, 2), bytes(8), 2 ** 35 * (2 ** 32 - 1), id="past-int64"),
+])
+def test_pdtf_dims_past_int64_are_named(tmp_path, dims, payload, expected):
+    # a header whose dims multiply past 2^63 states the exact, positive
+    # payload size they imply, naming the file, instead of a wrapped one
+    path = tmp_path / "huge.pdt"
+    path.write_bytes(b"PDTF" + struct.pack(f"<BB{len(dims)}I", 1, len(dims), *dims) + payload)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: PDTF payload is "
+                                         f"{len(payload)} bytes, expected {expected}$"):
+        T.load_tensor(path)
+
+
 def test_pdtf_rejects_bad_files(tmp_path):
     bad = tmp_path / "bad.pdt"
     bad.write_bytes(b"NOPE" + bytes(10))

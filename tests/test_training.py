@@ -541,7 +541,7 @@ def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
         val_idx = order[:n_val]
         counts = np.array([len(tiny_dataset.train[i].annotation) for i in val_idx],
                           dtype=float)
-        pred, _ = model.predict(None, tiny_features[val_idx], batch=config.batch_size)
+        pred, _ = model.predict(None, tiny_features[val_idx])
         assert history.calibration_val_mae[-1] == float(np.abs(pred - counts).mean())
 
 
