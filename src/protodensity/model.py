@@ -158,16 +158,18 @@ class CountModel:
             raise T.ShapeError(f"input spatial dims {h}x{w} must be divisible by {DOWNSAMPLE}")
         return self.extractor.forward(x)
 
-    def process_features(self, features) -> Tensor:
-        return T.sigmoid(T.conv1x1(features, self.processing_weight, self.processing_bias))
+    def process_features(self, features, rows=None) -> Tensor:
+        """The processed features of samples ``rows`` (None: all) of ``features``."""
+        return T.sigmoid(T.conv1x1(features, self.processing_weight, self.processing_bias, rows))
 
     def predict_density(self, similarities) -> Tensor:
         """(B, K, Hf, Wf) similarities -> (B, Hf, Wf) density."""
         return T.conv1x1(similarities, T.reshape(self.theta, (1, -1)))[:, 0]
 
-    def forward_from_features(self, features) -> ModelOutputs:
+    def forward_from_features(self, features, rows=None) -> ModelOutputs:
+        """The outputs for samples ``rows`` (None: all) of ``features``, read in place."""
         feats = features if isinstance(features, Tensor) else Tensor(features)
-        distances = T.distance_map(self.process_features(feats), self.prototypes)
+        distances = T.distance_map(self.process_features(feats, rows), self.prototypes)
         similarities = similarity_from_distance(distances, self.config.epsilon)
         density = self.predict_density(similarities)
         return ModelOutputs(distances, similarities, density, count(density))
@@ -205,9 +207,9 @@ class CountModel:
 def forward_batches(forward, inputs, keep, batch: int = 1) -> list:
     """``keep(forward(Tensor(x)))`` with no tape, for each ``batch``-sized
     slice ``x`` of an array ``inputs``, or for each image of a list of
-    samples as a batch of one. ``conv3x3`` loops over samples anyway, so a
-    batch of one gives the same bits with buffers a sixteenth the size;
-    only what ``keep`` returns outlives its batch."""
+    samples as a batch of one. Both convolutions' forwards loop over samples
+    anyway, so a batch of one gives the same bits with buffers a sixteenth
+    the size; only what ``keep`` returns outlives its batch."""
     with T.no_grad():
         if isinstance(inputs, np.ndarray):
             xs = (inputs[s:s + batch] for s in range(0, len(inputs), batch))

@@ -22,20 +22,20 @@ operators, only ``t[idx]`` for ``getitem`` and ``float(t)`` for a
 one-element value.
 
 The 3x3 convolution, the 2x2 max pool and the sigmoid make every pass over a
-(B, C, H, W) activation one sample at a time, while that sample's slice sits
-in cache. In the convolution, nine shifted, cropped slices of the input fill
-one zero-bordered, sample-sized (C*9, H*W) im2col buffer, so its forward and
-backward GEMMs run on NCHW data with no transposed copy, and neither a padded
-copy nor a batch-sized im2col matrix exists; the bias is added, and its
-gradient summed, per sample. Max pooling compares the four strided window
-corners; when its input needs a gradient, the forward also keeps a bool mask,
-one byte per input element, of each window's first maximum in row-major window
-order, and the backward routes the gradient by that mask alone. The distance
-map's forward is one reduce over a (d,K,B,H,W) buffer of at most 1 MiB, else
-(or for one (K,B,H,W) element, which numpy sums pairwise) a channel loop, both
-in channel order; its backward is two GEMMs, the feature one run a sample at a
-time into the feature gradient. A central finite-difference oracle
-(`finite_diff_grad`) verifies every analytic gradient.
+(B, C, H, W) activation one sample at a time, while its slice sits in cache;
+the 1x1 convolution's forward runs one GEMM per sample, read where it lies. In
+the 3x3 one, nine shifted, cropped slices of the input fill one zero-bordered,
+sample-sized (C*9, H*W) im2col buffer, so its forward and backward GEMMs run on
+NCHW data with no transposed copy, and neither a padded copy nor a batch-sized
+im2col matrix exists; the bias is added, and its gradient summed, per sample.
+Max pooling compares the four strided window corners; when its input needs a
+gradient, the forward also keeps a bool mask, one byte per input element, of
+each window's first maximum in row-major window order, and the backward routes
+the gradient by that mask alone. The distance map's forward is one reduce over
+a (d,K,B,H,W) buffer of at most 1 MiB, else (or for one (K,B,H,W) element,
+which numpy sums pairwise) a channel loop, both in channel order; its backward
+is two GEMMs, the feature one run a sample at a time into the feature gradient.
+A central finite-difference oracle, `finite_diff_grad`, checks every gradient.
 
 The module also holds the package's file formats: PDTF tensors, the one
 ``key = value`` writer and reader and the one CSV writer and reader behind
@@ -533,11 +533,12 @@ def _batched(x: Tensor, opname: str) -> np.ndarray:
     return x.data
 
 
-def conv1x1(x, weight, bias=None) -> Tensor:
-    """Pointwise convolution: out[b,o,h,w] = sum_c weight[o,c] x[b,c,h,w] (+ bias[o]).
+def conv1x1(x, weight, bias=None, rows=None) -> Tensor:
+    """Pointwise convolution: out[b,o,h,w] = sum_c weight[o,c] x[rows[b],c,h,w] (+ bias[o]).
 
-    The GEMM runs on the channel-major (C, B*H*W) input, a view of ``x`` when
-    its data is a channel-major array seen batch-major, else a copy."""
+    ``rows`` (1-d, None: all) picks samples of an input that needs no gradient. The
+    tape keeps ``x``'s own array, and only the backward stacks the rows, into the
+    (C, B*H*W) operand of the weight gradient's one GEMM."""
     x, weight = _coerce(x), _coerce(weight)
     bias = _coerce(bias) if bias is not None else None
     xd = _batched(x, "conv1x1")
@@ -549,13 +550,18 @@ def conv1x1(x, weight, bias=None) -> Tensor:
         raise ShapeError(f"conv1x1: input has {c} channels but weight expects {c_in}")
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"conv1x1: bias shape {bias.shape} != ({c_out},)")
+    if rows is not None and (x.requires_grad or np.ndim(rows) != 1):
+        raise ShapeError("conv1x1: rows must be 1-d and pick from an input that needs no gradient")
+    rows = range(b_) if rows is None else rows
+    b_ = len(rows)
 
-    xc = np.ascontiguousarray(xd.transpose(1, 0, 2, 3)).reshape(c, b_ * h * w)
-    oc = weight.data @ xc
+    oc = np.empty((c_out, b_, h * w))
+    for j, i in enumerate(rows):
+        np.matmul(weight.data, xd[i].reshape(c, h * w), out=oc[:, j])
     if bias is not None:
-        oc += bias.data[:, None]
-    # the weight gradient reads xc, the input gradient the weight
-    xc_read = xc if weight.requires_grad else None
+        oc += bias.data[:, None, None]
+    # the weight gradient reads the input's rows, the input gradient the weight
+    x_read = xd if weight.requires_grad else None
     w_read = weight.data if x.requires_grad else None
 
     def backward(out, x, weight, bias=None):
@@ -563,7 +569,7 @@ def conv1x1(x, weight, bias=None) -> Tensor:
         if x is not None:
             _accum(x, (w_read.T @ gc).reshape(c, b_, h, w).transpose(1, 0, 2, 3))
         if weight is not None:
-            _accum(weight, gc @ xc_read.T)
+            _accum(weight, gc @ np.stack([x_read[i] for i in rows], axis=1).reshape(c, -1).T)
         if bias is not None:
             _accum(bias, gc.sum(axis=1))
 

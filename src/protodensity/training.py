@@ -2,11 +2,11 @@
 the three-term loss with a frozen extractor, Adam with decoupled weight
 decay, and prototype projection.
 
-The extractor is frozen before the main loop, so its feature maps are
-computed once per run and cached; every epoch then touches only the
-processing layer, prototypes, and head. Projection replaces each prototype
-with the nearest processed feature vector across the training split, which
-it processes and searches batch by batch, and records where it came from.
+The extractor is frozen before the main loop, so its feature maps are cached
+once per run; a step reads its batch's rows of the cache where they lie
+(``conv1x1``) and moves only the processing layer, prototypes and head.
+Projection replaces each prototype with the nearest processed feature vector
+of the training split, searched batch by batch, and records its source.
 
 After the final projection only the head's theta moves, so the similarity
 and distance maps of the training split are fixed. They are built once after
@@ -302,6 +302,7 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
     if features.shape[0] != n:
         raise ValueError(f"train: feature cache holds {features.shape[0]} maps "
                          f"for {n} samples")
+    cache = Tensor(features)
     gts = _stack_gt(samples)
     counts = np.array([len(s.annotation) for s in samples], dtype=np.float64)
 
@@ -357,11 +358,7 @@ def train(model: CountModel, dataset, config: TrainConfig, out_dir=None,
         return float(np.abs(pred - counts[val_idx]).mean())
 
     def fit_forward(idx):
-        # a batch is stacked channel-major, the layout of conv1x1's GEMM
-        # operand, so the gathered batch is that operand and is not copied
-        # again; np.take would first copy the whole cache to C order
-        batch = np.stack([features[i] for i in idx], axis=1).transpose(1, 0, 2, 3)
-        out = model.forward_from_features(Tensor(batch))
+        out = model.forward_from_features(cache, idx)
         return out.density, out.distances, model.prototypes
 
     def project(epoch):

@@ -312,6 +312,42 @@ def test_conv1x1_grads(rng):
     check_grad(lambda t: T.tsum(T.conv1x1(t, Tensor(w), Tensor(b))), x)
     check_grad(lambda t: T.tsum(T.conv1x1(Tensor(x), t, Tensor(b))), w)
     check_grad(lambda t: T.tsum(T.conv1x1(Tensor(x), Tensor(w), t)), b)
+    # through rows of a cache, unsorted and repeated
+    cache, idx = rng.normal(size=(5, 3, 3, 3)), np.array([3, 0, 3])
+    g = Tensor(rng.normal(size=(3, 2, 3, 3)))
+    check_grad(lambda t: T.tsum(T.mul(T.conv1x1(Tensor(cache), t, Tensor(b), rows=idx), g)), w)
+    check_grad(lambda t: T.tsum(T.mul(T.conv1x1(Tensor(cache), Tensor(w), t, rows=idx), g)), b)
+
+
+def test_conv1x1_rows_equal_the_gathered_batch_bitwise(rng):
+    # conv1x1 over rows idx of a cache equals conv1x1 over the gathered
+    # batch cache[idx], bit for bit: the output and the weight and bias
+    # gradients, for unsorted and repeated rows, one row, and the main
+    # loop's (32 of 40, 64 x 16 x 16) step
+    small = rng.normal(size=(10, 6, 4, 5))
+    cases = [(small, np.array([7, 2, 9, 2, 0, 7])), (small, np.array([4])),
+             (rng.normal(size=(40, FEATURE_DIM, 16, 16)), rng.permutation(40)[:32])]
+    for cache, idx in cases:
+        c = cache.shape[1]
+        w0, b0 = rng.normal(size=(c, c)), rng.normal(size=c)
+        g = rng.normal(size=(idx.size, c) + cache.shape[2:])
+        runs = []
+        for x, rows in ((cache, idx), (cache[idx], None)):
+            w, b = Parameter(w0.copy(), name="w"), Parameter(b0.copy(), name="b")
+            out = T.conv1x1(Tensor(x), w, b, rows=rows)
+            T.tsum(T.mul(out, Tensor(g))).backward()
+            runs.append((out.data, w.grad, b.grad))
+        assert runs[0][0].strides == runs[1][0].strides
+        for got, want in zip(*runs, strict=True):
+            assert_same_bits(got, want)
+
+
+def test_conv1x1_rows_need_1d_rows_of_an_input_without_gradient(rng):
+    x, w = rng.normal(size=(4, 3, 2, 2)), Tensor(rng.normal(size=(2, 3)))
+    with pytest.raises(ShapeError, match="rows"):
+        T.conv1x1(Tensor(x, requires_grad=True), w, rows=np.array([1, 0]))
+    with pytest.raises(ShapeError, match="rows"):
+        T.conv1x1(Tensor(x), w, rows=np.array([[0, 1]]))
 
 
 def conv3x3_oracle(x, w, b):
@@ -736,20 +772,22 @@ def test_extractor_step_frees_conv_and_pool_outputs_before_backward(rng, monkeyp
 
 
 def test_processing_step_frees_conv1x1_output_before_backward(rng, monkeypatch):
-    # a B=32 main-loop step on a batch gathered channel-major, as train
-    # gathers it: the processing conv1x1's output dies once sigmoid has read
-    # it (the head's lives on in the density the caller holds), and every
-    # gradient has the bits of the same step on a batch-major copy
+    # a B=32 main-loop step on rows of the feature cache, as train passes
+    # them: the processing conv1x1's output dies once sigmoid has read it
+    # (the head's lives on in the density the caller holds), and every
+    # gradient has the bits of the same step on a gathered batch, batch-major
+    # or channel-major
     features = rng.normal(size=(40, FEATURE_DIM, 16, 16))
     idx = rng.permutation(40)[:32]
     g = rng.normal(size=(32, 16, 16))
     grads = []
-    for batch in (np.take(features.transpose(1, 0, 2, 3), idx, axis=1).transpose(1, 0, 2, 3),
-                  features[idx]):
+    for batch, rows in ((features, idx), (features[idx], None),
+                        (np.take(features.transpose(1, 0, 2, 3), idx, axis=1)
+                         .transpose(1, 0, 2, 3), None)):
         model = CountModel(ModelConfig(), FeatureExtractor(np.random.default_rng(0)), seed=0)
         model.extractor.freeze()
         calls = _watch_outputs(monkeypatch, ("conv1x1",))
-        density = model.forward_from_features(Tensor(batch)).density
+        density = model.forward_from_features(Tensor(batch), rows).density
         loss = T.tsum(T.mul(density, Tensor(g)))
         assert [name for name, _ in calls] == ["conv1x1"] * 2
         assert _dead(calls[0][1]) and not _dead(calls[1][1])
@@ -757,8 +795,9 @@ def test_processing_step_frees_conv1x1_output_before_backward(rng, monkeypatch):
         grads.append([p.grad for p in model.trainable_parameters().values()])
         monkeypatch.undo()
     assert len(grads[0]) == 4
-    for got, want in zip(*grads, strict=True):
-        assert_same_bits(got, want)
+    for other in grads[1:]:
+        for got, want in zip(grads[0], other, strict=True):
+            assert_same_bits(got, want)
 
 
 # -- distance map --------------------------------------------------------------
@@ -962,20 +1001,30 @@ def test_tape_keeps_only_what_backward_reads(rng):
     y = T.mul(x, const)
     assert len(y._parents) == 1 and y._parents[0] is x
 
-    # conv1x1 reads its transposed GEMM operand, so an input that gets no
-    # gradient is freed once the caller drops it
-    data = rng.normal(size=(4, 3, 5, 5))
+    # conv1x1's tape keeps the caller's input array itself, for the weight
+    # gradient, and its forward makes no copy of it: a (32, 64, 16, 16)
+    # input is 4 MiB, and the forward peaks below its (32, 2, 16, 16) output
+    # plus one 128 KiB sample
+    data = rng.normal(size=(32, FEATURE_DIM, 16, 16))
     alive = weakref.ref(data)
-    w = Parameter(rng.normal(size=(2, 3)), name="w")
+    w = Parameter(rng.normal(size=(2, FEATURE_DIM)), name="w")
     b = Parameter(rng.normal(size=2), name="b")
-    out = T.conv1x1(Tensor(data), w, b)
+    x = Tensor(data)
+    tracemalloc.start()
+    try:
+        out = T.conv1x1(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert len(out._parents) == 2 and out._parents[0] is w and out._parents[1] is b
+    assert peak < out.data.nbytes + data[0].nbytes, \
+        f"conv1x1 forward peak {peak} B >= output {out.data.nbytes} B + one sample"
     channel_sums = data.sum(axis=(0, 2, 3))
-    del data
-    assert alive() is None
+    del data, x
+    assert alive() is not None
     T.tsum(out).backward()
     np.testing.assert_allclose(w.grad, np.tile(channel_sums, (2, 1)), rtol=1e-12)
-    np.testing.assert_array_equal(b.grad, [100.0, 100.0])
+    np.testing.assert_array_equal(b.grad, [32 * 256.0] * 2)
 
     # sigmoid's backward computes (g * s) * (1 - s) inside the out.grad it
     # owns, one sample at a time: one sample-sized (1 - s) temporary and no

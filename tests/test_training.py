@@ -547,19 +547,23 @@ def test_calibration_forwards_the_split_once(tiny_dataset, tiny_extractor,
 
 def test_train_peak_memory(tiny_extractor):
     # a default-scale split, 100 samples of 64 x 16 x 16 features, at batch
-    # 32: one (32, 64, 16, 16) activation is 4 MiB. A main-loop step stacks
-    # its batch channel-major, one sample at a time, which makes it
-    # conv1x1's GEMM operand, and its tape holds that batch and sigmoid's
-    # output but not conv1x1's output. The step peaks at those two and the
-    # sigmoid output's gradient, 3 x 4 MiB, plus sample-sized sigmoid
-    # buffers, the distance maps (0.5 MiB) and their gradient: 13.7 MiB. A
-    # projection runs 16 samples at a time and stays below 8 MiB
-    # (test_projection_peak_memory); the calibration maps are built the same
-    # way and keep the split's distance and similarity maps (2 x 1.6 MiB),
-    # 6.8 MiB at their build's peak. So the peak stays below 15 MiB. Each of these exceeds it: gathering with np.take on the
-    # transposed cache, which first copies the whole 12.5 MiB cache to C
-    # order (17.4 MiB); batch-sized sigmoid temporaries (17.5 MiB); and a
-    # projection that holds the processed split (19.2 MiB).
+    # 32: one (32, 64, 16, 16) activation is 4 MiB. A main-loop step hands
+    # conv1x1 the feature cache and the batch's rows, and its tape keeps the
+    # cache itself, so no step gathers a batch. A step then holds at most two
+    # such activations at once: conv1x1's output while sigmoid writes its
+    # own; sigmoid's output beside its gradient; then that gradient beside
+    # the rows conv1x1's backward stacks for its weight-gradient GEMM. On top
+    # come the distance maps and their gradient (2 x 0.5 MiB) and
+    # sample-sized buffers: 9.7 MiB. A projection runs 16 samples at a time
+    # and stays below 8 MiB (test_projection_peak_memory); the calibration
+    # maps are built the same way and keep the split's distance and
+    # similarity maps (2 x 1.6 MiB), 7.2 MiB at their build's peak. So the
+    # peak stays below 11 MiB. Each of these exceeds it: a step that gathers
+    # its batch and keeps it on the tape until the backward (13.7 MiB);
+    # gathering with np.take on the transposed cache, which first copies the
+    # whole 12.5 MiB cache to C order (17.4 MiB); batch-sized sigmoid
+    # temporaries (17.5 MiB); and a projection that processes the whole
+    # split at once (25.7 MiB).
     rng = np.random.default_rng(0)
     samples = [types.SimpleNamespace(sample_id=i, density_gt=rng.uniform(size=(16, 16)) / 256,
                                      annotation=[None] * int(rng.integers(0, 20)))
@@ -577,7 +581,7 @@ def test_train_peak_memory(tiny_extractor):
         tracemalloc.stop()
     assert [p.epoch for p in history.projections] == [2]
     assert len(history.calibration_reports) == 2
-    assert peak < 15 * 2**20, f"peak {peak / 2**20:.2f} MiB >= 15 MiB"
+    assert peak < 11 * 2**20, f"peak {peak / 2**20:.2f} MiB >= 11 MiB"
 
 
 def test_calibration_on_cached_maps_equals_full_forward(tiny_dataset, tiny_extractor,
