@@ -18,6 +18,12 @@ A flag is forwarded only when given, so each default is the subcommand's
 own (``protodensity <command> --help``), save sweeps' --seeds 0.
 
     python3 scripts/run_experiment.py pipeline --out runs/demo
+
+``scripts/tiny.cfg`` runs any experiment in seconds, for checking that a
+change leaves every output byte-identical (``scripts/digest_run.py A B``):
+
+    python3 scripts/run_experiment.py pipeline --config scripts/tiny.cfg \\
+        --n-train 12 --n-test 6 --out runs/tiny
 """
 
 import argparse

@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import build_run_config, write_resolved_config
 from .datagen import generate_dataset, load_dataset
-from .evaluate import mae, plan_grid, run_ablation, sweep_k, sweep_tau, write_eval_csv
+from .evaluate import (VARIANTS, mae, plan_grid, run_ablation, sweep_k, sweep_tau,
+                       write_eval_csv)
 from .interp import explain_location, export_prototype_gallery, write_explanation_csv
 from .losses import (LossConfig, density_loss, diversity_loss,
                      proto_feature_loss, total_loss)
@@ -59,6 +60,14 @@ def _loc(raw: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
+def _frozen_extractor(path: str):
+    """The extractor saved in ``path``; refused unless frozen, before any write."""
+    extractor = load_extractor(path)
+    if not extractor.frozen:
+        raise ValueError(f"extractor in {path} is not frozen: pretrain it first")
+    return extractor
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -89,7 +98,7 @@ def cmd_pretrain(args) -> int:
 def cmd_train(args) -> int:
     config = build_run_config(args.config, args.set or ())
     dataset = load_dataset(args.data)
-    extractor = load_extractor(args.extractor)
+    extractor = _frozen_extractor(args.extractor)
     write_resolved_config(config, args.out, dict(command="train", data=args.data,
                                                  extractor=args.extractor))
     model = CountModel(config.model, extractor, seed=config.train.seed)
@@ -140,7 +149,7 @@ def cmd_explain(args) -> int:
 #           harness in evaluate.py, printed line format)
 _GRIDS = {
     "ablate": ("loss-term ablation runs", "variants",
-               "full,no_diversity,no_proto_feature", "0,1,2", str, run_ablation,
+               ",".join(VARIANTS), "0,1,2", str, run_ablation,
                "{0.variant:<17} seed {0.seed}: MAE {0.mae:.3f} min dist cell "
                "{0.distances.cell_min:.4f} bg {0.distances.bg_min:.4f}"),
     "sweep-k": ("prototype-count sweep", "k", "2,4,6,8", "0,1,2,3,4", int,
@@ -157,13 +166,12 @@ def cmd_grid(args) -> int:
     values = _number_list(getattr(args, flag), kind)
     seeds = _number_list(args.seeds)
     config = build_run_config(args.config, args.set or ())
-    plan_grid(harness, config.train, values, seeds, config.model)
+    runs = plan_grid(harness, config.train, values, seeds, config.model)
     dataset = load_dataset(args.data)
-    extractor = load_extractor(args.extractor)
+    extractor = _frozen_extractor(args.extractor)
     write_resolved_config(config, args.out, {"command": args.command, "data": args.data,
                                              "seeds": args.seeds, flag: getattr(args, flag)})
-    rows = harness(dataset, config.train, values, seeds=seeds, extractor=extractor,
-                   model_config=config.model, out_dir=args.out)
+    rows = harness(dataset, runs, extractor, args.out)
     for row in rows:
         print(line.format(row))
     return EXIT_OK

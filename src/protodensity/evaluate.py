@@ -2,10 +2,10 @@
 
 Counting MAE over a split, loss-term ablations (diversity off, prototype-to-
 feature off) with distance tables and localization rates, and the K and tau
-sweeps. All three harnesses are one grid: ``plan_grid`` lists and checks
-every run first (the CLI calls it too, before it writes anything), then
-``_train_grid`` trains them in order on one dataset and one frozen
-extractor. The ablation records the dataset's manifest hash in every row.
+sweeps. All three harnesses are one grid: the CLI has ``plan_grid`` list and
+check every run before it writes anything, then the harness trains those
+runs in order on one dataset and one frozen extractor and writes its files.
+The ablation records the dataset's manifest hash in every row.
 """
 
 from __future__ import annotations
@@ -142,19 +142,18 @@ def variant_loss_config(base, variant: str):
     raise ValueError(f"unknown ablation variant {variant!r}")
 
 
-def _train_grid(dataset: Dataset, runs, extractor: FeatureExtractor, feature_cache):
+def _train_grid(dataset: Dataset, runs, extractor: FeatureExtractor):
     """Train every ``(label, model_config, run_config)`` of ``runs``, from
     ``plan_grid``, in order on one frozen extractor, yielding (label, model,
     test MAE, train features) per run."""
     if not extractor.frozen:
         raise ValueError("harness extractor must be frozen")
-    if feature_cache is None:
-        feature_cache = compute_features(extractor, dataset.train)
+    train_features = compute_features(extractor, dataset.train)
     test_features = compute_features(extractor, dataset.test)
     for label, model_config, run_config in runs:
         model = CountModel(model_config, extractor, seed=run_config.seed)
-        model, _ = train(model, dataset, run_config, feature_cache=feature_cache)
-        yield label, model, mae(model, dataset.test, features=test_features).mae, feature_cache
+        model, _ = train(model, dataset, run_config, feature_cache=train_features)
+        yield label, model, mae(model, dataset.test, features=test_features).mae, train_features
 
 
 def _ablation_runs(config, model_config, variants, seeds):
@@ -182,43 +181,37 @@ def _sweep_tau_runs(config, model_config, tau_values, seeds):
 
 
 def plan_grid(harness, config: TrainConfig, values, seeds,
-              model_config: ModelConfig | None = None) -> list:
+              model_config: ModelConfig) -> list:
     """Every run of ``harness``'s grid over ``values`` and ``seeds``, as
-    (label, model_config, run_config). Each value is checked, each run's
-    configs are checked as ``replace`` builds them, and an empty grid is
-    rejected, so a bad grid raises ValueError before anything is trained or
-    written."""
-    runs = _GRID_RUNS[harness](config, model_config or ModelConfig(), values, seeds)
+    (label, model_config, run_config), for ``harness`` to train. Each value
+    is checked, each run's configs are checked as ``replace`` builds them,
+    and an empty grid is rejected, so a bad grid raises ValueError before
+    anything is trained or written."""
+    runs = _GRID_RUNS[harness](config, model_config, values, seeds)
     if not runs:
         raise ValueError("experiment grid is empty: no values or no seeds")
     return runs
 
 
-def run_ablation(dataset: Dataset, config: TrainConfig, variants=VARIANTS, *,
-                 seeds, extractor: FeatureExtractor,
-                 model_config: ModelConfig | None = None,
-                 out_dir=None, feature_cache=None) -> list[AblationReport]:
-    """Train every variant at every seed on the same dataset and extractor.
+def run_ablation(dataset: Dataset, runs, extractor: FeatureExtractor,
+                 out_dir) -> list[AblationReport]:
+    """Train the (variant, seed) runs ``plan_grid`` listed on one dataset and
+    extractor; write a row per run to ablation.csv and distance_table.txt.
 
-    Variants differ only in the lambdas zeroed out of the base loss config.
-    Emits per-run reports plus a distance table averaging both prototype
-    groups' min and mean pairwise distances over seeds.
+    Variants differ only in the lambdas zeroed out of the base loss config;
+    the table averages each group's min and mean pairwise distance over seeds.
     """
-    runs = plan_grid(run_ablation, config, variants, seeds, model_config)
-    if out_dir:
-        clear_outputs(out_dir, "ablation.csv", "distance_table.txt")
+    clear_outputs(out_dir, "ablation.csv", "distance_table.txt")
     reports = []
-    for (variant, seed), model, test_mae, features in _train_grid(
-            dataset, runs, extractor, feature_cache):
+    for (variant, seed), model, test_mae, features in _train_grid(dataset, runs, extractor):
         cell_rate, bg_rate = localization_rates(model, dataset, features=features)
         stats = intra_group_distances(model.prototypes.data,
                                       model.config.k_cell, model.config.k_bg)
         reports.append(AblationReport(variant, seed, test_mae, stats, cell_rate,
                                       bg_rate, dataset.manifest_hash))
-    if out_dir:
-        write_ablation_csv(reports, os.path.join(out_dir, "ablation.csv"))
-        with open(os.path.join(out_dir, "distance_table.txt"), "w") as f:
-            f.write(format_distance_table(reports))
+    write_ablation_csv(reports, os.path.join(out_dir, "ablation.csv"))
+    with open(os.path.join(out_dir, "distance_table.txt"), "w") as f:
+        f.write(format_distance_table(reports))
     return reports
 
 
@@ -233,11 +226,7 @@ def format_distance_table(reports) -> str:
     Minimum/Average columns for the cell and background groups."""
     lines = [f"{'variant':<18} {'cell min':>9} {'cell avg':>9} "
              f"{'bg min':>9} {'bg avg':>9}"]
-    seen = []
-    for r in reports:
-        if r.variant not in seen:
-            seen.append(r.variant)
-    for variant in seen:
+    for variant in dict.fromkeys(r.variant for r in reports):
         rows = [r.distances for r in reports if r.variant == variant]
         lines.append(f"{variant:<18} "
                      f"{np.mean([d.cell_min for d in rows]):>9.4f} "
@@ -250,48 +239,31 @@ def format_distance_table(reports) -> str:
 # -- sweeps --------------------------------------------------------------------
 
 
-def sweep_k(dataset: Dataset, config: TrainConfig, k_values, *,
-            seeds, extractor: FeatureExtractor,
-            model_config: ModelConfig | None = None,
-            out_dir=None, feature_cache=None) -> list[tuple[int, int, float]]:
-    """Train one model per total prototype count K per seed, ``model_config``
-    with K split equally, and report test MAE rows (K, seed, MAE)."""
-    runs = plan_grid(sweep_k, config, k_values, seeds, model_config)
-    if out_dir:
-        clear_outputs(out_dir, "sweep_k.csv")
+def sweep_k(dataset: Dataset, runs, extractor: FeatureExtractor,
+            out_dir) -> list[tuple[int, int, float]]:
+    """Train the (K, seed) runs ``plan_grid`` listed, K split equally between
+    the groups, and write test MAE rows (K, seed, MAE) to sweep_k.csv."""
+    clear_outputs(out_dir, "sweep_k.csv")
     rows = [(k, seed, test_mae) for (k, seed), _, test_mae, _ in _train_grid(
-        dataset, runs, extractor, feature_cache)]
-    _write_sweep_csv(out_dir, "sweep_k.csv", SWEEP_K_CSV_HEADER, rows)
+        dataset, runs, extractor)]
+    write_csv(os.path.join(out_dir, "sweep_k.csv"), SWEEP_K_CSV_HEADER, rows)
     return rows
 
 
-def sweep_tau(dataset: Dataset, config: TrainConfig, tau_values, *,
-              seeds, extractor: FeatureExtractor,
-              model_config: ModelConfig | None = None,
-              out_dir=None, feature_cache=None,
-              gallery_k: int = 3) -> list[tuple[float, int, float]]:
-    """Retrain per diversity threshold tau and emit a patch gallery per run
-    for qualitative comparison, plus MAE rows (tau, seed, MAE)."""
-    runs = plan_grid(sweep_tau, config, tau_values, seeds, model_config)
-    if out_dir:
-        clear_outputs(out_dir, "sweep_tau.csv", *(f"tau_*_seed*/{name}" for name in GALLERY_FILES))
+def sweep_tau(dataset: Dataset, runs, extractor: FeatureExtractor,
+              out_dir) -> list[tuple[float, int, float]]:
+    """Train the (tau, seed) runs ``plan_grid`` listed, one diversity threshold
+    each; write a patch gallery per run for qualitative comparison and MAE
+    rows (tau, seed, MAE) to sweep_tau.csv."""
+    clear_outputs(out_dir, "sweep_tau.csv", *(f"tau_*_seed*/{name}" for name in GALLERY_FILES))
     rows = []
-    for (tau, seed), model, test_mae, features in _train_grid(
-            dataset, runs, extractor, feature_cache):
+    for (tau, seed), model, test_mae, features in _train_grid(dataset, runs, extractor):
         rows.append((tau, seed, test_mae))
-        if out_dir:
-            gallery = os.path.join(out_dir, f"tau_{tau:g}_seed{seed}")
-            export_prototype_gallery(model, dataset, gallery, k=gallery_k,
-                                     features=features)
-    _write_sweep_csv(out_dir, "sweep_tau.csv", SWEEP_TAU_CSV_HEADER, rows)
+        export_prototype_gallery(model, dataset, os.path.join(out_dir, f"tau_{tau:g}_seed{seed}"),
+                                 features=features)
+    write_csv(os.path.join(out_dir, "sweep_tau.csv"), SWEEP_TAU_CSV_HEADER, rows)
     return rows
 
 
 _GRID_RUNS = {run_ablation: _ablation_runs, sweep_k: _sweep_k_runs,
               sweep_tau: _sweep_tau_runs}
-
-
-def _write_sweep_csv(out_dir, name: str, header, rows) -> None:
-    """One (value, seed, MAE) row per sweep run, if ``out_dir`` is given."""
-    if out_dir:
-        write_csv(os.path.join(out_dir, name), header, rows)

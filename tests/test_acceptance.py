@@ -18,8 +18,8 @@ from protodensity import tensor as T
 from protodensity.cli import run_gradcheck_suite
 from protodensity.datagen import (DotAnnotation, SceneConfig, generate_dataset,
                                   load_dataset, make_density_map)
-from protodensity.evaluate import constant_baseline_mae, mae, run_ablation, \
-    sweep_k, sweep_tau
+from protodensity.evaluate import VARIANTS, constant_baseline_mae, mae, \
+    plan_grid, run_ablation, sweep_k, sweep_tau
 from protodensity.interp import (connected_components, explain_location,
                                  percentile_threshold)
 from protodensity.losses import diversity_loss, proto_feature_loss
@@ -60,13 +60,12 @@ def test_features(default_dataset, extractor):
 
 
 @pytest.fixture(scope="module")
-def ablation(default_dataset, extractor, train_features, tmp_path_factory):
+def ablation(default_dataset, extractor, tmp_path_factory):
     """All nine default-config runs (3 variants x 3 seeds) plus wall time."""
     out = tmp_path_factory.mktemp("acceptance_ablation")
     start = time.perf_counter()
-    reports = run_ablation(default_dataset, TrainConfig(), seeds=SEEDS,
-                           extractor=extractor, out_dir=str(out),
-                           feature_cache=train_features)
+    runs = plan_grid(run_ablation, TrainConfig(), VARIANTS, SEEDS, ModelConfig())
+    reports = run_ablation(default_dataset, runs, extractor, str(out))
     elapsed = time.perf_counter() - start
     return reports, elapsed
 
@@ -306,21 +305,17 @@ def test_criterion_09_bit_identical_reruns(default_dataset, extractor,
           "bit-identical)")
 
 
-def test_criterion_10_sweeps_complete(default_dataset, extractor,
-                                      train_features, tmp_path):
+def test_criterion_10_sweeps_complete(default_dataset, extractor, tmp_path):
     import csv
 
     config = TrainConfig(**REFERENCE_CONFIG)
-    k_rows = sweep_k(default_dataset, config, k_values=(2, 4, 6, 8),
-                     seeds=(0,), extractor=extractor,
-                     out_dir=str(tmp_path), feature_cache=train_features)
+    k_runs = plan_grid(sweep_k, config, (2, 4, 6, 8), (0,), ModelConfig())
+    k_rows = sweep_k(default_dataset, k_runs, extractor, str(tmp_path))
     assert [k for k, _, _ in k_rows] == [2, 4, 6, 8]
     assert all(np.isfinite(m) for _, _, m in k_rows)
 
-    tau_rows = sweep_tau(default_dataset, config, tau_values=(0.0, 0.4, 0.8),
-                         seeds=(0,), extractor=extractor,
-                         out_dir=str(tmp_path), feature_cache=train_features,
-                         gallery_k=1)
+    tau_runs = plan_grid(sweep_tau, config, (0.0, 0.4, 0.8), (0,), ModelConfig())
+    tau_rows = sweep_tau(default_dataset, tau_runs, extractor, str(tmp_path))
     assert [tau for tau, _, _ in tau_rows] == [0.0, 0.4, 0.8]
     assert all(np.isfinite(m) for _, _, m in tau_rows)
 

@@ -431,6 +431,7 @@ def test_file_in_place_of_an_output_directory_exits_usage(tmp_path, cfg_path, ca
                  "--n-train", "2", "--n-test", "1"]) == 0
     model = CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
                        FeatureExtractor(np.random.default_rng(0)))
+    model.extractor.freeze()  # an unfrozen one is refused before --out is looked at
     save_extractor(model.extractor, extractor)
     save_checkpoint(model, ckpt)
     afile = tmp_path / "afile"
@@ -836,6 +837,32 @@ def test_failed_rerun_leaves_none_of_the_earlier_results(tmp_path, cfg_path, cap
     assert main([*argv, "--set", diverging]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert [name for name in results if os.path.lexists(os.path.join(out, name))] == []
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train", []), ("ablate", ["--variants", "full", "--seeds", "0"]),
+    ("sweep-k", ["--k", "2", "--seeds", "0"]), ("sweep-tau", ["--tau", "0", "--seeds", "0"]),
+])
+def test_unfrozen_extractor_exits_before_touching_any_output(tmp_path, cfg_path, capsys,
+                                                             command, flags):
+    data, extractor = _data_and_extractor(tmp_path, cfg_path)
+    out, new = tmp_path / "out", tmp_path / "new"
+    argv = [command, "--config", cfg_path, "--data", data, "--extractor", extractor, *flags]
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = os.path.join(extractor, "extractor.txt")
+    with open(manifest) as f:
+        text = f.read()
+    assert "\nfrozen = True\n" in text
+    with open(manifest, "w") as f:
+        f.write(text.replace("\nfrozen = True\n", "\nfrozen = False\n"))
+    before = _files(tmp_path)
+    for target in (out, new):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(target)]) == 1
+        assert _files(tmp_path) == before
+        err = capsys.readouterr().err
+        assert err == f"error: extractor in {extractor} is not frozen: pretrain it first\n"
+    assert not new.exists()
 
 
 def test_sweep_tau_rerun_with_fewer_taus_leaves_no_dropped_gallery(tmp_path, cfg_path):

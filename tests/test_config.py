@@ -54,6 +54,17 @@ def test_overrides_beat_file(tmp_path):
     assert config.train.batch_size == 4
 
 
+def test_digest_protocols_tiny_config_loads():
+    # scripts/tiny.cfg is the config every byte-identity check runs with
+    path = Path(__file__).parent.parent / "scripts" / "tiny.cfg"
+    config = build_run_config(str(path))
+    assert config.scene.image_size == (32, 32)
+    assert (config.train.max_epochs, config.train.projection_interval,
+            config.train.calibration_epochs, config.train.pretrain_epochs,
+            config.train.batch_size) == (4, 2, 1, 2, 8)
+    assert config.model == ModelConfig()
+
+
 def test_coercion_by_field_type():
     config = build_run_config(None, [
         "scene.image_size = (48, 64)",

@@ -18,8 +18,9 @@ from protodensity.evaluate import (ABLATION_CSV_HEADER, EVAL_CSV_HEADER,
                                    constant_baseline_mae,
                                    constant_predictor_mae,
                                    format_distance_table, localization_rates,
-                                   mae, run_ablation, sweep_k, sweep_tau,
-                                   variant_loss_config, write_eval_csv)
+                                   mae, plan_grid, run_ablation, sweep_k,
+                                   sweep_tau, variant_loss_config,
+                                   write_eval_csv)
 from protodensity.interp import GroupDistanceStats
 from protodensity.losses import LossConfig
 from protodensity.model import (CountModel, FeatureExtractor, ModelConfig,
@@ -140,12 +141,10 @@ def test_variant_loss_config_zeroes_one_lambda():
         variant_loss_config(base, "no_such_thing")
 
 
-def test_run_ablation_tiny(tiny_dataset, tiny_extractor, tiny_features,
-                           tmp_path):
+def test_run_ablation_tiny(tiny_dataset, tiny_extractor, tmp_path):
     out = tmp_path / "ablation"
-    reports = run_ablation(tiny_dataset, harness_config(), seeds=(0,),
-                           model_config=SMALL_MODEL, extractor=tiny_extractor,
-                           out_dir=str(out), feature_cache=tiny_features)
+    runs = plan_grid(run_ablation, harness_config(), VARIANTS, (0,), SMALL_MODEL)
+    reports = run_ablation(tiny_dataset, runs, tiny_extractor, str(out))
     assert [r.variant for r in reports] == list(VARIANTS)
     assert {r.seed for r in reports} == {0}
     assert {r.manifest_hash for r in reports} == {tiny_dataset.manifest_hash}
@@ -167,11 +166,11 @@ def test_run_ablation_tiny(tiny_dataset, tiny_extractor, tiny_features,
     assert len(table) == 1 + len(VARIANTS)
 
 
-def test_ablation_requires_frozen_extractor(tiny_dataset):
+def test_ablation_requires_frozen_extractor(tiny_dataset, tmp_path):
     loose = FeatureExtractor(np.random.default_rng(0))
+    runs = plan_grid(run_ablation, harness_config(), VARIANTS, (0,), SMALL_MODEL)
     with pytest.raises(ValueError, match="frozen"):
-        run_ablation(tiny_dataset, harness_config(), seeds=(0,),
-                     model_config=SMALL_MODEL, extractor=loose)
+        run_ablation(tiny_dataset, runs, loose, str(tmp_path / "out"))
 
 
 def test_format_distance_table_averages_over_seeds():
@@ -194,18 +193,16 @@ def test_format_distance_table_averages_over_seeds():
 # -- sweeps ---------------------------------------------------------------------
 
 
-def test_sweep_k_rejects_odd_or_tiny_k(tiny_dataset, tiny_extractor):
+def test_sweep_k_rejects_odd_or_tiny_k():
     for bad in (1, 3, 0):
         with pytest.raises(ValueError, match="even"):
-            sweep_k(tiny_dataset, harness_config(), k_values=(bad,), seeds=(0,),
-                    extractor=tiny_extractor)
+            plan_grid(sweep_k, harness_config(), (bad,), (0,), ModelConfig())
 
 
-def test_sweep_k_tiny(tiny_dataset, tiny_extractor, tiny_features, tmp_path):
+def test_sweep_k_tiny(tiny_dataset, tiny_extractor, tmp_path):
     out = tmp_path / "sweep"
-    rows = sweep_k(tiny_dataset, harness_config(), k_values=(2, 4), seeds=(0,),
-                   extractor=tiny_extractor, out_dir=str(out),
-                   feature_cache=tiny_features)
+    runs = plan_grid(sweep_k, harness_config(), (2, 4), (0,), ModelConfig())
+    rows = sweep_k(tiny_dataset, runs, tiny_extractor, str(out))
     assert [(k, seed) for k, seed, _ in rows] == [(2, 0), (4, 0)]
     assert all(np.isfinite(m) and m >= 0 for _, _, m in rows)
 
@@ -216,13 +213,10 @@ def test_sweep_k_tiny(tiny_dataset, tiny_extractor, tiny_features, tmp_path):
     assert [float(r[2]) for r in parsed[1:]] == [m for _, _, m in rows]
 
 
-def test_sweep_tau_tiny_with_galleries(tiny_dataset, tiny_extractor,
-                                       tiny_features, tmp_path):
+def test_sweep_tau_tiny_with_galleries(tiny_dataset, tiny_extractor, tmp_path):
     out = tmp_path / "tau"
-    rows = sweep_tau(tiny_dataset, harness_config(), tau_values=(0.0, 0.5),
-                     seeds=(0,), model_config=SMALL_MODEL,
-                     extractor=tiny_extractor, out_dir=str(out),
-                     feature_cache=tiny_features, gallery_k=1)
+    runs = plan_grid(sweep_tau, harness_config(), (0.0, 0.5), (0,), SMALL_MODEL)
+    rows = sweep_tau(tiny_dataset, runs, tiny_extractor, str(out))
     assert [(tau, seed) for tau, seed, _ in rows] == [(0.0, 0), (0.5, 0)]
 
     with open(out / "sweep_tau.csv", newline="") as f:
@@ -233,40 +227,37 @@ def test_sweep_tau_tiny_with_galleries(tiny_dataset, tiny_extractor,
     for name in ("tau_0_seed0", "tau_0.5_seed0"):
         gallery = out / name
         assert (gallery / "patches.csv").is_file()
-        assert list(gallery.glob("proto*_rank1_img*.pgm"))
+        # top-3 patches for each of the 4 prototypes
+        assert len(list(gallery.glob("proto*_rank*_img*.pgm"))) == 3 * 4
 
 
 def test_sweep_k_trains_the_given_model_config(tiny_dataset, tiny_extractor,
-                                               tiny_features, trained_configs):
-    sweep_k(tiny_dataset, harness_config(), k_values=(2, 4), seeds=(0, 1),
-            model_config=ModelConfig(d=8, epsilon=1e-3),
-            extractor=tiny_extractor, feature_cache=tiny_features)
+                                               tmp_path, trained_configs):
+    runs = plan_grid(sweep_k, harness_config(), (2, 4), (0, 1),
+                     ModelConfig(d=8, epsilon=1e-3))
+    sweep_k(tiny_dataset, runs, tiny_extractor, str(tmp_path / "out"))
     assert [(c.k_cell, c.k_bg) for c in trained_configs] == [(1, 1), (1, 1),
                                                              (2, 2), (2, 2)]
     assert all(c.d == 8 and c.epsilon == 1e-3 for c in trained_configs)
 
 
-def test_sweep_tau_rejects_values_that_share_a_gallery(tiny_dataset, tiny_extractor,
-                                                       tmp_path, trained_configs):
+def test_sweep_tau_rejects_values_that_share_a_gallery(tmp_path, trained_configs):
     # 0.4 and 0.4000001 both print as 0.4: one tau_0.4_seed0 gallery for two runs
     with pytest.raises(ValueError, match="share gallery names"):
-        sweep_tau(tiny_dataset, harness_config(), tau_values=(0.4, 0.4000001),
-                  seeds=(0,), extractor=tiny_extractor, out_dir=str(tmp_path / "out"))
+        plan_grid(sweep_tau, harness_config(), (0.4, 0.4000001), (0,), ModelConfig())
     assert not trained_configs
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("harness, grid", [
-    (run_ablation, dict(variants=(), seeds=(0,))), (run_ablation, dict(seeds=())),
-    (sweep_k, dict(k_values=(), seeds=(0,))),
-    (sweep_tau, dict(tau_values=(0.0, 0.4, 0.8), seeds=())),
-    (sweep_tau, dict(tau_values=(0.0, 2.0), seeds=(0,))),
-    (sweep_k, dict(k_values=(2, 4, 6, 8), seeds=(0, -1))),
+    (run_ablation, dict(values=(), seeds=(0,))), (run_ablation, dict(values=VARIANTS, seeds=())),
+    (sweep_k, dict(values=(), seeds=(0,))),
+    (sweep_tau, dict(values=(0.0, 0.4, 0.8), seeds=())),
+    (sweep_tau, dict(values=(0.0, 2.0), seeds=(0,))),
+    (sweep_k, dict(values=(2, 4, 6, 8), seeds=(0, -1))),
 ])
-def test_grid_is_validated_before_training(tiny_dataset, tiny_extractor, tmp_path,
-                                           trained_configs, harness, grid):
+def test_grid_is_validated_before_training(tmp_path, trained_configs, harness, grid):
     with pytest.raises(ValueError, match="empty|tau_cell|train.seed"):
-        harness(tiny_dataset, harness_config(), extractor=tiny_extractor,
-                out_dir=str(tmp_path / "out"), **grid)
+        plan_grid(harness, harness_config(), model_config=ModelConfig(), **grid)
     assert not trained_configs
     assert not (tmp_path / "out").exists()
