@@ -142,12 +142,13 @@ def variant_loss_config(base, variant: str):
     raise ValueError(f"unknown ablation variant {variant!r}")
 
 
-def _train_grid(dataset: Dataset, runs, extractor: FeatureExtractor):
-    """Train every ``(label, model_config, run_config)`` of ``runs``, from
-    ``plan_grid``, in order on one frozen extractor, yielding (label, model,
-    test MAE, train features) per run."""
+def _train_grid(dataset: Dataset, runs, extractor: FeatureExtractor, out_dir, *outputs):
+    """Check that the extractor is frozen, clear ``outputs`` from ``out_dir``,
+    then train each (label, model_config, run_config) of ``plan_grid``'s
+    ``runs`` in order, yielding (label, model, test MAE, train features)."""
     if not extractor.frozen:
         raise ValueError("harness extractor must be frozen")
+    clear_outputs(out_dir, *outputs)
     train_features = compute_features(extractor, dataset.train)
     test_features = compute_features(extractor, dataset.test)
     for label, model_config, run_config in runs:
@@ -201,9 +202,9 @@ def run_ablation(dataset: Dataset, runs, extractor: FeatureExtractor,
     Variants differ only in the lambdas zeroed out of the base loss config;
     the table averages each group's min and mean pairwise distance over seeds.
     """
-    clear_outputs(out_dir, "ablation.csv", "distance_table.txt")
     reports = []
-    for (variant, seed), model, test_mae, features in _train_grid(dataset, runs, extractor):
+    grid = _train_grid(dataset, runs, extractor, out_dir, "ablation.csv", "distance_table.txt")
+    for (variant, seed), model, test_mae, features in grid:
         cell_rate, bg_rate = localization_rates(model, dataset, features=features)
         stats = intra_group_distances(model.prototypes.data,
                                       model.config.k_cell, model.config.k_bg)
@@ -243,9 +244,8 @@ def sweep_k(dataset: Dataset, runs, extractor: FeatureExtractor,
             out_dir) -> list[tuple[int, int, float]]:
     """Train the (K, seed) runs ``plan_grid`` listed, K split equally between
     the groups, and write test MAE rows (K, seed, MAE) to sweep_k.csv."""
-    clear_outputs(out_dir, "sweep_k.csv")
     rows = [(k, seed, test_mae) for (k, seed), _, test_mae, _ in _train_grid(
-        dataset, runs, extractor)]
+        dataset, runs, extractor, out_dir, "sweep_k.csv")]
     write_csv(os.path.join(out_dir, "sweep_k.csv"), SWEEP_K_CSV_HEADER, rows)
     return rows
 
@@ -255,9 +255,10 @@ def sweep_tau(dataset: Dataset, runs, extractor: FeatureExtractor,
     """Train the (tau, seed) runs ``plan_grid`` listed, one diversity threshold
     each; write a patch gallery per run for qualitative comparison and MAE
     rows (tau, seed, MAE) to sweep_tau.csv."""
-    clear_outputs(out_dir, "sweep_tau.csv", *(f"tau_*_seed*/{name}" for name in GALLERY_FILES))
     rows = []
-    for (tau, seed), model, test_mae, features in _train_grid(dataset, runs, extractor):
+    grid = _train_grid(dataset, runs, extractor, out_dir, "sweep_tau.csv",
+                       *(f"tau_*_seed*/{name}" for name in GALLERY_FILES))
+    for (tau, seed), model, test_mae, features in grid:
         rows.append((tau, seed, test_mae))
         export_prototype_gallery(model, dataset, os.path.join(out_dir, f"tau_{tau:g}_seed{seed}"),
                                  features=features)

@@ -49,7 +49,8 @@ class ModelConfig:
 
 
 class FeatureExtractor:
-    """Three {3x3 conv, 2x2 max-pool, relu} blocks, widths 1->16->32->64.
+    """Three {3x3 conv, 2x2 max-pool, relu} blocks, widths 1->16->32->64;
+    each block is one pooled ``conv3x3`` call and a relu.
 
     This is the conv -> relu -> pool block in values and gradients, with the
     relu on a quarter of the elements: relu is monotone, so it commutes with
@@ -74,7 +75,7 @@ class FeatureExtractor:
 
     def forward(self, x: Tensor) -> Tensor:
         for w, b in zip(self.weights, self.biases):
-            x = T.relu(T.maxpool2x2(T.conv3x3(x, w, b)))
+            x = T.relu(T.conv3x3(x, w, b, pool=True))
         return x
 
     def parameters(self) -> list[Parameter]:

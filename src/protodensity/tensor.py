@@ -5,9 +5,9 @@ gradient gives its output Tensor a node: the output's gradient, edges to the
 nodes of the inputs a gradient reaches, and a backward closure. A leaf
 tensor is its own node. A closure holds the nodes it accumulates into and
 only the arrays its backward reads, never a Tensor, so an activation no
-backward reads is freed as soon as the caller drops its Tensor: a
-``conv3x3`` output once the pool after it has read it, a pool output once
-its relu has. Calling ``backward()`` on a scalar result replays the nodes in
+backward reads is freed as soon as the caller drops its Tensor: an extractor
+block is one pooled ``conv3x3`` call, whose output dies once its relu has
+read it. Calling ``backward()`` on a scalar result replays the nodes in
 reverse topological order and frees each interior node's closure, edges and
 gradient as soon as its closure has run. Every interior ``.grad`` is a
 private buffer, so a backward may reuse the ``out.grad`` it owns and hand it
@@ -28,14 +28,15 @@ the 3x3 one, nine shifted, cropped slices of the input fill one zero-bordered,
 sample-sized (C*9, H*W) im2col buffer, so its forward and backward GEMMs run on
 NCHW data with no transposed copy, and neither a padded copy nor a batch-sized
 im2col matrix exists; the bias is added, and its gradient summed, per sample.
-Max pooling compares the four strided window corners; when its input needs a
-gradient, the forward also keeps a bool mask, one byte per input element, of
-each window's first maximum in row-major window order, and the backward routes
-the gradient by that mask alone. The distance map's forward is one reduce over
-a (d,K,B,H,W) buffer of at most 1 MiB, else (or for one (K,B,H,W) element,
-which numpy sums pairwise) a channel loop, both in channel order; its backward
-is two GEMMs, the feature one run a sample at a time into the feature gradient.
-A central finite-difference oracle, `finite_diff_grad`, checks every gradient.
+With ``pool=True`` it also pools each sample, so a traced run times the
+extractor's pool as ``conv3x3``'s. A pool whose input needs a gradient keeps a
+bool mask, one byte per input element, of each window's first maximum in
+row-major window order, and its backward routes the gradient by that mask
+alone. The distance map's forward is one reduce over a (d,K,B,H,W) buffer of at
+most 1 MiB, else (or for one (K,B,H,W) element, which numpy sums pairwise) a
+channel loop, both in channel order; its backward is two GEMMs, the feature one
+run a sample at a time into the feature gradient. A central finite-difference
+oracle, `finite_diff_grad`, checks every gradient.
 
 The module also holds the package's file formats: PDTF tensors, the one
 ``key = value`` writer and reader and the one CSV writer and reader behind
@@ -587,7 +588,7 @@ def _im2col(col: np.ndarray, x_n: np.ndarray) -> np.ndarray:
     # row c*9 + 3i + j of the result is channel c of one sample (C, H, W)
     # shifted by tap (i, j) with zero padding 1, the order of
     # weight.reshape(C_out, C*9); col is the caller's (C, 9, H, W) buffer,
-    # zeroed once, whose border strips no tap writes
+    # whose border strips no tap writes and the caller keeps zero
     c, _, h, w = col.shape
     for i, (dy, sy) in enumerate(_TAP_CROPS):
         for j, (dx, sx) in enumerate(_TAP_CROPS):
@@ -595,20 +596,22 @@ def _im2col(col: np.ndarray, x_n: np.ndarray) -> np.ndarray:
     return col.reshape(c * 9, h * w)
 
 
-def conv3x3(x, weight, bias) -> Tensor:
-    """3x3 convolution, stride 1, zero padding 1 (spatial dims preserved).
+def conv3x3(x, weight, bias, pool=False) -> Tensor:
+    """3x3 convolution, stride 1, zero padding 1 (spatial dims preserved);
+    with ``pool``, each sample's output then goes through ``maxpool2x2``'s pool.
 
     Every pass runs one sample at a time, while that sample's slices sit in
     cache. The nine shifted, cropped slices of the input fill a single
     zero-bordered (C*9, H*W) im2col buffer, one GEMM writes that sample's
-    C_out x H*W output and the bias is added to it, so no padded copy and no
-    batch-sized im2col matrix exist. The tape keeps the input for the weight
-    gradient and the weight for the input gradient, and never the output.
-    The backward rebuilds each sample's im2col slice, accumulates
-    grad_W = sum_b g[b] col[b]^T and the bias gradient, each in sample order,
-    puts W^T g[b] in a second sample-sized buffer and adds its nine cropped
-    slices, in tap order, into that sample's slice of the input gradient,
-    zeroed just before; nothing is transposed.
+    C_out x H*W output (with ``pool``, to one sample-sized buffer it pools)
+    and the bias is added, so no padded copy and no batch-sized im2col matrix
+    exist. The tape keeps the input for the weight gradient, the weight for
+    the input gradient and the pool's mask, never the output. The backward
+    unpools each sample's gradient into one sample-sized buffer if it pooled,
+    rebuilds the im2col slice, accumulates grad_W = sum_b g[b] col[b]^T and
+    the bias gradient in sample order, puts W^T g[b] in the im2col buffer,
+    adds its nine cropped slices, in tap order, into the sample's input
+    gradient, zeroed just before, and zeroes the buffer's border again.
     """
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     xd = _batched(x, "conv3x3")
@@ -623,33 +626,43 @@ def conv3x3(x, weight, bias) -> Tensor:
 
     w2 = weight.data.reshape(c_out, c * 9)
     col = np.zeros((c, 9, h, w))
-    oc = np.empty((b_, c_out, h * w))
+    oc = np.empty((1 if pool else b_, c_out, h * w))
+    if pool:
+        out, rows, first = _pool_buffers("conv3x3", b_, c_out, h, w,
+                                         any(t.requires_grad for t in (x, weight, bias)))
     for n in range(b_):
-        np.matmul(w2, _im2col(col, xd[n]), out=oc[n])
-        oc[n] += bias.data[:, None]
+        o = oc[0 if pool else n]
+        np.matmul(w2, _im2col(col, xd[n]), out=o)
+        o += bias.data[:, None]
+        if pool:
+            _pool(o.reshape(c_out, h, w), out[n], rows, None if first is None else first[n])
     # the weight gradient reads the input, the input gradient the weight
     x_read = xd if weight.requires_grad else None
     w_read = w2 if x.requires_grad else None
 
     def backward(out, x, weight, bias):
-        g = out.grad.reshape(b_, c_out, h * w)
+        g = out.grad.reshape(b_, c_out, -1)
         col = np.zeros((c, 9, h, w))
         gw = np.zeros((c_out, c * 9)) if weight is not None else None
         gb = np.zeros(c_out) if bias is not None else None
         gx = x._empty() if x is not None else None
-        gcol = np.empty((c, 9, h, w)) if x is not None else None
+        gc = np.empty((c_out, h, w)) if pool else None
         for n in range(b_):
+            # unpooled, it may hold -0.0 where a node's gradient holds 0.0, but
+            # each sum it enters starts at 0.0, which gives both the same bits
+            g_n = _unpool(out.grad[n], first[n], gc).reshape(c_out, h * w) if pool else g[n]
             if gw is not None:
-                gw += g[n] @ _im2col(col, x_read[n]).T
+                gw += g_n @ _im2col(col, x_read[n]).T
             if gb is not None:
-                gb += g[n].sum(axis=1)
+                gb += g_n.sum(axis=1)
             if gx is not None:
-                np.matmul(w_read.T, g[n], out=gcol.reshape(c * 9, h * w))
+                np.matmul(w_read.T, g_n, out=col.reshape(c * 9, h * w))
                 gx_n = gx[n]
                 gx_n.fill(0.0)
                 for i, (dy, sy) in enumerate(_TAP_CROPS):
                     for j, (dx, sx) in enumerate(_TAP_CROPS):
-                        gx_n[:, sy, sx] += gcol[:, 3 * i + j, dy, dx]
+                        gx_n[:, sy, sx] += col[:, 3 * i + j, dy, dx]
+                col[:, :3, 0] = col[:, 6:, -1] = col[:, 0::3, :, 0] = col[:, 2::3, :, -1] = 0.0
         if gw is not None:
             _accum(weight, gw.reshape(c_out, c, 3, 3))
         if gb is not None:
@@ -657,7 +670,45 @@ def conv3x3(x, weight, bias) -> Tensor:
         if gx is not None:
             _accum_own(x, gx)
 
-    return _make(oc.reshape(b_, c_out, h, w), (x, weight, bias), backward)
+    return _make(out if pool else oc.reshape(b_, c_out, h, w), (x, weight, bias), backward)
+
+
+def _pool_buffers(opname: str, b_, c, h, w, keep_mask: bool):
+    # a 2x2 pool's output, row buffer and, for a backward, first-maximum mask
+    if h % 2 or w % 2:
+        raise ShapeError(f"{opname}: spatial dims must be even, got {h}x{w}")
+    first = np.empty((b_, c, h // 2, 2, w), dtype=bool) if _grad_enabled and keep_mask else None
+    return np.empty((b_, c, h // 2, w // 2)), np.empty((c, h // 2, w)), first
+
+
+def _pool(x_n: np.ndarray, out_n: np.ndarray, rows: np.ndarray, first_n) -> None:
+    # maxpool2x2's forward on one (C, H, W) sample; first_n is None or its mask
+    c, h2, w = rows.shape
+    np.maximum(x_n[:, 0::2], x_n[:, 1::2], out=rows)
+    np.maximum(rows[..., 0::2], rows[..., 1::2], out=out_n)
+    if first_n is None:
+        return
+    # rows is free again: each pooled value twice along its row
+    rows[..., 0::2] = out_n
+    rows[..., 1::2] = out_n
+    np.equal(x_n.reshape(c, h2, 2, w), rows[:, :, None], out=first_n)
+    e00, e01 = first_n[:, :, 0, 0::2], first_n[:, :, 0, 1::2]
+    e10, e11 = first_n[:, :, 1, 0::2], first_n[:, :, 1, 1::2]
+    np.greater(e01, e00, out=e01)     # a hit no earlier corner took
+    np.logical_or(e00, e01, out=e11)  # e11 holds the corners taken
+    np.greater(e10, e11, out=e10)
+    # e10 and the taken corners are disjoint, so they are equal where
+    # neither holds: the last corner gets every window left
+    np.equal(e11, e10, out=e11)
+
+
+def _unpool(g_n: np.ndarray, first_n: np.ndarray, gx_n: np.ndarray) -> np.ndarray:
+    # maxpool2x2's backward on one sample into its (C, H, W) gx_n
+    for i in (0, 1):
+        for j in (0, 1):
+            gx_n[:, i::2, j::2] = g_n
+    gx_n *= first_n.reshape(gx_n.shape)
+    return gx_n
 
 
 def maxpool2x2(x) -> Tensor:
@@ -666,60 +717,32 @@ def maxpool2x2(x) -> Tensor:
     bottom-left, bottom-right); a window with no corner equal to its maximum,
     one holding a NaN, routes it to the last corner. A zero maximum of a
     window that holds both -0.0 and 0.0 may come out with either sign; the
-    extractor's relu right after the pool makes it 0.0.
+    extractor's relu right after the pool makes it 0.0. The extractor pools
+    in ``conv3x3(..., pool=True)``, through the same per-sample passes.
 
     Both passes run one sample at a time, while that sample's slice sits in
     cache. The forward is ``np.maximum`` of the even and odd rows (contiguous
     runs) into a sample-sized buffer, then of that buffer's even and odd
-    columns into the preallocated output. When the input needs a gradient,
-    it also fills a (B, C, H/2, 2, W) bool mask of each window's first
-    maximum, element for element in the input's row-major order: one
-    contiguous compare of the sample against its pooled values repeated
-    along each row, then the corners in turn, each keeping the hits no
-    earlier corner took, and the last corner the rest. The tape keeps that
-    mask, one byte per input element, and neither the input nor the output.
-    The backward writes each sample's gradient to all four strided corners
-    of its input gradient and multiplies that by the sample's mask in place,
-    so it allocates nothing beside the input gradient.
+    columns into the output. When the input needs a gradient, it also fills
+    a (B, C, H/2, 2, W) bool mask of each window's first maximum, in the
+    input's row-major order: one compare of the sample against its pooled
+    values repeated along each row, then the corners in turn, each keeping
+    the hits no earlier corner took, and the last corner the rest. The tape
+    keeps that mask and neither the input nor the output. The backward
+    writes each sample's gradient to the four strided corners of its input
+    gradient and multiplies that by the mask in place, so it allocates
+    nothing beside the input gradient.
     """
     x = _coerce(x)
     xd = _batched(x, "maxpool2x2")
-    b_, c, h, w = xd.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2x2: spatial dims must be even, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    pooled = np.empty((b_, c, h2, w2))
-    rows = np.empty((c, h2, w))
-    first = None  # each window's first maximum, kept only for a backward
-    if _grad_enabled and x.requires_grad:
-        first = np.empty((b_, c, h2, 2, w), dtype=bool)
-    for n in range(b_):
-        np.maximum(xd[n, :, 0::2], xd[n, :, 1::2], out=rows)
-        np.maximum(rows[..., 0::2], rows[..., 1::2], out=pooled[n])
-        if first is not None:
-            # rows is free again: each pooled value twice along its row
-            rows[..., 0::2] = pooled[n]
-            rows[..., 1::2] = pooled[n]
-            mask = first[n]
-            np.equal(xd[n].reshape(c, h2, 2, w), rows[:, :, None], out=mask)
-            e00, e01 = mask[:, :, 0, 0::2], mask[:, :, 0, 1::2]
-            e10, e11 = mask[:, :, 1, 0::2], mask[:, :, 1, 1::2]
-            np.greater(e01, e00, out=e01)     # a hit no earlier corner took
-            np.logical_or(e00, e01, out=e11)  # e11 holds the corners taken
-            np.greater(e10, e11, out=e10)
-            # e10 and the taken corners are disjoint, so they are equal where
-            # neither holds: the last corner gets every window left
-            np.equal(e11, e10, out=e11)
+    pooled, rows, first = _pool_buffers("maxpool2x2", *xd.shape, x.requires_grad)
+    for n, x_n in enumerate(xd):
+        _pool(x_n, pooled[n], rows, None if first is None else first[n])
 
     def backward(out, x):
-        g = out.grad
         gx = x._empty()
-        for n in range(b_):
-            gx_n = gx[n]
-            for i in (0, 1):
-                for j in (0, 1):
-                    gx_n[:, i::2, j::2] = g[n]
-            gx_n *= first[n].reshape(c, h, w)
+        for n, gx_n in enumerate(gx):
+            _unpool(out.grad[n], first[n], gx_n)
         _accum_own(x, gx)
 
     return _make(pooled, (x,), backward)
@@ -840,7 +863,7 @@ def save_tensor(path, array) -> None:
     """Write an array to ``path`` as a float64 PDTF tensor."""
     arr = np.ascontiguousarray(array, dtype=_PDTF_DTYPE)
     if arr.ndim > _PDTF_MAX_NDIM:
-        raise ValueError(f"save_tensor: ndim {arr.ndim} exceeds format limit")
+        raise ValueError(f"{path}: PDTF ndim {arr.ndim} exceeds format limit")
     header = PDTF_MAGIC + struct.pack("<BB", _PDTF_CODE, arr.ndim)
     header += b"".join(struct.pack("<I", d) for d in arr.shape)
     with open(path, "wb") as f:

@@ -346,6 +346,24 @@ def test_non_finite_tensor_file_exits_naming_it(tmp_path, cfg_path, capsys,
     assert not (tmp_path / "eval.csv").exists() and not (tmp_path / "run").exists()
 
 
+def test_truncated_tensor_header_exits_naming_it(tmp_path, cfg_path, capsys):
+    # a checkpoint tensor cut inside its dims: eval exits 1 naming the file,
+    # with no traceback and no eval.csv
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "ckpt")
+    assert main(["gen-data", "--config", cfg_path, "--out", data,
+                 "--n-train", "2", "--n-test", "1"]) == 0
+    save_checkpoint(CountModel(ModelConfig(k_cell=2, k_bg=2, d=16),
+                               FeatureExtractor(np.random.default_rng(0))), ckpt)
+    path = tmp_path / "ckpt" / "prototypes.pdt"
+    path.write_bytes(path.read_bytes()[:8])
+    capsys.readouterr()
+    assert main(["eval", "--model", ckpt, "--data", data,
+                 "--out", str(tmp_path / "eval.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: truncated PDTF header" in err and "Traceback" not in err, err
+    assert not (tmp_path / "eval.csv").exists()
+
+
 def test_overflowing_prototypes_exit_naming_the_map(tmp_path, cfg_path, capsys):
     # finite prototypes at 1e200 overflow every distance to inf, and every
     # similarity log((inf + 1) / (inf + eps)) is NaN

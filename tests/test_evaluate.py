@@ -173,6 +173,28 @@ def test_ablation_requires_frozen_extractor(tiny_dataset, tmp_path):
         run_ablation(tiny_dataset, runs, loose, str(tmp_path / "out"))
 
 
+@pytest.mark.parametrize("harness, values", [(run_ablation, VARIANTS), (sweep_k, (2,)),
+                                             (sweep_tau, (0.5,))],
+                         ids=["run_ablation", "sweep_k", "sweep_tau"])
+def test_unfrozen_extractor_leaves_earlier_results_alone(tiny_dataset, tmp_path,
+                                                         harness, values):
+    # an API caller's unfrozen extractor is refused before the harness
+    # clears anything an earlier run wrote
+    names = ["ablation.csv", "distance_table.txt", "sweep_k.csv", "sweep_tau.csv",
+             "tau_0.5_seed0/patches.csv", "tau_0.5_seed0/proto0_rank1_img3.pgm",
+             "tau_0.5_seed0/proto0_sim.pdt", "tau_0.5_seed0/proto0_mask.pdt"]
+    (tmp_path / "tau_0.5_seed0").mkdir()
+    for i, name in enumerate(names):
+        (tmp_path / name).write_bytes(b"earlier result %d\n" % i)
+    runs = plan_grid(harness, harness_config(), values, (0,), SMALL_MODEL)
+    with pytest.raises(ValueError, match="frozen"):
+        harness(tiny_dataset, runs, FeatureExtractor(np.random.default_rng(0)), str(tmp_path))
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                  if p.is_file()) == sorted(names)
+    for i, name in enumerate(names):
+        assert (tmp_path / name).read_bytes() == b"earlier result %d\n" % i
+
+
 def test_format_distance_table_averages_over_seeds():
     def rep(variant, seed, cell_min, cell_avg, bg_min, bg_avg):
         return AblationReport(variant, seed, 1.0,

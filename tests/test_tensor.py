@@ -2,6 +2,7 @@
 gradient against central finite differences."""
 
 import ast
+import contextlib
 import pathlib
 import re
 import struct
@@ -469,6 +470,8 @@ def test_maxpool_forward_matches_four_corner_formula(rng):
 def test_maxpool_odd_dims_raise():
     with pytest.raises(ShapeError):
         T.maxpool2x2(Tensor(np.zeros((1, 1, 3, 4))))
+    with pytest.raises(ShapeError, match="conv3x3"):
+        T.conv3x3(np.zeros((1, 1, 4, 3)), np.zeros((2, 1, 3, 3)), np.zeros(2), pool=True)
 
 
 def test_maxpool_grad(rng):
@@ -527,6 +530,73 @@ def test_maxpool_tie_routes_gradient_to_first_in_window(rng):
         # a second backward adds into the gradient already there
         T.tsum(T.mul(T.maxpool2x2(leaf), Tensor(g))).backward()
         assert_bitwise_equal(leaf.grad, 2.0 * ref_gx)
+
+
+# -- the pooled conv -------------------------------------------------------------
+#
+# conv3x3(..., pool=True) pools each sample's output while it sits in one
+# sample-sized buffer; it must give maxpool2x2(conv3x3(...)) to the bit.
+
+
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_pooled_conv3x3_equals_maxpool2x2_of_conv3x3_bitwise(rng, b, x_grad):
+    # integer inputs, weights and biases: exact integer outputs, so windows
+    # tie often and many maxima are zero; output gradients hold -0.0
+    zero_maxima = 0
+    for c_in, c_out, h, w in [(1, 16, 8, 8), (3, 5, 6, 10), (16, 4, 4, 2)]:
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(b, c_in, h, w))
+        wt = rng.choice([-1.0, 0.0, 1.0], size=(c_out, c_in, 3, 3))
+        bias = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(c_out,))
+        g = rng.normal(size=(b, c_out, h // 2, w // 2))
+        g[g > 1.0] = -0.0
+        runs = []
+        for blocks in (lambda *a: T.maxpool2x2(T.conv3x3(*a)),
+                       lambda *a: T.conv3x3(*a, pool=True)):
+            leaves = Tensor(x, requires_grad=x_grad), Parameter(wt), Parameter(bias)
+            out = blocks(*leaves)
+            T.tsum(T.mul(out, Tensor(g))).backward()
+            runs.append([out.data] + [leaf.grad for leaf in leaves if leaf.requires_grad])
+        ref, got = runs
+        assert len(got) == 3 + x_grad
+        zero_maxima += np.count_nonzero(ref[0] == 0.0)
+        for a, want in zip(got, ref, strict=True):
+            assert_same_bits(a, want)
+    assert zero_maxima
+
+
+def test_pooled_conv3x3_keeps_no_mask_under_no_grad(rng, monkeypatch):
+    # the weights need a gradient, but with no tape the first-maximum mask
+    # (one byte per conv output element) is never allocated
+    x = Tensor(rng.normal(size=(4, 3, 32, 32)))
+    weight, bias = Parameter(rng.normal(size=(8, 3, 3, 3))), Parameter(rng.normal(size=8))
+    masks = []
+    pool = T._pool
+    monkeypatch.setattr(T, "_pool", lambda *a: masks.append(a[3]) or pool(*a))
+    peaks = []
+    for grad in (True, False):
+        tracemalloc.start()
+        try:
+            with (contextlib.nullcontext() if grad else no_grad()):
+                out = T.conv3x3(x, weight, bias, pool=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (out._backward is not None) == grad
+    mask_bytes = 4 * 8 * 32 * 32
+    assert all(m is not None for m in masks[:4]) and masks[4:] == [None] * 4
+    assert peaks[0] - peaks[1] >= mask_bytes, peaks
+
+
+def test_pooled_conv3x3_grads(rng):
+    # normal inputs: no window ties, so the pool is differentiable everywhere
+    x = rng.normal(size=(2, 2, 4, 6))
+    w = rng.normal(size=(3, 2, 3, 3))
+    b = rng.normal(size=(3,))
+    g = Tensor(rng.normal(size=(2, 3, 2, 3)))
+    check_grad(lambda t: T.tsum(T.mul(T.conv3x3(t, Tensor(w), Tensor(b), pool=True), g)), x)
+    check_grad(lambda t: T.tsum(T.mul(T.conv3x3(Tensor(x), t, Tensor(b), pool=True), g)), w)
+    check_grad(lambda t: T.tsum(T.mul(T.conv3x3(Tensor(x), Tensor(w), t, pool=True), g)), b)
 
 
 def test_unbatched_conv_and_pool_shapes(rng):
@@ -720,8 +790,8 @@ def _watch_outputs(monkeypatch, names):
     The wrappers keep no Tensor."""
     calls = []
     for name in names:
-        def watched(*args, _op=getattr(T, name), _name=name):
-            out = _op(*args)
+        def watched(*args, _op=getattr(T, name), _name=name, **kwargs):
+            out = _op(*args, **kwargs)
             arrays = [out.data] if out.data.base is None else [out.data, out.data.base]
             calls.append((_name, [weakref.ref(a) for a in arrays]))
             return out
@@ -754,15 +824,16 @@ def extractor_whole_batch_grads(x, weights, biases, g):
 
 
 def test_extractor_step_frees_conv_and_pool_outputs_before_backward(rng, monkeypatch):
-    # a B=16 pretraining step (at 32x32): each conv3x3 output dies once its
-    # pool has read it and each pool output once its relu has, so all six
-    # are gone before backward(); the gradients match the references' bits
+    # a B=16 pretraining step (at 32x32): each block is one pooled conv3x3
+    # call (no maxpool2x2 call), whose output dies once its relu has read
+    # it, so all three are gone before backward(); the gradients match the
+    # whole-batch references' bits
     extractor = FeatureExtractor(np.random.default_rng(0))
     x = rng.uniform(size=(16, 1, 32, 32))
     g = rng.normal(size=(16, FEATURE_DIM, 4, 4))
     calls = _watch_outputs(monkeypatch, ("conv3x3", "maxpool2x2"))
     loss = T.tsum(T.mul(extractor.forward(Tensor(x)), Tensor(g)))
-    assert [name for name, _ in calls] == ["conv3x3", "maxpool2x2"] * 3
+    assert [name for name, _ in calls] == ["conv3x3"] * 3
     assert all(_dead(refs) for _, refs in calls)
     loss.backward()
     want = extractor_whole_batch_grads(x, [w.data for w in extractor.weights],
@@ -1180,6 +1251,28 @@ def test_pdtf_rejects_bad_files(tmp_path):
         T.save_tensor(tmp_path / "nonfinite.pdt", [1.0, value])
         with pytest.raises(ValueError, match="nonfinite.pdt: PDTF tensor holds NaN or inf"):
             T.load_tensor(tmp_path / "nonfinite.pdt")
+
+
+@pytest.mark.parametrize("header, message", [
+    pytest.param(struct.pack("<BBI", 1, 2, 3), "truncated PDTF header", id="truncated-header"),
+    pytest.param(struct.pack("<BBII", 1, 2, 3, 0), r"PDTF dims must be positive, got \(3, 0\)",
+                 id="zero-dim"),
+    pytest.param(struct.pack("<BB", 1, 33) + bytes(4 * 33), "PDTF ndim 33 exceeds format limit",
+                 id="ndim-33"),
+])
+def test_pdtf_bad_header_is_named(tmp_path, header, message):
+    # each header guard fires before any payload is read, naming the file
+    path = tmp_path / "t.pdt"
+    path.write_bytes(b"PDTF" + header)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        T.load_tensor(path)
+
+
+def test_pdtf_save_rejects_ndim_past_the_format_limit(tmp_path):
+    path = tmp_path / "t.pdt"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: PDTF ndim 33 exceeds "):
+        T.save_tensor(path, np.zeros((1,) * 33))
+    assert not path.exists()
 
 
 # -- clearing an output directory ----------------------------------------------

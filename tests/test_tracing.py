@@ -8,7 +8,7 @@ import os
 
 from conftest import tiny_train_config
 
-from protodensity.model import ModelConfig
+from protodensity.model import EXTRACTOR_WIDTHS, ModelConfig
 
 TRACING_PY = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 MODULES = ("tensor", "datagen", "model", "losses", "training", "interp", "evaluate")
@@ -74,8 +74,18 @@ def test_tracer_counts_the_pretrain_and_gallery_layers(tiny_dataset, tiny_extrac
                                                features=tiny_features)
 
     counts, spans = _traced(run)
-    for name in ("tensor.maxpool2x2", "tensor.conv3x3", "interp.global_top_patches",
+    for name in ("tensor.conv3x3", "interp.global_top_patches",
                  "interp.connected_components", "interp.render_boxes_pgm"):
         assert counts[f"{name}.calls"] > 0, name
-    for op in ("conv3x3", "maxpool2x2", "relu", "conv1x1"):
+    # an extractor block is one pooled conv3x3 call: the pool is timed in it
+    assert counts["tensor.maxpool2x2.calls"] == 0
+    for op in ("conv3x3", "relu", "conv1x1"):
         assert f"tensor.{op}.bwd" in spans, op
+    # the flops the tracer sizes from conv3x3's unpooled input and weight:
+    # one epoch's forward over every train image, and a backward GEMM per
+    # gradient, the weight's at each block and the input's past block 0
+    n, (_, h, w) = len(tiny_dataset.train), tiny_dataset.train[0].image.shape
+    flop = 0
+    for i, (c_in, c_out) in enumerate(zip(EXTRACTOR_WIDTHS, EXTRACTOR_WIDTHS[1:])):
+        flop += 2 * n * c_out * c_in * 9 * (h >> i) * (w >> i) * (2 + (i > 0))
+    assert counts["tensor.conv3x3.flop"] == flop
